@@ -22,6 +22,7 @@ keys so a typo in a physics parameter cannot pass silently.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass, field
@@ -103,16 +104,15 @@ def _split_lines(text: str):
 
 
 def _parse_scalar(value: str, kind, key: str, lineno: int):
+    """Parse one int, float or complex value; NaN and infinities are rejected."""
     try:
-        if kind is int:
-            return int(value)
-        if kind is float:
-            return float(value)
-        if kind is complex:
-            return complex(value.replace(" ", ""))
+        parsed = kind(value.replace(" ", "") if kind is complex else value)
     except ValueError:
-        pass
-    raise ConfigError(f"cannot parse {key} value {value!r} as {kind.__name__}", lineno)
+        message = f"cannot parse {key} value {value!r} as {kind.__name__}"
+        raise ConfigError(message, lineno) from None
+    if kind is not int and not cmath.isfinite(parsed):
+        raise ConfigError(f"{key} must be finite, got {value!r}", lineno)
+    return parsed
 
 
 def _parse_float_list(value: str, key: str, lineno: int) -> tuple[float, ...]:

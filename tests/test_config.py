@@ -93,6 +93,20 @@ class TestParsing:
         with pytest.raises(vd.ConfigError, match="grid.n"):
             vd.parse_config(bad)
 
+    @pytest.mark.parametrize("key,value", [
+        ("diffusion.D", "nan"),
+        ("grid.extent", "inf"),
+        ("diffusion.times", "[0, nan]"),
+        ("mode.amp", "nan+0j"),
+    ])
+    def test_non_finite_value_names_key_and_line(self, key, value):
+        lines = [ln for ln in MINIMAL.splitlines() if not ln.startswith(key)]
+        lines.insert(3, f"{key} = {value}")
+        with pytest.raises(vd.ConfigError, match="must be finite") as err:
+            vd.parse_config("\n".join(lines))
+        assert err.value.line == 4
+        assert key in str(err.value)
+
     def test_outputs_parsing(self):
         cfg = vd.parse_config(MINIMAL + "outputs = snapshots, nodes, fidelity_trace\n")
         assert cfg.outputs == (OutputKind.SNAPSHOTS, OutputKind.NODES, OutputKind.FIDELITY_TRACE)

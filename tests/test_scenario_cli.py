@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -151,6 +154,19 @@ class TestCliSimulate:
         cfg_file = tmp_path / "bad.cfg"
         cfg_file.write_text(small_vortex_cfg(tmp_path / "out").replace("[0, 0.05, 0.1, 0.15, 0.25]", "[0.3, 0.1]"))
         assert main(["simulate", str(cfg_file)]) == 2
+
+    def test_non_finite_config_value_exit_code(self, tmp_path, capsys):
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text(small_vortex_cfg(tmp_path / "out").replace("diffusion.D = 1.0", "diffusion.D = nan"))
+        assert main(["simulate", str(cfg_file)]) == 2
+        assert "diffusion.D must be finite" in capsys.readouterr().err
+
+    def test_import_does_not_load_scipy(self):
+        # scipy is a test-only dependency; the CLI must start without it
+        probe = ("import vortexdiff.cli, sys; "
+                 "assert not any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)")
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
+        subprocess.run([sys.executable, "-c", probe], env=env, check=True)
 
     def test_cli_reruns_byte_identical(self, tmp_path):
         cfg_file = tmp_path / "v.cfg"

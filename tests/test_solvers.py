@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import vortexdiff as vd
+from vortexdiff.solvers import heat_kernel_patch
 from helpers import free_gaussian_dispersed
 
 
@@ -108,6 +109,29 @@ class TestDiffuseKernel:
         expected = np.exp(-(r**2) / 0.4) / (0.4 * math.pi) * g.dx**2
         core = r < 1.5
         assert np.max(np.abs(out.values[core] - expected[core])) <= 1e-12 * expected.max()
+
+    def test_matches_direct_convolution_sum(self):
+        # the "same" window of the linear convolution, summed term by term
+        # with no transform: a wrong crop offset or a pad too small to hold
+        # the window shifts or wraps this asymmetric, edge-heavy field
+        g = vd.make_grid(16, 2.0)
+        t = 1.05 * g.dx**2 / 4.0
+        x = np.arange(16)
+        vals = np.exp(-((x[:, None] - 11.0) ** 2 + (x[None, :] - 4.0) ** 2) / 20.0)
+        vals = vals * np.exp(0.7j * x[:, None]) + 0.3 + 0.1j * x[None, :]
+        kernel = heat_kernel_patch(g, 1.0, t)
+        half = (kernel.shape[0] - 1) // 2
+        expected = np.zeros((16, 16), dtype=complex)
+        for i in range(16):
+            for j in range(16):
+                for u in range(kernel.shape[0]):
+                    for v in range(kernel.shape[1]):
+                        a, b = i + half - u, j + half - v
+                        if 0 <= a < 16 and 0 <= b < 16:
+                            expected[i, j] += vals[a, b] * kernel[u, v]
+        expected *= g.dx**2
+        out = vd.diffuse_kernel(vd.ComplexField2D(g, vals), 1.0, t)
+        assert rel_linf(out.values, expected) <= 1e-13
 
     def test_total_mass_preserved(self, lg00):
         before = np.sum(lg00.values) * lg00.grid.dx**2
