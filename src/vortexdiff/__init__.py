@@ -72,7 +72,9 @@ from .solvers import (
     echo_reverse,
     evolve_quantum,
     evolve_snapshot,
+    evolve_snapshots,
     fd_max_dt,
+    fd_timestep,
     reverse_classical,
 )
 

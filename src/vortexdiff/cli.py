@@ -227,6 +227,16 @@ def _cmd_echo(args) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vortexdiff",
@@ -236,8 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out-dir", default=None, help="override the config out_dir")
     parser.add_argument("--format", choices=("csv", "vxf", "both"), default="csv",
                         help="field dump format (default csv)")
-    parser.add_argument("--threads", type=int, default=1, metavar="N",
-                        help="evaluate diffusion times with N worker threads")
+    parser.add_argument("--threads", type=_positive_int, default=1, metavar="N",
+                        help="evaluate spectral/kernel diffusion times with N worker "
+                             "threads; FD marches once")
     parser.add_argument("--strict", action=argparse.BooleanOptionalAction, default=True,
                         help="reject unknown config keys (default on; --no-strict downgrades "
                              "them to warnings)")

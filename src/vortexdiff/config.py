@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from .analytic import DiffusionParams
 from .grid import GridSpec
 from .modes import ModeKind, ModeSpec, lg_required_extent
-from .solvers import QuantumParams, Scheme, SolverConfig, fd_max_dt
+from .solvers import CflError, QuantumParams, Scheme, SolverConfig, fd_timestep
 
 
 class ConfigError(ValueError):
@@ -275,13 +275,11 @@ def validate_scenario(cfg: ScenarioConfig) -> None:
                 f"pi/extent = {math.pi / grid.extent:.6g}"
             )
 
-    if cfg.solver.scheme is Scheme.FD_EXPLICIT and cfg.solver.dt is not None and diffusion.D > 0:
-        bound = fd_max_dt(grid, diffusion.D, cfg.solver.cfl_safety)
-        if cfg.solver.dt > bound * (1.0 + 1e-12):
-            raise ConfigError(
-                f"solver.dt = {cfg.solver.dt:.6g} violates the FD stability bound; "
-                f"maximum admissible dt is {bound:.6g}"
-            )
+    if cfg.solver.scheme is Scheme.FD_EXPLICIT and diffusion.D > 0:
+        try:
+            fd_timestep(grid, diffusion.D, cfg.solver)
+        except CflError as exc:
+            raise ConfigError(f"solver.dt: {exc}") from exc
 
     if OutputKind.FIT in cfg.outputs and len(diffusion.times) < 5:
         raise ConfigError("the fit output needs at least 5 diffusion times")

@@ -10,7 +10,10 @@ Three independent classical schemes on the same grid:
   meets its own periodic images.  Other fields (plane waves, raw data) are
   evolved periodically.
 * FD_EXPLICIT: forward-Euler 5-point stencil with periodic wrap; O(dx^2)+O(dt),
-  kept deliberately simple as convergence-order evidence.
+  kept deliberately simple as convergence-order evidence.  It marches once
+  across all requested times (evolve_snapshots), at O(t_max) work instead of
+  one march from t = 0 per time, and gives each time the same bytes as a
+  march to that time alone.
 * KERNEL: discrete convolution with the sampled heat kernel
   G = e^{-|r|^2 / 4 D t} / (4 pi D t), truncated where G < 1e-16 G(0).  It is
   a zero-padded numpy.fft linear convolution, so this scheme is free-space
@@ -32,7 +35,7 @@ from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,6 +194,67 @@ def _periodic_laplacian(u: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def fd_timestep(grid: GridSpec, D: float, cfg: SolverConfig) -> float:
+    """The explicit-FD step size: cfg.dt, or the stability bound when cfg.dt
+    is None.  A dt above the bound is a hard error (CflError) naming the
+    maximum admissible value; this is the one CFL rule, shared by the march
+    and by config validation.  Needs D > 0."""
+    bound = fd_max_dt(grid, D, cfg.cfl_safety)
+    dt = bound if cfg.dt is None else cfg.dt
+    if dt > bound * (1.0 + 1e-12):
+        raise CflError(
+            f"FD timestep dt={dt:.6g} violates the stability bound; "
+            f"maximum admissible dt is {bound:.6g} "
+            f"(cfl_safety={cfg.cfl_safety}, dx={grid.dx:.6g}, D={D})",
+            max_dt=bound,
+        )
+    return dt
+
+
+def _fd_march(values: np.ndarray, grid: GridSpec, D: float, times: list[float],
+              cfg: SolverConfig) -> Iterator[np.ndarray]:
+    """The one explicit-FD stepping loop, marched once across ascending times.
+
+    For each t the shared state advances to floor(t/dt) full steps; one
+    shorter step over the remainder is applied to a copy only, and the march
+    goes on from the full-step state.  Every result thus follows the step
+    sequence of a march to that t alone, byte for byte, at O(t_max) work
+    instead of O(sum of t).  values keeps its dtype: a real field marches as
+    float64.  Results are yielded one time at a time, each a new array, so a
+    caller can consume them as they come.
+    """
+    for t in times:
+        if t < 0:
+            raise ValueError(f"time must be >= 0, got {t}")
+    if D < 0:
+        raise ValueError(f"diffusion coefficient must be >= 0, got {D}")
+    if any(later < earlier for earlier, later in zip(times, times[1:])):
+        raise ValueError(f"FD march needs ascending times, got {times}")
+    if D == 0 or not times or times[-1] == 0:
+        for _ in times:
+            yield values.copy()
+        return
+    dt = fd_timestep(grid, D, cfg)
+    u = values.copy()
+    lap = np.empty_like(u)
+    coeff = D * dt / grid.dx**2
+    steps_done = 0
+    for t in times:
+        n_full = int(math.floor(t / dt + 1e-12))
+        for _ in range(n_full - steps_done):
+            _periodic_laplacian(u, lap)
+            lap *= coeff
+            u += lap
+        steps_done = n_full
+        remainder = t - n_full * dt
+        if remainder > 1e-12 * dt:
+            _periodic_laplacian(u, lap)
+            lap *= D * remainder / grid.dx**2
+            yield u + lap
+        else:
+            yield u.copy()
+
+
 def diffuse_fd(f: ComplexField2D, D: float, t: float, cfg: SolverConfig) -> ComplexField2D:
     """Explicit 5-point-stencil time stepping with periodic wrap.
 
@@ -201,36 +265,11 @@ def diffuse_fd(f: ComplexField2D, D: float, t: float, cfg: SolverConfig) -> Comp
     Marches floor(t/dt) full steps of cfg.dt (or the stability bound when
     cfg.dt is None) plus one shorter final step covering the remainder, so
     an arbitrary t is reached exactly.  A dt above the stability bound is a
-    hard error naming the maximum admissible value.
+    hard error naming the maximum admissible value.  This is the one-time
+    case of the march that evolve_snapshots runs once across all requested
+    times, at O(t_max).
     """
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t}")
-    if D < 0:
-        raise ValueError(f"diffusion coefficient must be >= 0, got {D}")
-    if t == 0 or D == 0:
-        return f.copy()
-    bound = fd_max_dt(f.grid, D, cfg.cfl_safety)
-    dt = bound if cfg.dt is None else cfg.dt
-    if dt > bound * (1.0 + 1e-12):
-        raise CflError(
-            f"FD timestep dt={dt:.6g} violates the stability bound; "
-            f"maximum admissible dt is {bound:.6g} "
-            f"(cfl_safety={cfg.cfl_safety}, dx={f.grid.dx:.6g}, D={D})",
-            max_dt=bound,
-        )
-    n_full = int(math.floor(t / dt + 1e-12))
-    remainder = t - n_full * dt
-    u = f.values.copy()
-    lap = np.empty_like(u)
-    coeff = D * dt / f.grid.dx**2
-    for _ in range(n_full):
-        _periodic_laplacian(u, lap)
-        lap *= coeff
-        u += lap
-    if remainder > 1e-12 * dt:
-        _periodic_laplacian(u, lap)
-        lap *= D * remainder / f.grid.dx**2
-        u += lap
+    (u,) = _fd_march(f.values, f.grid, D, [t], cfg)
     return ComplexField2D(f.grid, u, _diffused_boundary(f, D, t))
 
 
@@ -250,10 +289,12 @@ def heat_kernel_patch(grid: GridSpec, D: float, t: float) -> np.ndarray:
 def diffuse_kernel(f: ComplexField2D, D: float, t: float) -> ComplexField2D:
     """Green-function propagation: discrete convolution with the sampled
     heat kernel times dx^2.  The convolution is linear: field and K x K
-    kernel patch are zero-padded to at least n + K - 1 and the centred
-    n x n window is kept.  t = 0 is rejected (the kernel degenerates to a
-    delta; use the identity instead), as are steps too short for the grid to
-    resolve the kernel (4 D t < dx^2), which would fabricate mass."""
+    kernel patch (K odd) are zero-padded to at least n + (K - 1) / 2 and the
+    centred n x n window, starting at (K - 1) / 2, is kept; the circular
+    wrap of that transform lands only outside the window.  t = 0 is
+    rejected (the kernel degenerates to a delta; use the identity instead),
+    as are steps too short for the grid to resolve the kernel
+    (4 D t < dx^2), which would fabricate mass."""
     if not (t > 0):
         raise ValueError("kernel propagator needs t > 0 (t = 0 is the identity)")
     if D < 0:
@@ -266,10 +307,10 @@ def diffuse_kernel(f: ComplexField2D, D: float, t: float) -> ComplexField2D:
             f"got {4.0 * D * t:.6g}; use the spectral scheme for short steps"
         )
     kernel = heat_kernel_patch(f.grid, D, t)
-    width = kernel.shape[0]
+    half = (kernel.shape[0] - 1) // 2
     out = _fourier_multiply(
-        f.values, _fft_size(f.grid.n + width - 1),
-        lambda side: np.fft.fft2(kernel, s=(side, side)), offset=(width - 1) // 2,
+        f.values, _fft_size(f.grid.n + half),
+        lambda side: np.fft.fft2(kernel, s=(side, side)), offset=half,
     )
     out *= f.grid.dx**2
     return ComplexField2D(f.grid, out, _diffused_boundary(f, D, t))
@@ -327,15 +368,28 @@ def reverse_classical(f: ComplexField2D, D: float, t: float) -> ComplexField2D:
 
 
 def _diffuse(f: ComplexField2D, D: float, t: float, cfg: SolverConfig) -> ComplexField2D:
+    """One per-time step of the spectral or kernel scheme."""
     if cfg.scheme is Scheme.SPECTRAL:
         return diffuse_spectral(f, D, t)
-    if cfg.scheme is Scheme.FD_EXPLICIT:
-        return diffuse_fd(f, D, t, cfg)
     if cfg.scheme is Scheme.KERNEL:
         if t == 0:
             return f.copy()
         return diffuse_kernel(f, D, t)
     raise ValueError(f"unknown scheme {cfg.scheme!r}")
+
+
+def _physical_snapshot(s: StateSnapshot, t: float, rho12: ComplexField2D,
+                       rho22: np.ndarray) -> StateSnapshot:
+    """The snapshot s evolved for t, from its diffused fields.  rho22 values
+    below -PHYSICALITY_TOL (relative to its peak) raise; StateSnapshot clips
+    the tiny negative rounding residues above that."""
+    floor = -PHYSICALITY_TOL * max(1.0, float(np.max(rho22, initial=0.0)))
+    if float(rho22.min()) < floor:
+        raise ValueError(
+            f"rho22 developed negative values ({rho22.min():.3e}) beyond tolerance; "
+            "initial data too rough for this scheme/grid"
+        )
+    return StateSnapshot(time=s.time + t, rho12=rho12, rho22=rho22, rho11=s.rho11)
 
 
 def evolve_snapshot(s: StateSnapshot, D: float, t: float, cfg: SolverConfig) -> StateSnapshot:
@@ -344,22 +398,37 @@ def evolve_snapshot(s: StateSnapshot, D: float, t: float, cfg: SolverConfig) -> 
     rho12 diffuses as a complex field, rho22 as a real nonnegative field
     with rho12's boundary (its tiny negative rounding residues are clipped
     within the physicality tolerance); rho11 is homogeneous and
-    diffusion-invariant.
+    diffusion-invariant.  The FD scheme runs as the one-time case of the
+    march in evolve_snapshots.
     """
+    if cfg.scheme is Scheme.FD_EXPLICIT:
+        (snap,) = evolve_snapshots(s, D, [t], cfg)
+        return snap
     rho12 = _diffuse(s.rho12, D, t, cfg)
     rho22_c = _diffuse(
         ComplexField2D(s.grid, s.rho22.astype(np.complex128), s.rho12.free_space), D, t, cfg
     )
-    rho22 = rho22_c.values.real
-    floor = -PHYSICALITY_TOL * max(1.0, float(np.max(rho22, initial=0.0)))
-    if float(rho22.min()) < floor:
-        raise ValueError(
-            f"rho22 developed negative values ({rho22.min():.3e}) beyond tolerance; "
-            "initial data too rough for this scheme/grid"
+    return _physical_snapshot(s, t, rho12, rho22_c.values.real)
+
+
+def evolve_snapshots(s: StateSnapshot, D: float, times, cfg: SolverConfig) -> list[StateSnapshot]:
+    """Propagate a snapshot to each of the given durations, as evolve_snapshot does.
+
+    The spectral and kernel schemes step each time from s.  The FD scheme
+    marches rho12, then rho22 (as float64), once each across the ascending
+    times, and gives each time the same bytes as a march to it alone.
+    """
+    times = list(times)
+    if cfg.scheme is not Scheme.FD_EXPLICIT:
+        return [evolve_snapshot(s, D, t, cfg) for t in times]
+    # rho12's march ends (freeing its work arrays) before rho22's starts;
+    # rho22's results become snapshots as they come, so the peak memory
+    # stays near that of one march per time
+    rho12s = list(_fd_march(s.rho12.values, s.grid, D, times, cfg))
+    rho22s = _fd_march(np.asarray(s.rho22, dtype=np.float64), s.grid, D, times, cfg)
+    return [
+        _physical_snapshot(
+            s, t, ComplexField2D(s.grid, rho12, _diffused_boundary(s.rho12, D, t)), rho22
         )
-    return StateSnapshot(
-        time=s.time + t,
-        rho12=rho12,
-        rho22=np.maximum(rho22, 0.0),
-        rho11=s.rho11,
-    )
+        for t, rho12, rho22 in zip(times, rho12s, rho22s)
+    ]

@@ -115,6 +115,29 @@ out_dir = {tmp_path / "blocked"}
         with pytest.raises(ValueError):
             vd.run_scenario(cfg, fmt="json")
 
+    @staticmethod
+    def _fd_vortex_cfg(out_dir):
+        return vd.parse_config(small_vortex_cfg(out_dir, "solver.scheme = fd\n"))
+
+    def test_fd_threads_write_identical_manifest(self, tmp_path):
+        cfg = self._fd_vortex_cfg(tmp_path / "fd")
+        serial = vd.run_scenario(cfg, fmt="both", threads=1).manifest_path.read_bytes()
+        threaded = vd.run_scenario(cfg, fmt="both", threads=4).manifest_path.read_bytes()
+        assert threaded == serial
+
+    def test_fd_snapshots_equal_single_time_evolution(self, tmp_path):
+        # one march across all times must reproduce a fresh march to each time
+        cfg = self._fd_vortex_cfg(tmp_path / "fd")
+        manifest = vd.run_scenario(cfg, fmt="vxf")
+        snap0 = vd.initial_snapshot(vd.build_mode(cfg.mode, cfg.grid))
+        for i, t in enumerate(cfg.diffusion.times):
+            single = vd.evolve_snapshot(snap0, cfg.diffusion.D, t, cfg.solver)
+            rho12 = vd.read_field(manifest.out_dir / f"rho12_{i:03d}.vxf")
+            rho22 = vd.read_field(manifest.out_dir / f"rho22_{i:03d}.vxf")
+            assert rho12.time == t
+            assert np.array_equal(rho12.values, single.rho12.values)
+            assert np.array_equal(rho22.values, single.rho22)
+
 
 class TestCliSimulate:
     def test_simulate_and_exit_code(self, tmp_path, capsys):
@@ -180,6 +203,15 @@ class TestCliSimulate:
             if f1.name == "manifest.json":
                 continue  # embeds out_dir, which differs by construction here
             assert f1.read_bytes() == f2.read_bytes(), f1.name
+
+    def test_threads_below_one_is_usage_error(self, tmp_path, capsys):
+        cfg_file = tmp_path / "v.cfg"
+        cfg_file.write_text(small_vortex_cfg(tmp_path / "out"))
+        with pytest.raises(SystemExit) as exc:
+            main(["--threads", "0", "simulate", str(cfg_file)])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestCliAnalysis:

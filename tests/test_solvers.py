@@ -5,6 +5,7 @@ import pytest
 
 import vortexdiff as vd
 from vortexdiff.solvers import heat_kernel_patch
+from vortexdiff.solvers import _fd_march
 from helpers import free_gaussian_dispersed
 
 
@@ -87,6 +88,56 @@ class TestDiffuseFd:
         out = vd.diffuse_fd(lg00, 1.0, t, fd_cfg(dt=dt))
         ref = vd.diffuse_spectral(lg00, 1.0, t)
         assert rel_linf(out.values, ref.values) < 5e-3
+
+
+class TestFdMarch:
+    """One FD march across ascending times equals a fresh march to each time."""
+
+    @staticmethod
+    def _setup():
+        g = vd.make_grid(64, 8.0)
+        f = vd.lg_field(vd.ModeSpec(kind=vd.ModeKind.LG, m=1), g)
+        dt = 0.8 * vd.fd_max_dt(g, 1.0, 0.9)
+        cfg = fd_cfg(dt=dt)
+        k = 7
+        times = [0.0, k * dt, k * dt + 0.4 * dt, 25.3 * dt]
+        return f, cfg, times
+
+    def test_march_matches_per_time_diffuse_fd(self):
+        f, cfg, times = self._setup()
+        marched = _fd_march(f.values, f.grid, 1.0, times, cfg)
+        for t, u in zip(times, marched):
+            assert np.array_equal(u, vd.diffuse_fd(f, 1.0, t, cfg).values)
+        real = np.abs(f.values) ** 2
+        marched_real = _fd_march(real, f.grid, 1.0, times, cfg)
+        for t, u in zip(times, marched_real):
+            assert u.dtype == np.float64
+            per_time = vd.diffuse_fd(vd.ComplexField2D(f.grid, real), 1.0, t, cfg).values
+            assert np.array_equal(u, per_time.real)
+
+    def test_evolve_snapshots_matches_evolve_snapshot(self):
+        f, cfg, times = self._setup()
+        snap = vd.initial_snapshot(f)
+        for t, out in zip(times, vd.evolve_snapshots(snap, 1.0, times, cfg)):
+            single = vd.evolve_snapshot(snap, 1.0, t, cfg)
+            assert out.time == single.time
+            assert np.array_equal(out.rho12.values, single.rho12.values)
+            assert np.array_equal(out.rho22, single.rho22)
+            assert out.rho12.free_space == single.rho12.free_space
+
+    def test_d_zero_returns_copies(self):
+        f, cfg, times = self._setup()
+        marched = list(_fd_march(f.values, f.grid, 0.0, times, cfg))
+        assert len(marched) == len(times)
+        for u in marched:
+            assert np.array_equal(u, f.values)
+            assert not np.shares_memory(u, f.values)
+        assert not np.shares_memory(marched[0], marched[1])
+
+    def test_descending_times_rejected(self):
+        f, cfg, _ = self._setup()
+        with pytest.raises(ValueError, match="ascending"):
+            list(_fd_march(f.values, f.grid, 1.0, [0.1, 0.05], cfg))
 
 
 class TestDiffuseKernel:
