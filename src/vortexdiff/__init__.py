@@ -16,6 +16,7 @@ from .analysis import (
     accumulated_phase,
     center_intensity,
     coherence_factor_field,
+    coherence_factor_values,
     find_radial_nodes,
     fit_decay,
     hole_refill_ratio,

@@ -66,16 +66,25 @@ def retrieval_efficiency(f_t: ComplexField2D, f_0: ComplexField2D) -> float:
     return float(np.sum(np.abs(f_t.values) ** 2)) / ref
 
 
+def coherence_factor_values(coh_sq, rho11: float, rho22, eta: float) -> np.ndarray:
+    """f = (|rho12|^2 + eta) / (rho11 max(rho22, 0) + eta), clamped to [0, 1].
+
+    The array form of analytic.coherence_factor, applied pointwise by
+    coherence_factor_field and per radial bin to azimuthal averages.
+    """
+    f = (coh_sq + eta) / (rho11 * np.maximum(rho22, 0.0) + eta)
+    np.clip(f, 0.0, 1.0, out=f)
+    return f
+
+
 def coherence_factor_field(s: StateSnapshot, params: CoherenceFactorParams) -> CoherenceFactorMap:
-    """Pointwise f = (|rho12|^2 + eta) / (rho11 rho22 + eta), clamped to [0, 1].
+    """Pointwise coherence factor (see coherence_factor_values) of one snapshot.
 
     Also returns the rho22-weighted average, the natural summary for the
     retrieved light (regions the diffusion never reached keep f = 1 but carry
     vanishing weight).
     """
-    coh_sq = np.abs(s.rho12.values) ** 2
-    f = (coh_sq + params.eta) / (s.rho11 * s.rho22 + params.eta)
-    np.clip(f, 0.0, 1.0, out=f)
+    f = coherence_factor_values(np.abs(s.rho12.values) ** 2, s.rho11, s.rho22, params.eta)
     weight = float(np.sum(s.rho22))
     if weight > 0.0:
         weighted = float(np.sum(f * s.rho22) / weight)

@@ -22,13 +22,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import fit_decay, hole_refill_ratio, retrieval_efficiency, find_radial_nodes
+from .analysis import fit_decay, hole_refill_ratio
 from .analytic import evolution_factor
-from .config import ConfigError, OutputKind, ScenarioConfig, parse_config, render_config, validate_scenario
+from .config import ConfigError, OutputKind, ScenarioConfig, parse_config, validate_scenario
 from .fieldio import FieldFormatError, read_table_csv, write_table_csv
-from .grid import azimuthal_average, l2_norm_sq, ComplexField2D
+from .grid import l2_norm_sq, ComplexField2D
 from .modes import ContainmentError, ModeKind, ModeSpec, build_mode
-from .scenario import compute_snapshots, run_scenario
+from .scenario import _config_header, compute_diagnostics, compute_snapshots, node_columns, run_scenario
 from .solvers import CflError, IrreversibleEvolutionError, classical_reversal_amplification, echo_reverse, evolve_quantum
 
 EXIT_OK = 0
@@ -46,6 +46,14 @@ def _load_config(path: str, strict: bool) -> ScenarioConfig:
     for warning in cfg.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     return cfg
+
+
+def _write_table(out_dir, name: str, columns: dict, header_lines: list[str]) -> None:
+    """Write one table into out_dir (created if missing) and say where."""
+    path = Path(out_dir) / name
+    path.parent.mkdir(parents=True, exist_ok=True)
+    write_table_csv(path, columns, header_lines)
+    print(f"wrote {path}")
 
 
 def _cmd_simulate(args) -> int:
@@ -80,28 +88,20 @@ def _parse_sweep(spec: str) -> tuple[str, list[int]]:
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args.config, args.strict)
     name, values = _parse_sweep(args.param)
-    times = cfg.diffusion.times
-    svals = [evolution_factor(t, cfg.diffusion.D, cfg.mode.w0) for t in times]
-    columns: dict[str, np.ndarray] = {"s": np.asarray(svals)}
+    svals = [evolution_factor(t, cfg.diffusion.D, cfg.mode.w0) for t in cfg.diffusion.times]
+    columns = {"s": svals}
     for value in values:
-        mode = dataclasses.replace(cfg.mode, **{name: value})
-        sub = dataclasses.replace(cfg, mode=mode)
+        sub = dataclasses.replace(cfg, mode=dataclasses.replace(cfg.mode, **{name: value}))
         validate_scenario(sub)
-        snap0, snaps = compute_snapshots(sub, threads=args.threads)
-        columns[f"efficiency_{name}{value}"] = np.asarray(
-            [retrieval_efficiency(s.rho12, snap0.rho12) for s in snaps]
-        )
-    out = Path(args.out_dir) if args.out_dir else Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "sweep_fidelity.csv"
-    write_table_csv(path, columns, [f"vortexdiff sweep over {name}"]
-                    + [f"config: {ln}" for ln in render_config(cfg).strip().splitlines()])
-    header = "s      " + "  ".join(f"{k:>16s}" for k in columns if k != "s")
-    print(header)
+        columns[f"efficiency_{name}{value}"] = [
+            d.efficiency for d in compute_diagnostics(sub, threads=args.threads)
+        ]
+    print("s      " + "  ".join(f"{k:>16s}" for k in columns if k != "s"))
     for i, s in enumerate(svals):
         row = "  ".join(f"{columns[k][i]:16.10f}" for k in columns if k != "s")
         print(f"{s:6.3f} {row}")
-    print(f"wrote {path}")
+    _write_table(args.out_dir or cfg.out_dir, "sweep_fidelity.csv", columns,
+                 _config_header(cfg, f"sweep over {name}"))
     return EXIT_OK
 
 
@@ -132,29 +132,14 @@ def _cmd_fit(args) -> int:
 
 def _cmd_nodes(args) -> int:
     cfg = _load_config(args.config, args.strict)
-    snap0, snaps = compute_snapshots(cfg, threads=args.threads)
+    reports = [d.nodes(args.threshold) for d in compute_diagnostics(cfg, threads=args.threads)]
     print(f"{'t':>10s}  node radii")
-    rows_t, rows_i, rows_r = [], [], []
-    for snap in snaps:
-        prof = azimuthal_average(snap.rho12, cfg.nbins)
-        report = find_radial_nodes(prof, rel_threshold=args.threshold, time=snap.time)
+    for report in reports:
         radii = ", ".join(f"{r:.5f}" for r in report.node_radii) or "(none)"
-        print(f"{snap.time:10.5f}  {radii}")
-        for j, radius in enumerate(report.node_radii):
-            rows_t.append(snap.time)
-            rows_i.append(float(j))
-            rows_r.append(radius)
+        print(f"{report.time:10.5f}  {radii}")
     if args.out_dir:
-        out = Path(args.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        path = out / "nodes.csv"
-        write_table_csv(
-            path,
-            {"t": rows_t, "node_index": rows_i, "radius": rows_r},
-            [f"vortexdiff node table (threshold {args.threshold})"]
-            + [f"config: {ln}" for ln in render_config(cfg).strip().splitlines()],
-        )
-        print(f"wrote {path}")
+        _write_table(args.out_dir, "nodes.csv", node_columns(reports),
+                     _config_header(cfg, f"node table (threshold {args.threshold})"))
     return EXIT_OK
 
 
@@ -174,23 +159,15 @@ def _cmd_compare_blocked(args) -> int:
     _, blocked_snaps = compute_snapshots(cfg, threads=args.threads)
     _, vortex_snaps = compute_snapshots(vortex_cfg, threads=args.threads)
     rows = {
-        "t": np.asarray(cfg.diffusion.times),
-        "blocked_refill": np.asarray(
-            [hole_refill_ratio(s.rho12, hole) for s in blocked_snaps]
-        ),
-        "vortex_refill": np.asarray(
-            [hole_refill_ratio(s.rho12, hole) for s in vortex_snaps]
-        ),
+        "t": cfg.diffusion.times,
+        "blocked_refill": [hole_refill_ratio(s.rho12, hole) for s in blocked_snaps],
+        "vortex_refill": [hole_refill_ratio(s.rho12, hole) for s in vortex_snaps],
     }
     print(f"{'t':>10s}  {'blocked':>14s}  {'vortex':>14s}")
     for i, t in enumerate(cfg.diffusion.times):
         print(f"{t:10.5f}  {rows['blocked_refill'][i]:14.8f}  {rows['vortex_refill'][i]:14.3e}")
-    out = Path(args.out_dir) if args.out_dir else Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "compare_blocked.csv"
-    write_table_csv(path, rows, ["vortexdiff blocked-vs-vortex hole refill"]
-                    + [f"config: {ln}" for ln in render_config(cfg).strip().splitlines()])
-    print(f"wrote {path}")
+    _write_table(args.out_dir or cfg.out_dir, "compare_blocked.csv", rows,
+                 _config_header(cfg, "blocked-vs-vortex hole refill"))
     return EXIT_OK
 
 
@@ -211,19 +188,10 @@ def _cmd_echo(args) -> int:
     print(f"  echo round-trip relative L2 error:  {err:.3e}")
     print(f"classical diffusion over the same window is not invertible:")
     print(f"  band-top amplification e^(D k_max^2 t) = {amplification:.6g}")
-    out = Path(args.out_dir) if args.out_dir else Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "echo_report.csv"
-    with open(path, "w", newline="\n") as fh:
-        for line in render_config(cfg).strip().splitlines():
-            fh.write(f"# config: {line}\n")
-        fh.write("quantity,value\n")
-        fh.write(f"time,{t:.17g}\n")
-        fh.write(f"beta,{cfg.quantum.beta:.17g}\n")
-        fh.write(f"norm_drift,{norm_drift:.17g}\n")
-        fh.write(f"echo_roundtrip_l2_error,{err:.17g}\n")
-        fh.write(f"classical_amplification,{amplification:.17g}\n")
-    print(f"wrote {path}")
+    report = {"time": t, "beta": cfg.quantum.beta, "norm_drift": norm_drift,
+              "echo_roundtrip_l2_error": err, "classical_amplification": amplification}
+    _write_table(args.out_dir or cfg.out_dir, "echo_report.csv",
+                 {"quantity": list(report), "value": list(report.values())}, _config_header(cfg))
     return EXIT_OK
 
 

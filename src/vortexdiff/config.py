@@ -24,12 +24,11 @@ from __future__ import annotations
 
 import cmath
 import enum
-import math
 from dataclasses import dataclass, field
 
 from .analytic import DiffusionParams
 from .grid import GridSpec
-from .modes import ModeKind, ModeSpec, lg_required_extent
+from .modes import ModeKind, ModeSpec, check_plane_wave_k, lg_required_extent
 from .solvers import CflError, QuantumParams, Scheme, SolverConfig, fd_timestep
 
 
@@ -264,16 +263,10 @@ def validate_scenario(cfg: ScenarioConfig) -> None:
             )
 
     if mode.kind is ModeKind.PLANE_WAVE:
-        if abs(mode.k) * grid.dx > math.pi * (1.0 + 1e-12):
-            raise ConfigError(
-                f"mode.k = {mode.k} exceeds the Nyquist limit pi/dx = {math.pi / grid.dx:.6g}"
-            )
-        harmonics = mode.k * grid.extent / math.pi
-        if abs(harmonics - round(harmonics)) > 1e-9:
-            raise ConfigError(
-                f"mode.k = {mode.k} is not grid-periodic; use an integer multiple of "
-                f"pi/extent = {math.pi / grid.extent:.6g}"
-            )
+        try:
+            check_plane_wave_k(mode.k, grid)
+        except ValueError as exc:
+            raise ConfigError(f"mode.k: {exc}") from exc
 
     if cfg.solver.scheme is Scheme.FD_EXPLICIT and diffusion.D > 0:
         try:

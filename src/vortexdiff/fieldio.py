@@ -140,9 +140,11 @@ def write_field_csv(path, values: np.ndarray, grid: GridSpec, header_lines=()) -
 
 
 def write_table_csv(path, columns: dict, header_lines=()) -> None:
-    """Small numeric table: one named column per dict entry, 17 significant digits."""
+    """Small table, one named column per dict entry: numeric cells at 17
+    significant digits, string cells (labels such as a model name) verbatim."""
     names = list(columns)
-    cols = [np.asarray(columns[name], dtype=np.float64) for name in names]
+    cols = [[cell if isinstance(cell, str) else _g17(cell) for cell in columns[name]]
+            for name in names]
     length = len(cols[0]) if cols else 0
     if any(len(c) != length for c in cols):
         raise ValueError("all columns must have equal length")
@@ -150,8 +152,8 @@ def write_table_csv(path, columns: dict, header_lines=()) -> None:
         for line in header_lines:
             fh.write(f"# {line}\n")
         fh.write(",".join(names) + "\n")
-        for i in range(length):
-            fh.write(",".join(_g17(c[i]) for c in cols) + "\n")
+        for row in zip(*cols):
+            fh.write(",".join(row) + "\n")
 
 
 def read_table_csv(path) -> dict[str, np.ndarray]:

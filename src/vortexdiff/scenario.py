@@ -1,10 +1,17 @@
 """Scenario runner: evolve a configured mode and emit diagnostic files.
 
-Every run writes a manifest.json listing each output file with its SHA-256
-checksum; identical configs produce byte-identical outputs (and therefore
-identical manifests) in any thread mode, because each evolution time is an
-independent pure computation (the FD march runs serially and reproduces a
-fresh march to each time) and files are written serially.
+Each evolved snapshot gets one SnapshotDiagnostics, which runs each
+reduction (radial profiles, coherence-factor summary, efficiency) at most
+once and keeps only reduced numbers, never a full-grid map.  Each table
+OutputKind is one function from those reductions to its table's columns;
+every table is written by fieldio.write_table_csv, every field dump by
+write_field or write_field_csv.
+
+manifest.json lists each output file with its SHA-256 checksum.  It is
+removed before the first file is written and rewritten last, so a failed run
+leaves none.  Identical configs produce byte-identical outputs in any thread
+mode: each evolution time is an independent pure computation (the FD march
+reproduces a fresh march to each time) and files are written serially.
 """
 
 from __future__ import annotations
@@ -12,14 +19,17 @@ from __future__ import annotations
 import hashlib
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .analysis import (
+    NodeReport,
     center_intensity,
     coherence_factor_field,
+    coherence_factor_values,
     find_radial_nodes,
     fit_decay,
     hole_refill_ratio,
@@ -29,7 +39,7 @@ from .analysis import (
 from .analytic import CoherenceFactorParams, StateSnapshot, evolution_factor, initial_snapshot
 from .config import OutputKind, ScenarioConfig, render_config
 from .fieldio import write_field, write_field_csv, write_table_csv
-from .grid import ComplexField2D, azimuthal_average
+from .grid import ComplexField2D, RadialProfile, azimuthal_average
 from .modes import build_mode
 from .solvers import Scheme, evolve_snapshot, evolve_snapshots
 
@@ -51,13 +61,10 @@ class Manifest:
         return self.out_dir / "manifest.json"
 
 
-def _sha256(path: Path) -> tuple[str, int]:
-    blob = path.read_bytes()
-    return hashlib.sha256(blob).hexdigest(), len(blob)
-
-
-def _config_header(cfg: ScenarioConfig, title: str, time: float | None = None) -> list[str]:
-    lines = [f"vortexdiff {title}"]
+def _config_header(cfg: ScenarioConfig, title: str | None = None,
+                   time: float | None = None) -> list[str]:
+    """Header lines of an output file: title, time, then the resolved config."""
+    lines = [] if title is None else [f"vortexdiff {title}"]
     if time is not None:
         lines.append(f"time = {time:.17g}")
     lines += [f"config: {ln}" for ln in render_config(cfg).strip().splitlines()]
@@ -70,8 +77,7 @@ def compute_snapshots(cfg: ScenarioConfig, threads: int = 1) -> tuple[StateSnaps
     Spectral and kernel times are independent and spread over `threads`
     workers; the FD scheme marches once across all times, whatever `threads`.
     """
-    field0 = build_mode(cfg.mode, cfg.grid)
-    snap0 = initial_snapshot(field0)
+    snap0 = initial_snapshot(build_mode(cfg.mode, cfg.grid))
     D, times = cfg.diffusion.D, cfg.diffusion.times
     if threads > 1 and cfg.solver.scheme is not Scheme.FD_EXPLICIT:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -81,164 +87,167 @@ def compute_snapshots(cfg: ScenarioConfig, threads: int = 1) -> tuple[StateSnaps
     return snap0, snaps
 
 
+class SnapshotDiagnostics:
+    """The reductions of one evolved snapshot, each computed on first use and
+    kept; a full-grid map such as the coherence factor is dropped once reduced."""
+
+    def __init__(self, cfg: ScenarioConfig, snap0: StateSnapshot, snap: StateSnapshot):
+        self.cfg, self.snap0, self.snap, self.time = cfg, snap0, snap, snap.time
+
+    @cached_property
+    def profile(self) -> RadialProfile:
+        """Azimuthal average of rho12."""
+        return azimuthal_average(self.snap.rho12, self.cfg.nbins)
+
+    @cached_property
+    def rho22_radial(self) -> np.ndarray:
+        """Azimuthal average of rho22, on the bins of profile."""
+        rho22 = ComplexField2D(self.cfg.grid, self.snap.rho22.astype(np.complex128))
+        return azimuthal_average(rho22, self.cfg.nbins).mean_amplitude.real
+
+    @cached_property
+    def cfactor(self) -> tuple[float, float]:
+        """rho22-weighted average and centre sample of the coherence-factor map."""
+        cmap = coherence_factor_field(self.snap, CoherenceFactorParams(eta=self.cfg.eta))
+        i0 = self.cfg.grid.origin_index
+        return cmap.weighted_average, float(cmap.values[i0, i0])
+
+    @cached_property
+    def efficiency(self) -> float:
+        return retrieval_efficiency(self.snap.rho12, self.snap0.rho12)
+
+    def nodes(self, rel_threshold: float = 0.02) -> NodeReport:
+        return find_radial_nodes(self.profile, rel_threshold, time=self.time)
+
+
+def compute_diagnostics(cfg: ScenarioConfig, threads: int = 1) -> list[SnapshotDiagnostics]:
+    """compute_snapshots, with each evolved snapshot wrapped for reduction."""
+    snap0, snaps = compute_snapshots(cfg, threads=threads)
+    return [SnapshotDiagnostics(cfg, snap0, s) for s in snaps]
+
+
+def node_columns(reports: list[NodeReport]) -> dict[str, list[float]]:
+    """The node table: one (t, node_index, radius) row per node found."""
+    rows = [(rep.time, float(j), radius)
+            for rep in reports for j, radius in enumerate(rep.node_radii)]
+    return {name: [row[k] for row in rows]
+            for k, name in enumerate(("t", "node_index", "radius"))}
+
+
+# Each table OutputKind: (cfg, diagnostics) -> [(file name, title, time or
+# None, columns)], written with _config_header(cfg, title, time).
+
+def _profile_tables(cfg, diags):
+    return [(f"profile_{i:03d}.csv", "radial profile", d.time,
+             {"r": d.profile.radii, "rho12_abs": np.sqrt(d.profile.mean_intensity),
+              "rho22": d.rho22_radial})
+            for i, d in enumerate(diags)]
+
+
+def _cfactor_tables(cfg, diags):
+    profiles = [(f"cfactor_{i:03d}.csv", "coherence factor profile", d.time,
+                 {"r": d.profile.radii,
+                  "coherence_factor": coherence_factor_values(
+                      d.profile.mean_intensity, d.snap.rho11, d.rho22_radial, cfg.eta)})
+                for i, d in enumerate(diags)]
+    summary = {"t": cfg.diffusion.times, "weighted_average": [d.cfactor[0] for d in diags]}
+    return profiles + [("cfactor_summary.csv", "rho22-weighted coherence factor", None, summary)]
+
+
+def _fidelity_table(cfg, diags):
+    times = cfg.diffusion.times
+    return [("fidelity.csv", "fidelity trace", None, {
+        "t": times,
+        "s": [evolution_factor(t, cfg.diffusion.D, cfg.mode.w0) for t in times],
+        "efficiency": [d.efficiency for d in diags],
+        "total_population": [total_population(d.snap) for d in diags],
+    })]
+
+
+def _nodes_table(cfg, diags):
+    return [("nodes.csv", "radial nodes", None, node_columns([d.nodes() for d in diags]))]
+
+
+def _center_table(cfg, diags):
+    i0 = cfg.grid.origin_index
+    return [("center.csv", "center trace", None, {
+        "t": cfg.diffusion.times,
+        "rho22_center": [center_intensity(d.snap) for d in diags],
+        "rho12_abs_center": [abs(d.snap.rho12.values[i0, i0]) for d in diags],
+        "cfactor_center": [d.cfactor[1] for d in diags],
+    })]
+
+
+def _fit_table(cfg, diags):
+    power, expo = fit_decay(cfg.diffusion.times, [d.efficiency for d in diags],
+                            cfg.diffusion.D, cfg.mode.w0)
+    return [("fit.csv", "decay-law fits", None, {
+        "model": [power.model.value, expo.model.value],
+        "amplitude": [power.amplitude, expo.amplitude],
+        "parameter": [power.exponent, expo.rate],
+        "rms_log_residual": [power.rms_log_residual, expo.rms_log_residual],
+        "preferred": [int(power.preferred), int(expo.preferred)],
+    })]
+
+
+def _hole_refill_table(cfg, diags):
+    return [("hole_refill.csv", "hole refill", None, {
+        "t": cfg.diffusion.times,
+        "refill_ratio": [hole_refill_ratio(d.snap.rho12, cfg.mode.block_radius) for d in diags],
+    })]
+
+
+_TABLES = {
+    OutputKind.RADIAL_PROFILES: _profile_tables,
+    OutputKind.COHERENCE_FACTOR: _cfactor_tables,
+    OutputKind.FIDELITY_TRACE: _fidelity_table,
+    OutputKind.NODES: _nodes_table,
+    OutputKind.CENTER_TRACE: _center_table,
+    OutputKind.FIT: _fit_table,
+    OutputKind.HOLE_REFILL: _hole_refill_table,
+}
+
+
 def run_scenario(cfg: ScenarioConfig, fmt: str = "csv", threads: int = 1,
                  out_dir: str | Path | None = None) -> Manifest:
     """Run one scenario and write the requested outputs plus manifest.json."""
     if fmt not in ("csv", "vxf", "both"):
         raise ValueError(f"format must be csv, vxf or both, got {fmt!r}")
-    out = Path(out_dir) if out_dir is not None else Path(cfg.out_dir)
+    manifest = Manifest(out_dir=Path(out_dir) if out_dir is not None else Path(cfg.out_dir),
+                        entries=[])
+    out = manifest.out_dir
     out.mkdir(parents=True, exist_ok=True)
+    manifest.manifest_path.unlink(missing_ok=True)
 
-    snap0, snaps = compute_snapshots(cfg, threads=threads)
-    times = cfg.diffusion.times
+    diags = compute_diagnostics(cfg, threads=threads)
     written: list[Path] = []
 
-    def emit_field(name: str, values, time: float):
-        if fmt in ("vxf", "both"):
-            path = out / f"{name}.vxf"
-            write_field(path, values, cfg.grid, time)
-            written.append(path)
-        if fmt in ("csv", "both"):
-            path = out / f"{name}.csv"
-            write_field_csv(path, values, cfg.grid,
-                            _config_header(cfg, f"field {name}", time))
-            written.append(path)
-
     if OutputKind.SNAPSHOTS in cfg.outputs:
-        for i, snap in enumerate(snaps):
-            emit_field(f"rho12_{i:03d}", snap.rho12.values, snap.time)
-            emit_field(f"rho22_{i:03d}", snap.rho22, snap.time)
+        for i, d in enumerate(diags):
+            for name, values in ((f"rho12_{i:03d}", d.snap.rho12.values),
+                                 (f"rho22_{i:03d}", d.snap.rho22)):
+                if fmt in ("vxf", "both"):
+                    write_field(out / f"{name}.vxf", values, cfg.grid, d.time)
+                    written.append(out / f"{name}.vxf")
+                if fmt in ("csv", "both"):
+                    write_field_csv(out / f"{name}.csv", values, cfg.grid,
+                                    _config_header(cfg, f"field {name}", d.time))
+                    written.append(out / f"{name}.csv")
 
-    params = CoherenceFactorParams(eta=cfg.eta)
-    if OutputKind.RADIAL_PROFILES in cfg.outputs or OutputKind.COHERENCE_FACTOR in cfg.outputs:
-        for i, snap in enumerate(snaps):
-            prof12 = azimuthal_average(snap.rho12, cfg.nbins)
-            prof22 = azimuthal_average(
-                ComplexField2D(cfg.grid, snap.rho22.astype(np.complex128)), cfg.nbins
-            )
-            rho22_radial = prof22.mean_amplitude.real
-            if OutputKind.RADIAL_PROFILES in cfg.outputs:
-                path = out / f"profile_{i:03d}.csv"
-                write_table_csv(
-                    path,
-                    {
-                        "r": prof12.radii,
-                        "rho12_abs": np.sqrt(prof12.mean_intensity),
-                        "rho22": rho22_radial,
-                    },
-                    _config_header(cfg, "radial profile", snap.time),
-                )
-                written.append(path)
-            if OutputKind.COHERENCE_FACTOR in cfg.outputs:
-                f_radial = (prof12.mean_intensity + cfg.eta) / (
-                    snap.rho11 * np.maximum(rho22_radial, 0.0) + cfg.eta
-                )
-                np.clip(f_radial, 0.0, 1.0, out=f_radial)
-                path = out / f"cfactor_{i:03d}.csv"
-                write_table_csv(
-                    path,
-                    {"r": prof12.radii, "coherence_factor": f_radial},
-                    _config_header(cfg, "coherence factor profile", snap.time),
-                )
-                written.append(path)
-        if OutputKind.COHERENCE_FACTOR in cfg.outputs:
-            averages = [coherence_factor_field(s, params).weighted_average for s in snaps]
-            path = out / "cfactor_summary.csv"
-            write_table_csv(
-                path,
-                {"t": np.asarray(times), "weighted_average": np.asarray(averages)},
-                _config_header(cfg, "rho22-weighted coherence factor"),
-            )
-            written.append(path)
+    for kind, tables in _TABLES.items():
+        if kind in cfg.outputs:
+            for name, title, time, columns in tables(cfg, diags):
+                write_table_csv(out / name, columns, _config_header(cfg, title, time))
+                written.append(out / name)
 
-    efficiencies = None
-    if OutputKind.FIDELITY_TRACE in cfg.outputs or OutputKind.FIT in cfg.outputs:
-        efficiencies = [retrieval_efficiency(s.rho12, snap0.rho12) for s in snaps]
-    if OutputKind.FIDELITY_TRACE in cfg.outputs:
-        svals = [evolution_factor(t, cfg.diffusion.D, cfg.mode.w0) for t in times]
-        path = out / "fidelity.csv"
-        write_table_csv(
-            path,
-            {
-                "t": np.asarray(times),
-                "s": np.asarray(svals),
-                "efficiency": np.asarray(efficiencies),
-                "total_population": np.asarray([total_population(s) for s in snaps]),
-            },
-            _config_header(cfg, "fidelity trace"),
-        )
-        written.append(path)
-
-    if OutputKind.NODES in cfg.outputs:
-        rows_t, rows_i, rows_r = [], [], []
-        for snap in snaps:
-            prof = azimuthal_average(snap.rho12, cfg.nbins)
-            report = find_radial_nodes(prof, time=snap.time)
-            for j, radius in enumerate(report.node_radii):
-                rows_t.append(snap.time)
-                rows_i.append(float(j))
-                rows_r.append(radius)
-        path = out / "nodes.csv"
-        write_table_csv(
-            path,
-            {"t": rows_t, "node_index": rows_i, "radius": rows_r},
-            _config_header(cfg, "radial nodes"),
-        )
-        written.append(path)
-
-    if OutputKind.CENTER_TRACE in cfg.outputs:
-        i0 = cfg.grid.origin_index
-        rows = {
-            "t": np.asarray(times),
-            "rho22_center": np.asarray([center_intensity(s) for s in snaps]),
-            "rho12_abs_center": np.asarray([abs(s.rho12.values[i0, i0]) for s in snaps]),
-            "cfactor_center": np.asarray(
-                [float(coherence_factor_field(s, params).values[i0, i0]) for s in snaps]
-            ),
-        }
-        path = out / "center.csv"
-        write_table_csv(path, rows, _config_header(cfg, "center trace"))
-        written.append(path)
-
-    if OutputKind.FIT in cfg.outputs:
-        power, expo = fit_decay(times, efficiencies, cfg.diffusion.D, cfg.mode.w0)
-        path = out / "fit.csv"
-        with open(path, "w", newline="\n") as fh:
-            for line in _config_header(cfg, "decay-law fits"):
-                fh.write(f"# {line}\n")
-            fh.write("model,amplitude,parameter,rms_log_residual,preferred\n")
-            fh.write(
-                f"power_law,{power.amplitude:.17g},{power.exponent:.17g},"
-                f"{power.rms_log_residual:.17g},{int(power.preferred)}\n"
-            )
-            fh.write(
-                f"exponential,{expo.amplitude:.17g},{expo.rate:.17g},"
-                f"{expo.rms_log_residual:.17g},{int(expo.preferred)}\n"
-            )
-        written.append(path)
-
-    if OutputKind.HOLE_REFILL in cfg.outputs:
-        ratios = [hole_refill_ratio(s.rho12, cfg.mode.block_radius) for s in snaps]
-        path = out / "hole_refill.csv"
-        write_table_csv(
-            path,
-            {"t": np.asarray(times), "refill_ratio": np.asarray(ratios)},
-            _config_header(cfg, "hole refill"),
-        )
-        written.append(path)
-
-    entries = []
     for path in sorted(written):
-        digest, size = _sha256(path)
-        entries.append(ManifestEntry(path=path.name, sha256=digest, bytes=size))
-    manifest = Manifest(out_dir=out, entries=entries)
+        blob = path.read_bytes()
+        manifest.entries.append(ManifestEntry(path.name, hashlib.sha256(blob).hexdigest(), len(blob)))
     payload = {
         "generator": "vortexdiff",
         "config": render_config(cfg).strip().splitlines(),
         "format": fmt,
-        "files": [
-            {"path": e.path, "sha256": e.sha256, "bytes": e.bytes} for e in entries
-        ],
+        "files": [asdict(e) for e in manifest.entries],
     }
     manifest.manifest_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return manifest

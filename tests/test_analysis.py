@@ -49,6 +49,24 @@ class TestRetrievalEfficiency:
 
 
 class TestCoherenceFactorField:
+    def test_map_uses_the_array_formula(self):
+        g = vd.make_grid(64, 8.0)
+        snap0 = vd.initial_snapshot(vd.lg_field(vd.ModeSpec(kind=vd.ModeKind.LG, m=1), g))
+        snap = vd.evolve_snapshot(snap0, 1.0, 0.1, vd.SolverConfig())
+        eta = 1e-10
+        cf = vd.coherence_factor_field(snap, vd.CoherenceFactorParams(eta=eta))
+        coh_sq = np.abs(snap.rho12.values) ** 2
+        expected = vd.coherence_factor_values(coh_sq, snap.rho11, snap.rho22, eta)
+        assert np.array_equal(cf.values, expected)
+        i, j = 20, 37
+        scalar = vd.coherence_factor(float(coh_sq[i, j]), snap.rho11, float(snap.rho22[i, j]), eta)
+        assert expected[i, j] == pytest.approx(scalar, rel=1e-15)
+
+    def test_array_formula_clamps_negative_rho22(self):
+        f = vd.coherence_factor_values(np.array([0.0, 0.5]), 1.0, np.array([-1e-20, 0.25]), 1e-12)
+        assert f[0] == 1.0  # eta / eta
+        assert f[1] == 1.0  # 0.5 / 0.25 clamped
+
     def test_pure_initial_state_is_unity(self, lg01):
         snap = vd.initial_snapshot(lg01)
         cf = vd.coherence_factor_field(snap, vd.CoherenceFactorParams())

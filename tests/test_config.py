@@ -139,6 +139,18 @@ grid.extent = 8
         with pytest.raises(vd.ConfigError, match="periodic"):
             vd.parse_config(cfg_text)
 
+    def test_plane_wave_nyquist_error_names_key(self):
+        cfg_text = """
+mode.kind = plane_wave
+mode.k = 64.0
+diffusion.D = 1.0
+diffusion.times = [0, 0.1]
+grid.n = 64
+grid.extent = 8
+"""
+        with pytest.raises(vd.ConfigError, match=r"^mode\.k: .*Nyquist"):
+            vd.parse_config(cfg_text)
+
     def test_fd_dt_against_cfl(self):
         bad = MINIMAL + "solver.scheme = fd\nsolver.dt = 1.0\n"
         with pytest.raises(vd.ConfigError, match="stability"):

@@ -128,6 +128,21 @@ class TestCsv:
         assert np.array_equal(table["t"], t)
         assert np.array_equal(table["value"], v)
 
+    def test_table_strings_verbatim_numbers_seventeen_digits(self, tmp_path):
+        path = tmp_path / "t.csv"
+        vd.write_table_csv(
+            path,
+            {"model": ["power_law", "exponential"], "value": [0.1, np.float64(2.0)],
+             "flag": np.array([1, 0])},
+            header_lines=["fits"],
+        )
+        assert path.read_text() == (
+            "# fits\n"
+            "model,value,flag\n"
+            "power_law,0.10000000000000001,1\n"
+            "exponential,2,0\n"
+        )
+
     def test_seventeen_digits_round_trip_exactly(self, tmp_path):
         path = tmp_path / "t.csv"
         v = np.array([np.pi, 1.0 / 3.0, 2.0 ** -52, 1e300])

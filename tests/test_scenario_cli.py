@@ -110,6 +110,48 @@ out_dir = {tmp_path / "blocked"}
         assert table["refill_ratio"][0] == 0.0
         assert np.all(np.diff(table["refill_ratio"]) > 0)
 
+    def test_fit_csv_layout(self, tmp_path):
+        cfg = vd.parse_config(small_vortex_cfg(tmp_path / "run"))
+        manifest = vd.run_scenario(cfg, fmt="vxf")
+        lines = (manifest.out_dir / "fit.csv").read_text().splitlines()
+        assert lines[0] == "# vortexdiff decay-law fits"
+        rows = [ln for ln in lines if not ln.startswith("#")]
+        assert rows[0] == "model,amplitude,parameter,rms_log_residual,preferred"
+        fields = [row.split(",") for row in rows[1:]]
+        assert [f[0] for f in fields] == ["power_law", "exponential"]
+        assert [f[-1] for f in fields] == ["1", "0"]  # the vortex decays as a power law
+        assert float(fields[0][2]) == pytest.approx(-2.0, abs=1e-3)
+
+    def test_each_reduction_runs_once_per_snapshot(self, tmp_path, monkeypatch):
+        import vortexdiff.scenario as scenario
+
+        calls = {"azimuthal": 0, "coherence": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(scenario, "azimuthal_average",
+                            counted("azimuthal", scenario.azimuthal_average))
+        monkeypatch.setattr(scenario, "coherence_factor_field",
+                            counted("coherence", scenario.coherence_factor_field))
+        cfg = vd.parse_config(small_vortex_cfg(tmp_path / "run"))
+        vd.run_scenario(cfg, fmt="vxf")
+        # rho12 and rho22 profiles once each, one coherence map per snapshot
+        assert calls == {"azimuthal": 2 * 5, "coherence": 5}
+
+    def test_failed_run_leaves_no_stale_manifest(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "manifest.json").write_text('{"files": []}\n')
+        (out / "fidelity.csv").mkdir()  # the fidelity table cannot be written
+        cfg_file = tmp_path / "v.cfg"
+        cfg_file.write_text(small_vortex_cfg(out))
+        assert main(["--format", "vxf", "simulate", str(cfg_file)]) == 4
+        assert not (out / "manifest.json").exists()
+
     def test_bad_format_rejected(self, tmp_path):
         cfg = vd.parse_config(small_vortex_cfg(tmp_path / "run"))
         with pytest.raises(ValueError):
@@ -242,6 +284,31 @@ class TestCliAnalysis:
         assert "node radii" in out
         table = vd.read_table_csv(tmp_path / "nodes" / "nodes.csv")
         assert np.all(table["radius"] == 0.0)  # p=0 vortex: center node only
+
+    @pytest.mark.parametrize("ring", [False, True])
+    def test_nodes_rows_match_simulate(self, tmp_path, capsys, ring):
+        if ring:  # LG_1^1: a centre node, and a ring node that the fine bins resolve
+            cfg_file = tmp_path / "ring.cfg"
+            cfg_file.write_text(small_vortex_cfg(tmp_path / "unused").replace(
+                "mode.m = 1", "mode.m = 1\nmode.p = 1").replace(
+                "[0, 0.05, 0.1, 0.15, 0.25]", "[0, 0.03, 0.0625]").replace(
+                "grid.n = 64", "grid.n = 512").replace(
+                "nbins = 48", "nbins = 400").replace(", fit", ""))
+        else:
+            cfg_file = SCENARIOS / "vortex.cfg"
+        assert main(["--format", "vxf", "--out-dir", str(tmp_path / "sim"),
+                     "simulate", str(cfg_file)]) == 0
+        assert main(["--out-dir", str(tmp_path / "nodes"), "nodes", str(cfg_file)]) == 0
+
+        def rows(path):
+            return [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
+
+        expected = rows(tmp_path / "sim" / "nodes.csv")
+        assert rows(tmp_path / "nodes" / "nodes.csv") == expected
+        assert expected[0] == "t,node_index,radius"
+        if ring:
+            radii = vd.read_table_csv(tmp_path / "sim" / "nodes.csv")["radius"]
+            assert np.any(radii > 0.5)
 
     def test_compare_blocked(self, tmp_path, capsys):
         cfg_file = tmp_path / "b.cfg"

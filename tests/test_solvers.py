@@ -161,6 +161,16 @@ class TestDiffuseKernel:
         core = r < 1.5
         assert np.max(np.abs(out.values[core] - expected[core])) <= 1e-12 * expected.max()
 
+    def test_result_does_not_keep_the_padded_transform(self):
+        # the kept n x n window is cropped from a padded transform; the
+        # stored values must own (or view) at most n^2 complex samples
+        g = vd.make_grid(32, 8.0)
+        f = vd.lg_field(vd.ModeSpec(kind=vd.ModeKind.LG, m=1), g)
+        buffer = vd.diffuse_kernel(f, 1.0, 0.25).values
+        while buffer.base is not None:
+            buffer = buffer.base
+        assert buffer.nbytes <= g.n**2 * 16
+
     def test_matches_direct_convolution_sum(self):
         # the "same" window of the linear convolution, summed term by term
         # with no transform: a wrong crop offset or a pad too small to hold
