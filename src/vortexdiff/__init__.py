@@ -54,9 +54,9 @@ from .modes import (
     assoc_laguerre,
     blocked_gaussian,
     build_mode,
-    containment_extent,
     lg_field,
     lg_radial_amplitude,
+    lg_required_extent,
     plane_wave,
 )
 from .scenario import Manifest, ManifestEntry, run_scenario

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import CoherenceFactorParams, StateSnapshot, evolution_factor
-from .grid import ComplexField2D, RadialProfile
+from .grid import ComplexField2D, GridSpec, RadialProfile
 
 
 class DecayModel(enum.Enum):
@@ -190,6 +190,20 @@ def fit_decay(times, values, D: float, w0: float) -> tuple[DecayFit, DecayFit]:
     return power, expo
 
 
+def check_hole_geometry(block_radius: float, grid: GridSpec) -> None:
+    """The hole-refill rule: raise ValueError unless 2 dx <= block_radius <=
+    extent / 2, so that the hole is resolved and its reference annulus (out
+    to 2 block_radius) lies inside the grid."""
+    if block_radius < 2.0 * grid.dx:
+        raise ValueError(
+            f"block_radius {block_radius} too small to resolve (needs >= 2 dx = {2 * grid.dx:.6g})"
+        )
+    if 2.0 * block_radius > grid.extent:
+        raise ValueError(
+            f"annulus extends past the grid (needs 2*block_radius <= extent = {grid.extent})"
+        )
+
+
 def hole_refill_ratio(blocked_evolved: ComplexField2D, block_radius: float) -> float:
     """Coherent refill of a dark hole, normalized by the surrounding annulus.
 
@@ -199,18 +213,10 @@ def hole_refill_ratio(blocked_evolved: ComplexField2D, block_radius: float) -> f
     registers fully, while coherence flowing into a vortex core cancels
     azimuthally and the ratio stays at zero.  Normalizing by a neighboring
     annulus rather than the initial peak makes the value insensitive to
-    global decay.
+    global decay.  block_radius obeys check_hole_geometry.
     """
-    grid = blocked_evolved.grid
-    if block_radius < 2.0 * grid.dx:
-        raise ValueError(
-            f"block_radius {block_radius} too small to resolve (needs >= 2 dx = {2 * grid.dx:.6g})"
-        )
-    if 2.0 * block_radius > grid.extent:
-        raise ValueError(
-            f"annulus extends past the grid (needs 2*block_radius <= extent = {grid.extent})"
-        )
-    r = grid.radius()
+    check_hole_geometry(block_radius, blocked_evolved.grid)
+    r = blocked_evolved.grid.radius()
     inside = r < block_radius
     annulus = (r >= block_radius) & (r < 2.0 * block_radius)
     reference = float(np.mean(np.abs(blocked_evolved.values[annulus])))

@@ -65,9 +65,10 @@ class StateSnapshot:
     """Density-matrix fields at one time: rho12 (complex), rho22 (real >= 0).
 
     rho11 is spatially constant (strong-pump initial condition) and stays so
-    under diffusion, so it is carried as a scalar.  Construction enforces the
-    Cauchy-Schwarz physicality bound |rho12|^2 <= rho11 * rho22 up to
-    PHYSICALITY_TOL, scaled for fields whose peak is far from unity.
+    under diffusion, so it is carried as a scalar.  Construction is the one
+    physicality check, for initial and evolved snapshots alike: rho22 >= -tol
+    and |rho12|^2 <= rho11 * rho22 + tol, with tol = PHYSICALITY_TOL scaled
+    by the field peaks; rho22's residues within tol are clipped to 0.
     """
 
     time: float
@@ -86,7 +87,8 @@ class StateSnapshot:
         scale = max(1.0, float(r22.max(initial=0.0)), float(coh_sq.max(initial=0.0)))
         tol = PHYSICALITY_TOL * scale
         if float(r22.min()) < -tol:
-            raise ValueError(f"rho22 has negative values below tolerance ({r22.min():.3e})")
+            raise ValueError(f"rho22 has negative values below tolerance (min {r22.min():.3e}, "
+                             f"tol {tol:.3e}); initial data too rough for the scheme and grid?")
         excess = float(np.max(coh_sq - self.rho11 * np.maximum(r22, 0.0)))
         if excess > tol:
             raise ValueError(

@@ -109,15 +109,14 @@ def _cmd_fit(args) -> int:
     table = read_table_csv(args.trace)
     tcol = args.time_column
     vcol = args.value_column
-    if tcol not in table:
-        raise ConfigError(f"trace has no column {tcol!r}; columns: {sorted(table)}")
     if vcol is None:
         candidates = [c for c in table if c != tcol]
         if not candidates:
             raise ConfigError("trace has no value column")
         vcol = "efficiency" if "efficiency" in table else candidates[0]
-    elif vcol not in table:
-        raise ConfigError(f"trace has no column {vcol!r}; columns: {sorted(table)}")
+    for column in (tcol, vcol):
+        if column not in table:
+            raise ConfigError(f"trace has no column {column!r}; columns: {sorted(table)}")
     power, expo = fit_decay(table[tcol], table[vcol], args.dcoeff, args.waist)
     for fit in (power, expo):
         tag = "preferred" if fit.preferred else "         "

@@ -26,9 +26,11 @@ import cmath
 import enum
 from dataclasses import dataclass, field
 
-from .analytic import DiffusionParams
+from .analysis import check_hole_geometry
+from .analytic import DEFAULT_ETA, CoherenceFactorParams, DiffusionParams, evolution_factor
 from .grid import GridSpec
-from .modes import ModeKind, ModeSpec, check_plane_wave_k, lg_required_extent
+from .modes import (ContainmentError, ModeKind, ModeSpec, check_block_radius, check_contained,
+                    check_plane_wave_k, lg_required_extent)
 from .solvers import CflError, QuantumParams, Scheme, SolverConfig, fd_timestep
 
 
@@ -77,7 +79,7 @@ class ScenarioConfig:
     diffusion: DiffusionParams
     solver: SolverConfig = SolverConfig()
     quantum: QuantumParams | None = None
-    eta: float = 1e-12
+    eta: float = DEFAULT_ETA
     nbins: int = 200
     outputs: tuple[OutputKind, ...] = (OutputKind.FIDELITY_TRACE,)
     out_dir: str = "out"
@@ -158,6 +160,12 @@ def parse_config(text: str, strict: bool = True) -> ScenarioConfig:
         raise ConfigError(
             f"mode.kind must be one of {sorted(_MODE_KINDS)}, got {kind_value!r}", kind_line
         )
+    scheme_name = entries.get("solver.scheme", ("spectral", 0))[0]
+    if scheme_name not in _SCHEMES:
+        raise ConfigError(
+            f"solver.scheme must be one of {sorted(_SCHEMES)}, got {scheme_name!r}",
+            entries.get("solver.scheme", (None, None))[1],
+        )
     try:
         mode = ModeSpec(
             kind=_MODE_KINDS[kind_value],
@@ -175,23 +183,14 @@ def parse_config(text: str, strict: bool = True) -> ScenarioConfig:
             D=take("diffusion.D", float),
             times=_parse_float_list(times_value, "diffusion.times", times_line),
         )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    scheme_name = entries.get("solver.scheme", ("spectral", 0))[0]
-    if scheme_name not in _SCHEMES:
-        raise ConfigError(
-            f"solver.scheme must be one of {sorted(_SCHEMES)}, got {scheme_name!r}",
-            entries.get("solver.scheme", (None, None))[1],
-        )
-    try:
         solver = SolverConfig(
             scheme=_SCHEMES[scheme_name],
             dt=take("solver.dt", float, None),
             cfl_safety=take("solver.cfl_safety", float, 0.9),
         )
+        eta = CoherenceFactorParams(eta=take("eta", float, DEFAULT_ETA)).eta
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -199,9 +198,6 @@ def parse_config(text: str, strict: bool = True) -> ScenarioConfig:
     if "quantum.beta" in entries:
         quantum = QuantumParams(beta=take("quantum.beta", float))
 
-    eta = take("eta", float, 1e-12)
-    if not (0 < eta <= 1e-8):
-        raise ConfigError(f"eta must be in (0, 1e-8], got {eta}")
     nbins = take("nbins", int, 200)
     if nbins < 4:
         raise ConfigError(f"nbins must be >= 4, got {nbins}")
@@ -240,27 +236,32 @@ def parse_config(text: str, strict: bool = True) -> ScenarioConfig:
 
 
 def validate_scenario(cfg: ScenarioConfig) -> None:
-    """Semantic checks shared by parse_config and programmatic construction."""
+    """Semantic checks shared by parse_config and programmatic construction.
+
+    Each physical rule is asked of its one owner (README, "Invariants"); its
+    error becomes a ConfigError naming the key: grid.extent (containment at
+    the latest time), mode.block_radius, mode.k or solver.dt.
+    """
     mode, grid, diffusion = cfg.mode, cfg.grid, cfg.diffusion
     t_max = diffusion.times[-1] if diffusion.times else 0.0
 
     if mode.kind in (ModeKind.LG, ModeKind.BLOCKED_GAUSSIAN):
-        p = mode.p if mode.kind is ModeKind.LG else 0
-        m = mode.m if mode.kind is ModeKind.LG else 0
-        s_max = (mode.w0**2 + 4.0 * diffusion.D * t_max) / mode.w0**2
-        required = lg_required_extent(mode.w0, m, p, s_max)
-        if required > grid.extent * (1.0 + 1e-12):
-            raise ConfigError(
-                f"mode not contained over the requested times: grid extent must be "
-                f">= {required:.6g} (got {grid.extent:.6g}; rule 4*w0*sqrt(s_max*(1+|m|+p)) "
-                f"with s_max = {s_max:.6g})"
-            )
+        lg = mode.kind is ModeKind.LG
+        try:
+            check_contained(grid.extent, mode.w0, mode.m if lg else 0, mode.p if lg else 0,
+                            evolution_factor(t_max, diffusion.D, mode.w0))
+        except ContainmentError as exc:
+            raise ConfigError(f"grid.extent: {exc}") from exc
 
     if mode.kind is ModeKind.BLOCKED_GAUSSIAN:
-        if mode.block_radius >= grid.extent:
-            raise ConfigError(
-                f"block_radius {mode.block_radius} must be smaller than extent {grid.extent}"
-            )
+        try:
+            check_block_radius(mode.block_radius, grid)
+            if OutputKind.HOLE_REFILL in cfg.outputs:
+                check_hole_geometry(mode.block_radius, grid)
+        except ValueError as exc:
+            raise ConfigError(f"mode.block_radius: {exc}") from exc
+    elif OutputKind.HOLE_REFILL in cfg.outputs:
+        raise ConfigError("hole_refill output applies to blocked_gaussian scenarios only")
 
     if mode.kind is ModeKind.PLANE_WAVE:
         try:
@@ -277,18 +278,10 @@ def validate_scenario(cfg: ScenarioConfig) -> None:
     if OutputKind.FIT in cfg.outputs and len(diffusion.times) < 5:
         raise ConfigError("the fit output needs at least 5 diffusion times")
 
-    if OutputKind.HOLE_REFILL in cfg.outputs:
-        if mode.kind is not ModeKind.BLOCKED_GAUSSIAN:
-            raise ConfigError("hole_refill output applies to blocked_gaussian scenarios only")
-        if mode.block_radius < 2.0 * grid.dx:
-            raise ConfigError(
-                f"hole_refill needs block_radius >= 2 dx = {2 * grid.dx:.6g}, "
-                f"got {mode.block_radius}"
-            )
-        if 2.0 * mode.block_radius > grid.extent:
-            raise ConfigError(
-                f"hole_refill annulus needs 2*block_radius <= extent = {grid.extent}"
-            )
+    # render_config writes out_dir raw on one line, parse_config strips it
+    if "#" in cfg.out_dir or cfg.out_dir.strip().splitlines() != [cfg.out_dir]:
+        raise ConfigError(f"out_dir must be one line without '#' or surrounding whitespace, "
+                          f"got {cfg.out_dir!r}")
 
 
 def _fmt(x: float) -> str:
@@ -324,7 +317,7 @@ def render_config(cfg: ScenarioConfig) -> str:
     lines += [
         f"eta = {_fmt(cfg.eta)}",
         f"nbins = {cfg.nbins}",
-        "outputs = " + ", ".join(o.value for o in cfg.outputs),
+        "outputs = " + (", ".join(o.value for o in cfg.outputs) or "[]"),
         f"out_dir = {cfg.out_dir}",
     ]
     return "\n".join(lines) + "\n"

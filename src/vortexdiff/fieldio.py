@@ -41,6 +41,7 @@ class FieldFormatError(ValueError):
     TRUNCATED = "truncated"
     SIZE_MISMATCH = "size_mismatch"
     BAD_HEADER = "bad_header"
+    NOT_NUMERIC = "not_numeric"
 
     def __init__(self, message: str, code: str):
         super().__init__(message)
@@ -157,21 +158,29 @@ def write_table_csv(path, columns: dict, header_lines=()) -> None:
 
 
 def read_table_csv(path) -> dict[str, np.ndarray]:
-    """Read a table written by write_table_csv (comments tolerated)."""
+    """Read a numeric table written by write_table_csv (comments tolerated); a
+    label cell, such as a fit.csv model name, raises FieldFormatError."""
     with open(path, "r") as fh:
         lines = [ln.strip() for ln in fh if ln.strip() and not ln.lstrip().startswith("#")]
     if not lines:
         raise FieldFormatError("empty CSV table", FieldFormatError.TRUNCATED)
     names = [s.strip() for s in lines[0].split(",")]
     rows = []
-    for ln in lines[1:]:
+    for row, ln in enumerate(lines[1:], start=1):
         parts = ln.split(",")
         if len(parts) != len(names):
             raise FieldFormatError(
                 f"CSV row has {len(parts)} fields, expected {len(names)}",
                 FieldFormatError.SIZE_MISMATCH,
             )
-        rows.append([float(p) for p in parts])
+        values = []
+        for name, cell in zip(names, parts):
+            try:
+                values.append(float(cell))
+            except ValueError:
+                raise FieldFormatError(f"column {name!r}, row {row}: {cell!r} is not a number",
+                                       FieldFormatError.NOT_NUMERIC) from None
+        rows.append(values)
     data = np.asarray(rows, dtype=np.float64)
     if data.size == 0:
         data = data.reshape(0, len(names))

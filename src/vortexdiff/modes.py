@@ -69,17 +69,30 @@ class ModeSpec:
 
 
 def lg_required_extent(w0: float, m: int, p: int, s_max: float) -> float:
-    """Minimum extent keeping an LG mode contained through evolution factor s_max."""
+    """Minimum extent keeping an LG mode contained through evolution factor s_max
+    (truncated intensity below ~1e-6 P); s_max = 1 is the undiffused mode."""
     return 4.0 * w0 * math.sqrt(s_max * (1.0 + abs(m) + p))
 
 
-def containment_extent(w0: float, m: int, p: int) -> float:
-    """Smallest grid extent that keeps an LG_p^m mode numerically contained.
+def check_contained(extent: float, w0: float, m: int, p: int, s: float = 1.0) -> None:
+    """The containment rule: raise ContainmentError, carrying the required
+    extent, unless extent >= lg_required_extent(w0, m, p, s).  Mode
+    constructors, config validation and free-space padding all ask it."""
+    required = lg_required_extent(w0, m, p, s)
+    if required > extent * (1.0 + 1e-12):
+        raise ContainmentError(
+            f"LG mode (p={p}, m={m}, w0={w0}) is not contained at s = {s:.6g}: requires "
+            f"grid extent >= 4*w0*sqrt(s*(1+|m|+p)) = {required:.6g}, got {extent:.6g}",
+            required_extent=required,
+        )
 
-    4 * w0 * sqrt(1 + |m| + p), the s_max = 1 case of lg_required_extent,
-    leaves the truncated intensity below ~1e-6 P.
-    """
-    return lg_required_extent(w0, m, p, 1.0)
+
+def check_block_radius(block_radius: float, grid: GridSpec) -> None:
+    """The blocked-Gaussian rule: raise ValueError unless the hole lies inside the grid."""
+    if block_radius >= grid.extent:
+        raise ValueError(
+            f"block_radius {block_radius} must be smaller than grid extent {grid.extent}"
+        )
 
 
 def assoc_laguerre(p: int, alpha: int, x):
@@ -113,26 +126,16 @@ def lg_radial_amplitude(r, w0: float, P: float, m: int, p: int = 0):
     return (1.0 / w0) * math.sqrt(2.0 * P / math.pi) * norm * rad
 
 
-def _require_contained(spec: ModeSpec, grid: GridSpec) -> None:
-    required = containment_extent(spec.w0, spec.m, spec.p)
-    if required > grid.extent * (1.0 + 1e-12):
-        raise ContainmentError(
-            f"LG mode (p={spec.p}, m={spec.m}, w0={spec.w0}) is not contained: "
-            f"requires grid extent >= {required:.6g}, got {grid.extent:.6g}",
-            required_extent=required,
-        )
-
-
 def lg_field(spec: ModeSpec, grid: GridSpec) -> ComplexField2D:
     """Sample an LG_p^m mode: amp * A(r) * e^{-i m theta}.
 
     Rejects modes whose tails are not contained by the grid (see
-    containment_extent); conservation checks downstream need a closed
+    check_contained); conservation checks downstream need a closed
     intensity budget.  The field is marked free space (w0^2, 1 + |m| + p).
     """
     if spec.kind is not ModeKind.LG:
         raise ValueError(f"lg_field needs kind=LG, got {spec.kind}")
-    _require_contained(spec, grid)
+    check_contained(grid.extent, spec.w0, spec.m, spec.p)
     r = grid.radius()
     theta = grid.theta()
     amplitude = lg_radial_amplitude(r, spec.w0, spec.P, spec.m, spec.p)
@@ -147,12 +150,8 @@ def blocked_gaussian(spec: ModeSpec, grid: GridSpec) -> ComplexField2D:
     """
     if spec.kind is not ModeKind.BLOCKED_GAUSSIAN:
         raise ValueError(f"blocked_gaussian needs kind=BLOCKED_GAUSSIAN, got {spec.kind}")
-    if spec.block_radius >= grid.extent:
-        raise ValueError(
-            f"block_radius {spec.block_radius} must be smaller than grid extent {grid.extent}"
-        )
-    gauss = ModeSpec(kind=ModeKind.LG, p=0, m=0, w0=spec.w0, P=spec.P, amp=spec.amp)
-    _require_contained(gauss, grid)
+    check_block_radius(spec.block_radius, grid)
+    check_contained(grid.extent, spec.w0, 0, 0)
     r = grid.radius()
     values = spec.amp * lg_radial_amplitude(r, spec.w0, spec.P, 0, 0).astype(np.complex128)
     values[r < spec.block_radius] = 0.0

@@ -24,6 +24,8 @@ fft2 at a chosen size, multiply, ifft2, crop back to the grid.
 
 Every classical step returns a field with its input's boundary; a free-space
 record grows to the diffused waist w0^2 + 4 D t, so chained steps pad enough.
+The padding asks modes.check_contained, and every evolved snapshot passes
+the one physicality check, the StateSnapshot constructor.
 
 Quantum diffusion is the dispersive analogue e^{-i beta k^2 t}: unitary and
 reversible by a conjugation echo, in contrast with classical diffusion whose
@@ -41,9 +43,9 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.fft  # noqa: F401  numpy 2 imports numpy.fft lazily; load it with the package
 
-from .analytic import PHYSICALITY_TOL, StateSnapshot
+from .analytic import StateSnapshot
 from .grid import ComplexField2D, GridSpec
-from .modes import lg_required_extent
+from .modes import ContainmentError, check_contained
 
 
 class Scheme(enum.Enum):
@@ -151,10 +153,11 @@ def _free_space_size(f: ComplexField2D, D: float, t: float) -> int:
     if fs is None:
         return f.grid.n
     s = (fs.w0_sq + 4.0 * D * t) / fs.w0_sq
-    required = lg_required_extent(math.sqrt(fs.w0_sq), 0, fs.order - 1, s)
-    if required <= f.grid.extent * (1.0 + 1e-12):
-        return f.grid.n
-    return _fft_size(math.ceil(2.0 * required / f.grid.dx))
+    try:
+        check_contained(f.grid.extent, math.sqrt(fs.w0_sq), 0, fs.order - 1, s)
+    except ContainmentError as exc:
+        return _fft_size(math.ceil(2.0 * exc.required_extent / f.grid.dx))
+    return f.grid.n
 
 
 def diffuse_spectral(f: ComplexField2D, D: float, t: float) -> ComplexField2D:
@@ -380,28 +383,15 @@ def _diffuse(f: ComplexField2D, D: float, t: float, cfg: SolverConfig) -> Comple
     raise ValueError(f"unknown scheme {cfg.scheme!r}")
 
 
-def _physical_snapshot(s: StateSnapshot, t: float, rho12: ComplexField2D,
-                       rho22: np.ndarray) -> StateSnapshot:
-    """The snapshot s evolved for t, from its diffused fields.  rho22 values
-    below -PHYSICALITY_TOL (relative to its peak) raise; StateSnapshot clips
-    the tiny negative rounding residues above that."""
-    floor = -PHYSICALITY_TOL * max(1.0, float(np.max(rho22, initial=0.0)))
-    if float(rho22.min()) < floor:
-        raise ValueError(
-            f"rho22 developed negative values ({rho22.min():.3e}) beyond tolerance; "
-            "initial data too rough for this scheme/grid"
-        )
-    return StateSnapshot(time=s.time + t, rho12=rho12, rho22=rho22, rho11=s.rho11)
-
-
 def evolve_snapshot(s: StateSnapshot, D: float, t: float, cfg: SolverConfig) -> StateSnapshot:
     """Propagate a snapshot for duration t under the configured scheme.
 
-    rho12 diffuses as a complex field, rho22 as a real nonnegative field
-    with rho12's boundary (its tiny negative rounding residues are clipped
-    within the physicality tolerance); rho11 is homogeneous and
-    diffusion-invariant.  The FD scheme runs as the one-time case of the
-    march in evolve_snapshots.
+    rho12 diffuses as a complex field, rho22 as a real field with rho12's
+    boundary; rho11 is homogeneous and diffusion-invariant.  The result
+    passes the one physicality check, the StateSnapshot constructor, which
+    rejects data too rough for the scheme and grid and clips rounding
+    residues.  The FD scheme runs as the one-time case of the march in
+    evolve_snapshots.
     """
     if cfg.scheme is Scheme.FD_EXPLICIT:
         (snap,) = evolve_snapshots(s, D, [t], cfg)
@@ -410,7 +400,7 @@ def evolve_snapshot(s: StateSnapshot, D: float, t: float, cfg: SolverConfig) -> 
     rho22_c = _diffuse(
         ComplexField2D(s.grid, s.rho22.astype(np.complex128), s.rho12.free_space), D, t, cfg
     )
-    return _physical_snapshot(s, t, rho12, rho22_c.values.real)
+    return StateSnapshot(time=s.time + t, rho12=rho12, rho22=rho22_c.values.real, rho11=s.rho11)
 
 
 def evolve_snapshots(s: StateSnapshot, D: float, times, cfg: SolverConfig) -> list[StateSnapshot]:
@@ -429,8 +419,7 @@ def evolve_snapshots(s: StateSnapshot, D: float, times, cfg: SolverConfig) -> li
     rho12s = list(_fd_march(s.rho12.values, s.grid, D, times, cfg))
     rho22s = _fd_march(np.asarray(s.rho22, dtype=np.float64), s.grid, D, times, cfg)
     return [
-        _physical_snapshot(
-            s, t, ComplexField2D(s.grid, rho12, _diffused_boundary(s.rho12, D, t)), rho22
-        )
+        StateSnapshot(s.time + t, ComplexField2D(s.grid, rho12, _diffused_boundary(s.rho12, D, t)),
+                      rho22, s.rho11)
         for t, rho12, rho22 in zip(times, rho12s, rho22s)
     ]

@@ -1,8 +1,11 @@
+import dataclasses
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import vortexdiff as vd
+from vortexdiff.cli import main
 from vortexdiff.config import OutputKind, lg_required_extent
 
 MINIMAL = """
@@ -16,6 +19,60 @@ diffusion.times = [0, 0.25]
 grid.n = 256
 grid.extent = 8
 """
+
+
+def _floats(lo, hi, **kw):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False, **kw)
+
+
+@st.composite
+def scenario_configs(draw):
+    """Valid ScenarioConfigs over every mode kind, scheme, output set and time list.
+
+    Fields that render_config leaves out for a mode kind (k, block_radius)
+    keep their defaults, as parse_config gives them."""
+    kind = draw(st.sampled_from(list(vd.ModeKind)))
+    n = 2 * draw(st.integers(4, 256))
+    w0, D = draw(_floats(0.1, 4.0)), draw(_floats(0.0, 10.0))
+    times = tuple(sorted(draw(st.lists(_floats(0.0, 5.0), min_size=1, max_size=8, unique=True))))
+    p, m = draw(st.integers(0, 4)), draw(st.integers(-5, 5))
+    allowed = [o for o in OutputKind
+               if o is not OutputKind.HOLE_REFILL or kind is vd.ModeKind.BLOCKED_GAUSSIAN]
+    if len(times) < 5:
+        allowed.remove(OutputKind.FIT)
+    outputs = tuple(draw(st.lists(st.sampled_from(allowed), unique=True)))
+    k = block_radius = 0.0
+    if kind is vd.ModeKind.PLANE_WAVE:
+        extent = draw(_floats(0.5, 100.0))
+        k = draw(st.integers(-n // 2, n // 2)) * math.pi / extent
+    else:
+        lg = kind is vd.ModeKind.LG
+        s_max = vd.evolution_factor(times[-1], D, w0)
+        required = lg_required_extent(w0, m if lg else 0, p if lg else 0, s_max)
+        extent = required * draw(_floats(1.0, 4.0))
+    grid = vd.make_grid(n, extent)
+    if OutputKind.HOLE_REFILL in outputs:
+        block_radius = draw(_floats(2.0 * grid.dx, extent / 2.0))
+    elif kind is vd.ModeKind.BLOCKED_GAUSSIAN:
+        block_radius = draw(_floats(0.0, extent, exclude_max=True))
+    amp = draw(st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False))
+    mode = vd.ModeSpec(kind=kind, p=p, m=m, w0=w0, P=draw(_floats(0.01, 100.0)), amp=amp, k=k,
+                       block_radius=block_radius)
+    scheme = draw(st.sampled_from(list(vd.Scheme)))
+    cfl_safety = draw(_floats(0.0, 1.0, exclude_min=True))
+    dt = draw(st.none() | _floats(0.0, 1.0, exclude_min=True))
+    if dt is not None and scheme is vd.Scheme.FD_EXPLICIT and D > 0:
+        dt *= vd.fd_max_dt(grid, D, cfl_safety)  # a fraction of the stability bound
+    return vd.ScenarioConfig(
+        mode=mode, grid=grid, diffusion=vd.DiffusionParams(D=D, times=times),
+        solver=vd.SolverConfig(scheme=scheme, dt=dt, cfl_safety=cfl_safety),
+        quantum=draw(st.none() | st.builds(vd.QuantumParams, beta=_floats(-10.0, 10.0))),
+        eta=draw(_floats(0.0, 1e-8, exclude_min=True)),
+        nbins=draw(st.integers(4, 1000)),
+        outputs=outputs,
+        out_dir=draw(st.text(min_size=1).filter(
+            lambda s: "#" not in s and s.strip().splitlines() == [s])),
+    )
 
 
 class TestParsing:
@@ -48,13 +105,20 @@ class TestParsing:
         # 4 * w0 * sqrt(1 + |m| + p) = 4 * 2 * sqrt(5) ~ 17.9
         assert f"{4 * 2 * math.sqrt(5):.6g}"[:4] in str(err.value)
 
-    def test_growth_rule_uses_latest_time(self):
+    def test_growth_rule_uses_latest_time(self, tmp_path, capsys):
         # s_max = 5 at t = 1 pushes the m=1 requirement past extent 8
         bad = MINIMAL.replace("[0, 0.25]", "[0, 1.0]")
         with pytest.raises(vd.ConfigError, match="contained"):
             vd.parse_config(bad)
         ok = bad.replace("grid.extent = 8", "grid.extent = 16")
         assert vd.parse_config(ok).grid.extent == 16.0
+        # the CLI reports it as a config error naming 4 * sqrt(5 * 2)
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text(bad)
+        assert main(["simulate", str(cfg_file)]) == 2
+        assert "grid.extent: LG mode (p=0, m=1, w0=1.0) is not contained at s = 5" in capsys.readouterr().err
+        with pytest.raises(vd.ConfigError, match=f">= .* = {4 * math.sqrt(10):.6g}, got 8"):
+            vd.parse_config(bad)
 
     def test_boundary_containment_accepted(self):
         # the canonical m=1 scenario sits exactly on the containment boundary
@@ -98,6 +162,7 @@ class TestParsing:
         ("grid.extent", "inf"),
         ("diffusion.times", "[0, nan]"),
         ("mode.amp", "nan+0j"),
+        ("solver.dt", "nan"),
     ])
     def test_non_finite_value_names_key_and_line(self, key, value):
         lines = [ln for ln in MINIMAL.splitlines() if not ln.startswith(key)]
@@ -116,8 +181,10 @@ class TestParsing:
             vd.parse_config(MINIMAL + "outputs = snapshots, movies\n")
 
     def test_eta_bounds(self):
-        with pytest.raises(vd.ConfigError, match="eta"):
-            vd.parse_config(MINIMAL + "eta = 1e-6\n")
+        for eta in ("1e-6", "0", "-1e-12"):
+            with pytest.raises(vd.ConfigError, match=r"eta must be in \(0, 1e-8\]"):
+                vd.parse_config(MINIMAL + f"eta = {eta}\n")
+        assert vd.parse_config(MINIMAL + "eta = 1e-8\n").eta == 1e-8
 
     def test_fit_needs_five_times(self):
         with pytest.raises(vd.ConfigError, match="fit"):
@@ -126,6 +193,18 @@ class TestParsing:
     def test_hole_refill_needs_blocked_mode(self):
         with pytest.raises(vd.ConfigError, match="hole_refill"):
             vd.parse_config(MINIMAL + "outputs = hole_refill\n")
+        # the blocked mode's hole geometry, checked at parse time (extent 8, dx = 1/16)
+        blocked = MINIMAL.replace("mode.kind = lg", "mode.kind = blocked_gaussian")
+        for radius, outputs, message in [
+            (8.0, "fidelity_trace", "smaller than grid extent"),
+            (4.5, "hole_refill", "annulus extends past the grid"),
+            (0.1, "hole_refill", "too small to resolve"),
+        ]:
+            text = blocked + f"mode.block_radius = {radius}\noutputs = {outputs}\n"
+            with pytest.raises(vd.ConfigError, match=rf"^mode\.block_radius: .*{message}"):
+                vd.parse_config(text)
+        ok = vd.parse_config(blocked + "mode.block_radius = 4\noutputs = hole_refill\n")
+        assert ok.mode.block_radius == 4.0
 
     def test_plane_wave_periodicity_checked(self):
         cfg_text = """
@@ -164,6 +243,21 @@ class TestRenderRoundTrip:
         again = vd.parse_config(text)
         assert again == cfg
         assert vd.render_config(again) == text
+        empty = vd.parse_config(MINIMAL + "outputs = []\n")
+        assert empty.outputs == ()
+        assert vd.parse_config(vd.render_config(empty)) == empty
+
+    @pytest.mark.parametrize("out_dir", ["runs/#3", "runs\n3", "runs\r3", "runs\v3", " runs", "runs ", ""])
+    def test_out_dir_that_cannot_round_trip_rejected(self, out_dir):
+        cfg = dataclasses.replace(vd.parse_config(MINIMAL), out_dir=out_dir)
+        with pytest.raises(vd.ConfigError, match="^out_dir must be one line"):
+            vd.validate_scenario(cfg)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(cfg=scenario_configs())
+    def test_generated_configs_round_trip(self, cfg):
+        vd.validate_scenario(cfg)
+        assert vd.parse_config(vd.render_config(cfg)) == cfg
 
     def test_shipped_scenarios_parse_and_render(self):
         from pathlib import Path

@@ -101,9 +101,9 @@ class TestVxfErrors:
         codes = {
             FieldFormatError.BAD_MAGIC, FieldFormatError.BAD_VERSION,
             FieldFormatError.TRUNCATED, FieldFormatError.SIZE_MISMATCH,
-            FieldFormatError.BAD_HEADER,
+            FieldFormatError.BAD_HEADER, FieldFormatError.NOT_NUMERIC,
         }
-        assert len(codes) == 5
+        assert len(codes) == 6
 
 
 class TestCsv:
@@ -142,6 +142,10 @@ class TestCsv:
             "power_law,0.10000000000000001,1\n"
             "exponential,2,0\n"
         )
+        # the reader takes numeric tables only, and names the label cell
+        with pytest.raises(FieldFormatError, match="column 'model', row 1") as err:
+            vd.read_table_csv(path)
+        assert err.value.code == FieldFormatError.NOT_NUMERIC
 
     def test_seventeen_digits_round_trip_exactly(self, tmp_path):
         path = tmp_path / "t.csv"

@@ -80,6 +80,11 @@ class TestLgField:
         with pytest.raises(vd.ContainmentError) as err:
             vd.lg_field(spec, g)
         assert err.value.required_extent == pytest.approx(4 * 2 * math.sqrt(5), rel=1e-12)
+        # the blocked Gaussian asks the same rule with p = m = 0
+        blocked = vd.ModeSpec(kind=vd.ModeKind.BLOCKED_GAUSSIAN, w0=1.0, block_radius=0.5)
+        with pytest.raises(vd.ContainmentError) as err:
+            vd.blocked_gaussian(blocked, vd.make_grid(64, 3.0))
+        assert err.value.required_extent == 4.0
 
     def test_wrong_kind_rejected(self, grid256):
         with pytest.raises(ValueError):
@@ -109,9 +114,10 @@ class TestBlockedGaussian:
         assert vd.l2_norm_sq(f) == pytest.approx(math.exp(-2.0), rel=1e-2)
 
     def test_block_beyond_grid_rejected(self, grid256):
-        spec = vd.ModeSpec(kind=vd.ModeKind.BLOCKED_GAUSSIAN, w0=1.0, block_radius=8.5)
-        with pytest.raises(ValueError):
-            vd.blocked_gaussian(spec, grid256)
+        for radius in (8.5, 8.0):  # at or beyond the extent
+            spec = vd.ModeSpec(kind=vd.ModeKind.BLOCKED_GAUSSIAN, w0=1.0, block_radius=radius)
+            with pytest.raises(ValueError, match="smaller than grid extent"):
+                vd.blocked_gaussian(spec, grid256)
 
 
 class TestPlaneWave:

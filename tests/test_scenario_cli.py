@@ -151,6 +151,17 @@ out_dir = {tmp_path / "blocked"}
         cfg_file.write_text(small_vortex_cfg(out))
         assert main(["--format", "vxf", "simulate", str(cfg_file)]) == 4
         assert not (out / "manifest.json").exists()
+        # a numeric failure: on this grid the m = 0 mode's rho22 dips to -7.7e-6
+        (out / "manifest.json").write_text('{"files": []}\n')
+        rough = small_vortex_cfg(out).replace("mode.m = 1", "mode.m = 0")
+        rough = rough.replace("grid.extent = 8", "grid.extent = 16").replace(
+            "[0, 0.05, 0.1, 0.15, 0.25]", f"[0, {1 / 15!r}]").replace(", fit\n", "\n")
+        cfg_file.write_text(rough)
+        capsys.readouterr()
+        assert main(["--format", "vxf", "simulate", str(cfg_file)]) == 3
+        message = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["message"]
+        assert "rho22 has negative values" in message and "min -7.662e-06" in message
+        assert not (out / "manifest.json").exists()
 
     def test_bad_format_rejected(self, tmp_path):
         cfg = vd.parse_config(small_vortex_cfg(tmp_path / "run"))
@@ -377,6 +388,14 @@ out_dir = {tmp_path / "sweep"}
         cfg_file = tmp_path / "v.cfg"
         cfg_file.write_text(small_vortex_cfg(tmp_path / "out"))
         assert main(["sweep", "--param", "w0=0..2", str(cfg_file)]) == 2
+
+    def test_fit_on_fit_table_is_format_error(self, tmp_path, capsys):
+        # fit.csv carries model-name labels; fit reads numeric traces only
+        manifest = vd.run_scenario(vd.parse_config(small_vortex_cfg(tmp_path / "run")), fmt="vxf")
+        assert main(["fit", str(manifest.out_dir / "fit.csv")]) == 4
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "FieldFormatError"
+        assert record["message"] == "column 'model', row 1: 'power_law' is not a number"
 
     def test_numeric_error_exit_code(self, tmp_path, capsys):
         # a 4-point trace cannot be fitted; the failure maps to exit 3
