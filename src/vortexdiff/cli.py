@@ -28,7 +28,7 @@ from .config import ConfigError, OutputKind, ScenarioConfig, parse_config, valid
 from .fieldio import FieldFormatError, read_table_csv, write_table_csv
 from .grid import l2_norm_sq, ComplexField2D
 from .modes import ContainmentError, ModeKind, ModeSpec, build_mode
-from .scenario import _config_header, compute_diagnostics, compute_snapshots, node_columns, run_scenario
+from .scenario import _config_header, node_columns, run_scenario, stream_diagnostics
 from .solvers import CflError, IrreversibleEvolutionError, classical_reversal_amplification, echo_reverse, evolve_quantum
 
 EXIT_OK = 0
@@ -58,7 +58,7 @@ def _write_table(out_dir, name: str, columns: dict, header_lines: list[str]) -> 
 
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args.config, args.strict)
-    manifest = run_scenario(cfg, fmt=args.format, threads=args.threads, out_dir=args.out_dir)
+    manifest = run_scenario(cfg, fmt=args.format, out_dir=args.out_dir)
     print(f"wrote {len(manifest.entries)} files to {manifest.out_dir}")
     for entry in manifest.entries:
         print(f"  {entry.path}  sha256={entry.sha256[:16]}...  {entry.bytes} bytes")
@@ -93,9 +93,7 @@ def _cmd_sweep(args) -> int:
     for value in values:
         sub = dataclasses.replace(cfg, mode=dataclasses.replace(cfg.mode, **{name: value}))
         validate_scenario(sub)
-        columns[f"efficiency_{name}{value}"] = [
-            d.efficiency for d in compute_diagnostics(sub, threads=args.threads)
-        ]
+        columns[f"efficiency_{name}{value}"] = [d.efficiency for d in stream_diagnostics(sub)]
     print("s      " + "  ".join(f"{k:>16s}" for k in columns if k != "s"))
     for i, s in enumerate(svals):
         row = "  ".join(f"{columns[k][i]:16.10f}" for k in columns if k != "s")
@@ -131,7 +129,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_nodes(args) -> int:
     cfg = _load_config(args.config, args.strict)
-    reports = [d.nodes(args.threshold) for d in compute_diagnostics(cfg, threads=args.threads)]
+    reports = [d.nodes(args.threshold) for d in stream_diagnostics(cfg)]
     print(f"{'t':>10s}  node radii")
     for report in reports:
         radii = ", ".join(f"{r:.5f}" for r in report.node_radii) or "(none)"
@@ -155,12 +153,11 @@ def _cmd_compare_blocked(args) -> int:
         cfg, mode=vortex_mode, outputs=(OutputKind.FIDELITY_TRACE,)
     )
     validate_scenario(vortex_cfg)
-    _, blocked_snaps = compute_snapshots(cfg, threads=args.threads)
-    _, vortex_snaps = compute_snapshots(vortex_cfg, threads=args.threads)
     rows = {
         "t": cfg.diffusion.times,
-        "blocked_refill": [hole_refill_ratio(s.rho12, hole) for s in blocked_snaps],
-        "vortex_refill": [hole_refill_ratio(s.rho12, hole) for s in vortex_snaps],
+        "blocked_refill": [hole_refill_ratio(d.snap.rho12, hole) for d in stream_diagnostics(cfg)],
+        "vortex_refill": [hole_refill_ratio(d.snap.rho12, hole)
+                          for d in stream_diagnostics(vortex_cfg)],
     }
     print(f"{'t':>10s}  {'blocked':>14s}  {'vortex':>14s}")
     for i, t in enumerate(cfg.diffusion.times):
@@ -214,8 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("csv", "vxf", "both"), default="csv",
                         help="field dump format (default csv)")
     parser.add_argument("--threads", type=_positive_int, default=1, metavar="N",
-                        help="evaluate spectral/kernel diffusion times with N worker "
-                             "threads; FD marches once")
+                        help="accepted for compatibility (N >= 1); every run is serial")
     parser.add_argument("--strict", action=argparse.BooleanOptionalAction, default=True,
                         help="reject unknown config keys (default on; --no-strict downgrades "
                              "them to warnings)")

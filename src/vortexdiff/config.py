@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 from .analysis import check_hole_geometry
 from .analytic import DEFAULT_ETA, CoherenceFactorParams, DiffusionParams, evolution_factor
-from .grid import GridSpec
+from .grid import GridSpec, check_nbins
 from .modes import (ContainmentError, ModeKind, ModeSpec, check_block_radius, check_contained,
                     check_plane_wave_k, lg_required_extent)
 from .solvers import CflError, QuantumParams, Scheme, SolverConfig, fd_timestep
@@ -199,8 +199,10 @@ def parse_config(text: str, strict: bool = True) -> ScenarioConfig:
         quantum = QuantumParams(beta=take("quantum.beta", float))
 
     nbins = take("nbins", int, 200)
-    if nbins < 4:
-        raise ConfigError(f"nbins must be >= 4, got {nbins}")
+    try:
+        check_nbins(nbins)
+    except ValueError as exc:
+        raise ConfigError(str(exc), entries["nbins"][1]) from exc
 
     outputs = (OutputKind.FIDELITY_TRACE,)
     if "outputs" in entries:
@@ -240,10 +242,13 @@ def validate_scenario(cfg: ScenarioConfig) -> None:
 
     Each physical rule is asked of its one owner (README, "Invariants"); its
     error becomes a ConfigError naming the key: grid.extent (containment at
-    the latest time), mode.block_radius, mode.k or solver.dt.
+    the latest time), mode.block_radius, mode.k, solver.dt or nbins.  An
+    empty diffusion.times fails with the message parse_config gives it.
     """
     mode, grid, diffusion = cfg.mode, cfg.grid, cfg.diffusion
-    t_max = diffusion.times[-1] if diffusion.times else 0.0
+    if not diffusion.times:
+        raise ConfigError("diffusion.times needs at least one value")
+    t_max = diffusion.times[-1]
 
     if mode.kind in (ModeKind.LG, ModeKind.BLOCKED_GAUSSIAN):
         lg = mode.kind is ModeKind.LG
@@ -275,6 +280,11 @@ def validate_scenario(cfg: ScenarioConfig) -> None:
         except CflError as exc:
             raise ConfigError(f"solver.dt: {exc}") from exc
 
+    try:
+        check_nbins(cfg.nbins)
+    except ValueError as exc:
+        raise ConfigError(f"nbins: {exc}") from exc
+
     if OutputKind.FIT in cfg.outputs and len(diffusion.times) < 5:
         raise ConfigError("the fit output needs at least 5 diffusion times")
 
@@ -298,9 +308,11 @@ def render_config(cfg: ScenarioConfig) -> str:
         f"mode.P = {_fmt(cfg.mode.P)}",
         f"mode.amp = {cfg.mode.amp.real:.17g}{cfg.mode.amp.imag:+.17g}j",
     ]
-    if cfg.mode.kind is ModeKind.PLANE_WAVE:
+    # a field the mode kind does not use is written too when it is set, so
+    # the text parses back to an equal config
+    if cfg.mode.kind is ModeKind.PLANE_WAVE or cfg.mode.k != 0:
         lines.append(f"mode.k = {_fmt(cfg.mode.k)}")
-    if cfg.mode.kind is ModeKind.BLOCKED_GAUSSIAN:
+    if cfg.mode.kind is ModeKind.BLOCKED_GAUSSIAN or cfg.mode.block_radius != 0:
         lines.append(f"mode.block_radius = {_fmt(cfg.mode.block_radius)}")
     lines += [
         f"grid.n = {cfg.grid.n}",

@@ -9,6 +9,7 @@ center of a stored vortex is the key observable and must not be interpolated.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,6 +141,46 @@ def l2_norm_sq(f: ComplexField2D) -> float:
     return float(np.sum(intensity)) * f.grid.dx**2
 
 
+def check_nbins(nbins) -> None:
+    """The one rule on the radial bin count: raise ValueError unless nbins is
+    an integer >= 4.  radial_bins asks it before building any bins."""
+    if not isinstance(nbins, (int, np.integer)) or nbins < 4:
+        raise ValueError(f"nbins must be an integer >= 4, got {nbins!r}")
+
+
+@functools.lru_cache(maxsize=4, typed=True)
+def radial_bins(grid: GridSpec, nbins: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The radial binning of grid: which samples fall in a bin, the bin of
+    each of those samples in order, and the sample count of each bin.
+
+    Bin b holds the samples with r in [b*dr, (b+1)*dr), dr = extent/nbins;
+    samples at r >= extent (the grid corners) fall outside the last bin.  The
+    flat boolean mask, bin indices and counts are read-only and cached per
+    (grid, nbins), so the radius map is built once per grid instead of once
+    per reduction.
+    """
+    check_nbins(nbins)
+    idx = np.floor(grid.radius() / (grid.extent / nbins)).astype(np.intp).ravel()
+    inside = idx < nbins
+    idx = idx[inside]
+    counts = np.bincount(idx, minlength=nbins)
+    for a in (inside, idx, counts):
+        a.flags.writeable = False
+    return inside, idx, counts
+
+
+def radial_mean(values: np.ndarray, grid: GridSpec, nbins: int) -> np.ndarray:
+    """Azimuthal mean of a real field per occupied bin, on the bins of azimuthal_average.
+
+    One real bincount.  The mean is divided as a complex number, so it keeps
+    the bytes of the real part of azimuthal_average's mean_amplitude.
+    """
+    inside, idx, counts = radial_bins(grid, nbins)
+    sums = np.bincount(idx, weights=values.ravel()[inside], minlength=nbins)
+    occupied = counts > 0
+    return ((sums[occupied] + 0j) / counts[occupied]).real
+
+
 def azimuthal_average(f: ComplexField2D, nbins: int) -> RadialProfile:
     """Average a field over azimuth in radial bins of width extent/nbins.
 
@@ -148,17 +189,11 @@ def azimuthal_average(f: ComplexField2D, nbins: int) -> RadialProfile:
     the complex mean (phase-sensitive, cancels for vortex fields) and the
     mean squared magnitude per bin.
     """
-    if not isinstance(nbins, (int, np.integer)) or nbins < 4:
-        raise ValueError(f"nbins must be an integer >= 4, got {nbins!r}")
+    inside, idx, counts = radial_bins(f.grid, nbins)
     dr = f.grid.extent / nbins
-    r = f.grid.radius()
-    idx = np.floor(r / dr).astype(np.intp).ravel()
-    keep = idx < nbins
-    idx = idx[keep]
-    vals = f.values.ravel()[keep]
+    vals = f.values.ravel()[inside]
     inten = np.abs(vals) ** 2
 
-    counts = np.bincount(idx, minlength=nbins)
     sum_re = np.bincount(idx, weights=vals.real, minlength=nbins)
     sum_im = np.bincount(idx, weights=vals.imag, minlength=nbins)
     sum_int = np.bincount(idx, weights=inten, minlength=nbins)

@@ -1,24 +1,27 @@
 """Scenario runner: evolve a configured mode and emit diagnostic files.
 
-Each evolved snapshot gets one SnapshotDiagnostics, which runs each
-reduction (radial profiles, coherence-factor summary, efficiency) at most
-once and keeps only reduced numbers, never a full-grid map.  Each table
-OutputKind is one function from those reductions to its table's columns;
-every table is written by fieldio.write_table_csv, every field dump by
-write_field or write_field_csv.
+The run is one stream.  stream_diagnostics wraps each snapshot that
+solvers.evolve_snapshots yields in a SnapshotDiagnostics, which runs each
+reduction (radial profiles, coherence-factor summary, efficiency, ...) at
+most once and keeps only reduced numbers, never a full-grid map.
+run_scenario writes each snapshot's field dumps and computes the reductions
+its tables read as the snapshot arrives; the stream then releases the
+snapshot before the next time is evolved, so one evolved snapshot is alive
+at a time.  Each table OutputKind is one function from those reductions to
+its table's columns; every table is written by fieldio.write_table_csv,
+every field dump by write_field or write_field_csv.
 
 manifest.json lists each output file with its SHA-256 checksum.  It is
 removed before the first file is written and rewritten last, so a failed run
-leaves none.  Identical configs produce byte-identical outputs in any thread
-mode: each evolution time is an independent pure computation (the FD march
-reproduces a fresh march to each time) and files are written serially.
+leaves none.  The run is serial and every step is a pure computation, so
+identical configs produce byte-identical outputs.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
@@ -39,9 +42,9 @@ from .analysis import (
 from .analytic import CoherenceFactorParams, StateSnapshot, evolution_factor, initial_snapshot
 from .config import OutputKind, ScenarioConfig, render_config
 from .fieldio import write_field, write_field_csv, write_table_csv
-from .grid import ComplexField2D, RadialProfile, azimuthal_average
+from .grid import RadialProfile, azimuthal_average, radial_mean
 from .modes import build_mode
-from .solvers import Scheme, evolve_snapshot, evolve_snapshots
+from .solvers import evolve_snapshots
 
 
 @dataclass
@@ -71,28 +74,18 @@ def _config_header(cfg: ScenarioConfig, title: str | None = None,
     return lines
 
 
-def compute_snapshots(cfg: ScenarioConfig, threads: int = 1) -> tuple[StateSnapshot, list[StateSnapshot]]:
-    """Initial snapshot plus one evolved snapshot per configured time.
-
-    Spectral and kernel times are independent and spread over `threads`
-    workers; the FD scheme marches once across all times, whatever `threads`.
-    """
-    snap0 = initial_snapshot(build_mode(cfg.mode, cfg.grid))
-    D, times = cfg.diffusion.D, cfg.diffusion.times
-    if threads > 1 and cfg.solver.scheme is not Scheme.FD_EXPLICIT:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            snaps = list(pool.map(lambda t: evolve_snapshot(snap0, D, t, cfg.solver), times))
-    else:
-        snaps = evolve_snapshots(snap0, D, times, cfg.solver)
-    return snap0, snaps
-
-
 class SnapshotDiagnostics:
     """The reductions of one evolved snapshot, each computed on first use and
-    kept; a full-grid map such as the coherence factor is dropped once reduced."""
+    kept; a full-grid map such as the coherence factor is dropped once
+    reduced.  After release() only the reductions computed so far remain."""
 
     def __init__(self, cfg: ScenarioConfig, snap0: StateSnapshot, snap: StateSnapshot):
-        self.cfg, self.snap0, self.snap, self.time = cfg, snap0, snap, snap.time
+        self.cfg, self.snap0, self.snap = cfg, snap0, snap
+        self.time, self.rho11 = snap.time, snap.rho11
+
+    def release(self) -> None:
+        """Drop the snapshots and their full-grid arrays."""
+        self.snap = self.snap0 = None
 
     @cached_property
     def profile(self) -> RadialProfile:
@@ -101,9 +94,8 @@ class SnapshotDiagnostics:
 
     @cached_property
     def rho22_radial(self) -> np.ndarray:
-        """Azimuthal average of rho22, on the bins of profile."""
-        rho22 = ComplexField2D(self.cfg.grid, self.snap.rho22.astype(np.complex128))
-        return azimuthal_average(rho22, self.cfg.nbins).mean_amplitude.real
+        """Azimuthal mean of rho22, on the bins of profile."""
+        return radial_mean(self.snap.rho22, self.cfg.grid, self.cfg.nbins)
 
     @cached_property
     def cfactor(self) -> tuple[float, float]:
@@ -116,14 +108,36 @@ class SnapshotDiagnostics:
     def efficiency(self) -> float:
         return retrieval_efficiency(self.snap.rho12, self.snap0.rho12)
 
+    @cached_property
+    def population(self) -> float:
+        return total_population(self.snap)
+
+    @cached_property
+    def center(self) -> tuple[float, float]:
+        """rho22 and |rho12| at the origin sample."""
+        i0 = self.cfg.grid.origin_index
+        return center_intensity(self.snap), abs(self.snap.rho12.values[i0, i0])
+
+    @cached_property
+    def hole_refill(self) -> float:
+        return hole_refill_ratio(self.snap.rho12, self.cfg.mode.block_radius)
+
     def nodes(self, rel_threshold: float = 0.02) -> NodeReport:
         return find_radial_nodes(self.profile, rel_threshold, time=self.time)
 
 
-def compute_diagnostics(cfg: ScenarioConfig, threads: int = 1) -> list[SnapshotDiagnostics]:
-    """compute_snapshots, with each evolved snapshot wrapped for reduction."""
-    snap0, snaps = compute_snapshots(cfg, threads=threads)
-    return [SnapshotDiagnostics(cfg, snap0, s) for s in snaps]
+def stream_diagnostics(cfg: ScenarioConfig) -> Iterator[SnapshotDiagnostics]:
+    """One SnapshotDiagnostics per configured time, evolved lazily.
+
+    A consumer takes what it needs from each before asking for the next:
+    each is released then, before the next time is evolved.
+    """
+    snap0 = initial_snapshot(build_mode(cfg.mode, cfg.grid))
+    for snap in evolve_snapshots(snap0, cfg.diffusion.D, cfg.diffusion.times, cfg.solver):
+        d = SnapshotDiagnostics(cfg, snap0, snap)
+        del snap
+        yield d
+        d.release()
 
 
 def node_columns(reports: list[NodeReport]) -> dict[str, list[float]]:
@@ -135,7 +149,9 @@ def node_columns(reports: list[NodeReport]) -> dict[str, list[float]]:
 
 
 # Each table OutputKind: (cfg, diagnostics) -> [(file name, title, time or
-# None, columns)], written with _config_header(cfg, title, time).
+# None, columns)], written with _config_header(cfg, title, time).  It reads
+# only the reductions listed for it in _TABLES, which run_scenario computes
+# while each snapshot is alive.
 
 def _profile_tables(cfg, diags):
     return [(f"profile_{i:03d}.csv", "radial profile", d.time,
@@ -148,7 +164,7 @@ def _cfactor_tables(cfg, diags):
     profiles = [(f"cfactor_{i:03d}.csv", "coherence factor profile", d.time,
                  {"r": d.profile.radii,
                   "coherence_factor": coherence_factor_values(
-                      d.profile.mean_intensity, d.snap.rho11, d.rho22_radial, cfg.eta)})
+                      d.profile.mean_intensity, d.rho11, d.rho22_radial, cfg.eta)})
                 for i, d in enumerate(diags)]
     summary = {"t": cfg.diffusion.times, "weighted_average": [d.cfactor[0] for d in diags]}
     return profiles + [("cfactor_summary.csv", "rho22-weighted coherence factor", None, summary)]
@@ -160,7 +176,7 @@ def _fidelity_table(cfg, diags):
         "t": times,
         "s": [evolution_factor(t, cfg.diffusion.D, cfg.mode.w0) for t in times],
         "efficiency": [d.efficiency for d in diags],
-        "total_population": [total_population(d.snap) for d in diags],
+        "total_population": [d.population for d in diags],
     })]
 
 
@@ -169,11 +185,10 @@ def _nodes_table(cfg, diags):
 
 
 def _center_table(cfg, diags):
-    i0 = cfg.grid.origin_index
     return [("center.csv", "center trace", None, {
         "t": cfg.diffusion.times,
-        "rho22_center": [center_intensity(d.snap) for d in diags],
-        "rho12_abs_center": [abs(d.snap.rho12.values[i0, i0]) for d in diags],
+        "rho22_center": [d.center[0] for d in diags],
+        "rho12_abs_center": [d.center[1] for d in diags],
         "cfactor_center": [d.cfactor[1] for d in diags],
     })]
 
@@ -193,24 +208,42 @@ def _fit_table(cfg, diags):
 def _hole_refill_table(cfg, diags):
     return [("hole_refill.csv", "hole refill", None, {
         "t": cfg.diffusion.times,
-        "refill_ratio": [hole_refill_ratio(d.snap.rho12, cfg.mode.block_radius) for d in diags],
+        "refill_ratio": [d.hole_refill for d in diags],
     })]
 
 
 _TABLES = {
-    OutputKind.RADIAL_PROFILES: _profile_tables,
-    OutputKind.COHERENCE_FACTOR: _cfactor_tables,
-    OutputKind.FIDELITY_TRACE: _fidelity_table,
-    OutputKind.NODES: _nodes_table,
-    OutputKind.CENTER_TRACE: _center_table,
-    OutputKind.FIT: _fit_table,
-    OutputKind.HOLE_REFILL: _hole_refill_table,
+    OutputKind.RADIAL_PROFILES: (("profile", "rho22_radial"), _profile_tables),
+    OutputKind.COHERENCE_FACTOR: (("profile", "rho22_radial", "cfactor"), _cfactor_tables),
+    OutputKind.FIDELITY_TRACE: (("efficiency", "population"), _fidelity_table),
+    OutputKind.NODES: (("profile",), _nodes_table),
+    OutputKind.CENTER_TRACE: (("center", "cfactor"), _center_table),
+    OutputKind.FIT: (("efficiency",), _fit_table),
+    OutputKind.HOLE_REFILL: (("hole_refill",), _hole_refill_table),
 }
+
+
+def _write_fields(out: Path, cfg: ScenarioConfig, fmt: str, i: int, snap: StateSnapshot) -> list[Path]:
+    """Dump rho12 and rho22 of the i-th snapshot; returns the paths written."""
+    written = []
+    for name, values in ((f"rho12_{i:03d}", snap.rho12.values), (f"rho22_{i:03d}", snap.rho22)):
+        if fmt in ("vxf", "both"):
+            write_field(out / f"{name}.vxf", values, cfg.grid, snap.time)
+            written.append(out / f"{name}.vxf")
+        if fmt in ("csv", "both"):
+            write_field_csv(out / f"{name}.csv", values, cfg.grid,
+                            _config_header(cfg, f"field {name}", snap.time))
+            written.append(out / f"{name}.csv")
+    return written
 
 
 def run_scenario(cfg: ScenarioConfig, fmt: str = "csv", threads: int = 1,
                  out_dir: str | Path | None = None) -> Manifest:
-    """Run one scenario and write the requested outputs plus manifest.json."""
+    """Run one scenario and write the requested outputs plus manifest.json.
+
+    threads is accepted for compatibility and has no effect: the run is one
+    serial stream that holds one evolved snapshot at a time.
+    """
     if fmt not in ("csv", "vxf", "both"):
         raise ValueError(f"format must be csv, vxf or both, got {fmt!r}")
     manifest = Manifest(out_dir=Path(out_dir) if out_dir is not None else Path(cfg.out_dir),
@@ -219,22 +252,18 @@ def run_scenario(cfg: ScenarioConfig, fmt: str = "csv", threads: int = 1,
     out.mkdir(parents=True, exist_ok=True)
     manifest.manifest_path.unlink(missing_ok=True)
 
-    diags = compute_diagnostics(cfg, threads=threads)
+    reads = dict.fromkeys(name for kind, (names, _) in _TABLES.items() if kind in cfg.outputs
+                          for name in names)
     written: list[Path] = []
+    diags = []
+    for i, d in enumerate(stream_diagnostics(cfg)):
+        if OutputKind.SNAPSHOTS in cfg.outputs:
+            written += _write_fields(out, cfg, fmt, i, d.snap)
+        for name in reads:
+            getattr(d, name)
+        diags.append(d)
 
-    if OutputKind.SNAPSHOTS in cfg.outputs:
-        for i, d in enumerate(diags):
-            for name, values in ((f"rho12_{i:03d}", d.snap.rho12.values),
-                                 (f"rho22_{i:03d}", d.snap.rho22)):
-                if fmt in ("vxf", "both"):
-                    write_field(out / f"{name}.vxf", values, cfg.grid, d.time)
-                    written.append(out / f"{name}.vxf")
-                if fmt in ("csv", "both"):
-                    write_field_csv(out / f"{name}.csv", values, cfg.grid,
-                                    _config_header(cfg, f"field {name}", d.time))
-                    written.append(out / f"{name}.csv")
-
-    for kind, tables in _TABLES.items():
+    for kind, (_, tables) in _TABLES.items():
         if kind in cfg.outputs:
             for name, title, time, columns in tables(cfg, diags):
                 write_table_csv(out / name, columns, _config_header(cfg, title, time))

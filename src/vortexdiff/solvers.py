@@ -19,8 +19,16 @@ Three independent classical schemes on the same grid:
   a zero-padded numpy.fft linear convolution, so this scheme is free-space
   for every field.
 
-All three transform-based steps (spectral, kernel, quantum) share one path:
-fft2 at a chosen size, multiply, ifft2, crop back to the grid.
+evolve_snapshots is the one evolution path for a snapshot: a lazy generator
+that yields one evolved snapshot per requested time and keeps none of them,
+so a caller that reduces each snapshot as it arrives holds one at a time.
+Within it each scheme shares work between times and fields: the spectral
+scheme transforms rho12 and rho22 once per FFT side and builds each time's
+multiplier once, the kernel scheme builds each time's kernel spectrum once,
+and the FD scheme marches once.  evolve_snapshot and the one-field steps
+diffuse_spectral, diffuse_kernel and diffuse_fd are its one-time cases, with
+the same bytes.  The transform-based steps (spectral, kernel, quantum) all
+run numpy.fft: fft2 at a chosen size, multiply, ifft2, crop back to the grid.
 
 Every classical step returns a field with its input's boundary; a free-space
 record grows to the diffused waist w0^2 + 4 D t, so chained steps pad enough.
@@ -36,15 +44,16 @@ exposed only as a conditioning report, never performed.
 from __future__ import annotations
 
 import enum
+import functools
 import math
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 import numpy.fft  # noqa: F401  numpy 2 imports numpy.fft lazily; load it with the package
 
 from .analytic import StateSnapshot
-from .grid import ComplexField2D, GridSpec
+from .grid import ComplexField2D, FreeSpace, GridSpec
 from .modes import ContainmentError, check_contained
 
 
@@ -96,10 +105,15 @@ class QuantumParams:
     beta: float = 1.0
 
 
+@functools.lru_cache(maxsize=2)
 def _k_squared(n: int, dx: float) -> np.ndarray:
+    """|k|^2 on an n x n FFT grid of spacing dx, read-only and cached: a
+    stream of times, or an echo, asks for the same side again and again."""
     k = 2.0 * np.pi * np.fft.fftfreq(n, d=dx)
     kx, ky = np.meshgrid(k, k, indexing="ij")
-    return kx**2 + ky**2
+    k2 = kx**2 + ky**2
+    k2.flags.writeable = False
+    return k2
 
 
 def max_wavenumber(grid: GridSpec) -> float:
@@ -125,39 +139,67 @@ def _fft_size(n_min: int) -> int:
         n += 2
 
 
-def _fourier_multiply(values: np.ndarray, size: int,
-                      multiplier: Callable[[int], np.ndarray], offset: int = 0) -> np.ndarray:
-    """The one transform path: fft2 of values zero-padded to size x size,
-    times multiplier(size), ifft2, and the n x n window starting at offset.
-
-    The multiplier is built after the forward transform and released before
-    the inverse one, so no transform runs while it is alive: holding it longer
-    raised the peak RSS of an n = 1024 run with 16 times by about 100 MB.
-    A window cropped from a padded transform is copied out, so a stored
-    result does not keep the whole padded array alive.
-    """
-    n = values.shape[0]
-    spectrum = np.fft.fft2(values, s=(size, size))
-    spectrum *= multiplier(size)
-    return np.ascontiguousarray(np.fft.ifft2(spectrum)[offset:offset + n, offset:offset + n])
+def _crop(full: np.ndarray, n: int, offset: int = 0) -> np.ndarray:
+    """The n x n window of full starting at offset, as its own array: a
+    window of a padded transform is copied out, so a stored result does not
+    keep the whole padded array alive."""
+    return np.ascontiguousarray(full[offset:offset + n, offset:offset + n])
 
 
-def _free_space_size(f: ComplexField2D, D: float, t: float) -> int:
-    """FFT side that contains f's mode after time t, on the grid's dx.
+def _free_space_size(grid: GridSpec, fs: FreeSpace | None, D: float, t: float) -> int:
+    """FFT side that contains a field with boundary fs after time t, on the grid's dx.
 
     The extent comes from the containment rule at s = (w0^2 + 4 D t) / w0^2
     for the field's recorded waist; a periodic field, or one whose grid
     already contains the mode, keeps the grid's own size.
     """
-    fs = f.free_space
     if fs is None:
-        return f.grid.n
+        return grid.n
     s = (fs.w0_sq + 4.0 * D * t) / fs.w0_sq
     try:
-        check_contained(f.grid.extent, math.sqrt(fs.w0_sq), 0, fs.order - 1, s)
+        check_contained(grid.extent, math.sqrt(fs.w0_sq), 0, fs.order - 1, s)
     except ContainmentError as exc:
-        return _fft_size(math.ceil(2.0 * exc.required_extent / f.grid.dx))
-    return f.grid.n
+        return _fft_size(math.ceil(2.0 * exc.required_extent / grid.dx))
+    return grid.n
+
+
+def _check_diffusion(D: float, times) -> None:
+    """Reject a negative diffusion coefficient or a negative time."""
+    if D < 0:
+        raise ValueError(f"diffusion coefficient must be >= 0, got {D}")
+    for t in times:
+        if t < 0:
+            raise ValueError(f"time must be >= 0, got {t}")
+
+
+def _spectral_stream(grid: GridSpec, fs: FreeSpace | None, fields: list[np.ndarray],
+                     D: float, times: list[float]) -> Iterator[list[np.ndarray]]:
+    """Heat-equation steps e^{-D k^2 t} of each array in fields (real or
+    complex, transformed as complex), one list of complex results per time,
+    yielded as it is computed.
+
+    Each field is transformed once per FFT side: the grid's own side, or for
+    a free-space field (fs set) the padded side _free_space_size gives each
+    time, and ascending times ask for ascending sides.  Each time builds its
+    multiplier once for all fields and runs one ifft2 per field.  Results
+    are the bytes of a separate fft2, multiply, ifft2 per field and time.
+    """
+    _check_diffusion(D, times)
+    side, spectra = None, []
+    for t in times:
+        if t == 0 or D == 0:
+            yield [v.copy() for v in fields]
+            continue
+        size = _free_space_size(grid, fs, D, t)
+        if size != side:
+            spectra = []  # the previous side's spectra go before the new ones are made
+            side, spectra = size, [np.fft.fft2(np.asarray(v, np.complex128), s=(size, size))
+                                   for v in fields]
+        multiplier = np.exp(-D * _k_squared(size, grid.dx) * t)
+        out = [_crop(np.fft.ifft2(spectrum * multiplier), grid.n) for spectrum in spectra]
+        del multiplier
+        yield out
+        del out  # the caller holds this time's results; drop them before the next time
 
 
 def diffuse_spectral(f: ComplexField2D, D: float, t: float) -> ComplexField2D:
@@ -166,18 +208,10 @@ def diffuse_spectral(f: ComplexField2D, D: float, t: float) -> ComplexField2D:
     A free-space field whose grid is smaller than the containment extent at
     time t is zero-padded on the same dx to an FFT-friendly size, stepped
     and cropped: a linear convolution with the heat kernel instead of a
-    periodic one.
+    periodic one.  This is the one-field, one-time case of the stream that
+    evolve_snapshots runs.
     """
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t}")
-    if D < 0:
-        raise ValueError(f"diffusion coefficient must be >= 0, got {D}")
-    if t == 0 or D == 0:
-        return f.copy()
-    size = _free_space_size(f, D, t)
-    out = _fourier_multiply(
-        f.values, size, lambda side: np.exp(-D * _k_squared(side, f.grid.dx) * t)
-    )
+    ((out,),) = _spectral_stream(f.grid, f.free_space, [f.values], D, [t])
     return ComplexField2D(f.grid, out, _diffused_boundary(f, D, t))
 
 
@@ -228,11 +262,7 @@ def _fd_march(values: np.ndarray, grid: GridSpec, D: float, times: list[float],
     float64.  Results are yielded one time at a time, each a new array, so a
     caller can consume them as they come.
     """
-    for t in times:
-        if t < 0:
-            raise ValueError(f"time must be >= 0, got {t}")
-    if D < 0:
-        raise ValueError(f"diffusion coefficient must be >= 0, got {D}")
+    _check_diffusion(D, times)
     if any(later < earlier for earlier, later in zip(times, times[1:])):
         raise ValueError(f"FD march needs ascending times, got {times}")
     if D == 0 or not times or times[-1] == 0:
@@ -291,6 +321,42 @@ def heat_kernel_patch(grid: GridSpec, D: float, t: float) -> np.ndarray:
     return kernel
 
 
+def _kernel_stream(grid: GridSpec, fields: list[np.ndarray], D: float,
+                   times: list[float]) -> Iterator[list[np.ndarray]]:
+    """Heat-kernel convolutions of each array in fields (real or complex,
+    transformed as complex), one list of complex results per time, yielded
+    as it is computed.
+
+    Each time builds its kernel patch and padded kernel spectrum once for
+    all fields; each field then takes one fft2 and one ifft2.  t = 0 (or
+    D = 0) is the identity.
+    """
+    _check_diffusion(D, times)
+    for t in times:
+        if t == 0 or D == 0:
+            yield [v.copy() for v in fields]
+            continue
+        if 4.0 * D * t < grid.dx**2:
+            raise ValueError(
+                f"kernel unresolved: needs 4 D t >= dx^2 = {grid.dx ** 2:.6g}, "
+                f"got {4.0 * D * t:.6g}; use the spectral scheme for short steps"
+            )
+        kernel = heat_kernel_patch(grid, D, t)
+        half = (kernel.shape[0] - 1) // 2
+        size = _fft_size(grid.n + half)
+        kernel_spectrum = np.fft.fft2(kernel, s=(size, size))
+        del kernel
+        out = []
+        for v in fields:
+            spectrum = np.fft.fft2(np.asarray(v, np.complex128), s=(size, size))
+            spectrum *= kernel_spectrum
+            out.append(_crop(np.fft.ifft2(spectrum), grid.n, half))
+            out[-1] *= grid.dx**2
+        del kernel_spectrum, spectrum
+        yield out
+        del out  # the caller holds this time's results; drop them before the next time
+
+
 def diffuse_kernel(f: ComplexField2D, D: float, t: float) -> ComplexField2D:
     """Green-function propagation: discrete convolution with the sampled
     heat kernel times dx^2.  The convolution is linear: field and K x K
@@ -299,25 +365,11 @@ def diffuse_kernel(f: ComplexField2D, D: float, t: float) -> ComplexField2D:
     wrap of that transform lands only outside the window.  t = 0 is
     rejected (the kernel degenerates to a delta; use the identity instead),
     as are steps too short for the grid to resolve the kernel
-    (4 D t < dx^2), which would fabricate mass."""
+    (4 D t < dx^2), which would fabricate mass.  This is the one-field,
+    one-time case of the stream that evolve_snapshots runs."""
     if not (t > 0):
         raise ValueError("kernel propagator needs t > 0 (t = 0 is the identity)")
-    if D < 0:
-        raise ValueError(f"diffusion coefficient must be >= 0, got {D}")
-    if D == 0:
-        return f.copy()
-    if 4.0 * D * t < f.grid.dx**2:
-        raise ValueError(
-            f"kernel unresolved: needs 4 D t >= dx^2 = {f.grid.dx ** 2:.6g}, "
-            f"got {4.0 * D * t:.6g}; use the spectral scheme for short steps"
-        )
-    kernel = heat_kernel_patch(f.grid, D, t)
-    half = (kernel.shape[0] - 1) // 2
-    out = _fourier_multiply(
-        f.values, _fft_size(f.grid.n + half),
-        lambda side: np.fft.fft2(kernel, s=(side, side)), offset=half,
-    )
-    out *= f.grid.dx**2
+    ((out,),) = _kernel_stream(f.grid, [f.values], D, [t])
     return ComplexField2D(f.grid, out, _diffused_boundary(f, D, t))
 
 
@@ -327,10 +379,9 @@ def evolve_quantum(f: ComplexField2D, q: QuantumParams, t: float) -> ComplexFiel
     The step is periodic on the grid, so that the echo undoes it exactly; the
     boundary record passes through unchanged.
     """
-    out = _fourier_multiply(
-        f.values, f.grid.n, lambda side: np.exp(-1j * q.beta * _k_squared(side, f.grid.dx) * t)
-    )
-    return ComplexField2D(f.grid, out, f.free_space)
+    spectrum = np.fft.fft2(f.values)
+    spectrum *= np.exp(-1j * q.beta * _k_squared(f.grid.n, f.grid.dx) * t)
+    return ComplexField2D(f.grid, np.fft.ifft2(spectrum), f.free_space)
 
 
 def echo_reverse(f: ComplexField2D, q: QuantumParams, t: float) -> ComplexField2D:
@@ -372,54 +423,51 @@ def reverse_classical(f: ComplexField2D, D: float, t: float) -> ComplexField2D:
     )
 
 
-def _diffuse(f: ComplexField2D, D: float, t: float, cfg: SolverConfig) -> ComplexField2D:
-    """One per-time step of the spectral or kernel scheme."""
+def evolve_snapshots(s: StateSnapshot, D: float, times, cfg: SolverConfig) -> Iterator[StateSnapshot]:
+    """Propagate a snapshot to each of the given durations under the
+    configured scheme, yielding one evolved snapshot per time, lazily.
+
+    rho12 diffuses as a complex field, rho22 as a real field with rho12's
+    boundary; rho11 is homogeneous and diffusion-invariant.  Each result
+    passes the one physicality check, the StateSnapshot constructor, which
+    rejects data too rough for the scheme and grid and clips rounding
+    residues.  Per scheme:
+
+    * spectral: rho12 and rho22 (as complex) are transformed once per FFT
+      side, and each time builds one multiplier and runs one ifft2 per field;
+    * kernel: each time builds one kernel spectrum for both fields;
+    * FD: rho12 and rho22 (as float64) march once each across the
+      ascending times, side by side.
+
+    Every time gets the bytes of a step (or march) from s to that time
+    alone.  Nothing is computed until a snapshot is asked for, and the
+    generator keeps no reference to a snapshot it has yielded, so a caller
+    that reduces each snapshot and lets it go holds one at a time.
+    """
+    times = list(times)
+    grid = s.grid
     if cfg.scheme is Scheme.SPECTRAL:
-        return diffuse_spectral(f, D, t)
-    if cfg.scheme is Scheme.KERNEL:
-        if t == 0:
-            return f.copy()
-        return diffuse_kernel(f, D, t)
-    raise ValueError(f"unknown scheme {cfg.scheme!r}")
+        fields = _spectral_stream(grid, s.rho12.free_space, [s.rho12.values, s.rho22], D, times)
+    elif cfg.scheme is Scheme.KERNEL:
+        fields = _kernel_stream(grid, [s.rho12.values, s.rho22], D, times)
+    elif cfg.scheme is Scheme.FD_EXPLICIT:
+        march12 = _fd_march(s.rho12.values, grid, D, times, cfg)
+        march22 = _fd_march(np.asarray(s.rho22, dtype=np.float64), grid, D, times, cfg)
+        fields = ((next(march12), next(march22)) for _ in times)
+    else:
+        raise ValueError(f"unknown scheme {cfg.scheme!r}")
+    # next() rather than zip: zip keeps its last tuple, and with it the
+    # previous time's arrays, alive while the next time is computed
+    for t in times:
+        rho12, rho22 = next(fields)
+        snap = StateSnapshot(s.time + t, ComplexField2D(grid, rho12, _diffused_boundary(s.rho12, D, t)),
+                             rho22.real, s.rho11)
+        del rho12, rho22
+        yield snap
+        del snap
 
 
 def evolve_snapshot(s: StateSnapshot, D: float, t: float, cfg: SolverConfig) -> StateSnapshot:
-    """Propagate a snapshot for duration t under the configured scheme.
-
-    rho12 diffuses as a complex field, rho22 as a real field with rho12's
-    boundary; rho11 is homogeneous and diffusion-invariant.  The result
-    passes the one physicality check, the StateSnapshot constructor, which
-    rejects data too rough for the scheme and grid and clips rounding
-    residues.  The FD scheme runs as the one-time case of the march in
-    evolve_snapshots.
-    """
-    if cfg.scheme is Scheme.FD_EXPLICIT:
-        (snap,) = evolve_snapshots(s, D, [t], cfg)
-        return snap
-    rho12 = _diffuse(s.rho12, D, t, cfg)
-    rho22_c = _diffuse(
-        ComplexField2D(s.grid, s.rho22.astype(np.complex128), s.rho12.free_space), D, t, cfg
-    )
-    return StateSnapshot(time=s.time + t, rho12=rho12, rho22=rho22_c.values.real, rho11=s.rho11)
-
-
-def evolve_snapshots(s: StateSnapshot, D: float, times, cfg: SolverConfig) -> list[StateSnapshot]:
-    """Propagate a snapshot to each of the given durations, as evolve_snapshot does.
-
-    The spectral and kernel schemes step each time from s.  The FD scheme
-    marches rho12, then rho22 (as float64), once each across the ascending
-    times, and gives each time the same bytes as a march to it alone.
-    """
-    times = list(times)
-    if cfg.scheme is not Scheme.FD_EXPLICIT:
-        return [evolve_snapshot(s, D, t, cfg) for t in times]
-    # rho12's march ends (freeing its work arrays) before rho22's starts;
-    # rho22's results become snapshots as they come, so the peak memory
-    # stays near that of one march per time
-    rho12s = list(_fd_march(s.rho12.values, s.grid, D, times, cfg))
-    rho22s = _fd_march(np.asarray(s.rho22, dtype=np.float64), s.grid, D, times, cfg)
-    return [
-        StateSnapshot(s.time + t, ComplexField2D(s.grid, rho12, _diffused_boundary(s.rho12, D, t)),
-                      rho22, s.rho11)
-        for t, rho12, rho22 in zip(times, rho12s, rho22s)
-    ]
+    """Propagate a snapshot for duration t: the one-time case of evolve_snapshots."""
+    (snap,) = evolve_snapshots(s, D, [t], cfg)
+    return snap

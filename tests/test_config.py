@@ -29,8 +29,8 @@ def _floats(lo, hi, **kw):
 def scenario_configs(draw):
     """Valid ScenarioConfigs over every mode kind, scheme, output set and time list.
 
-    Fields that render_config leaves out for a mode kind (k, block_radius)
-    keep their defaults, as parse_config gives them."""
+    A mode field its kind does not use (k off plane waves, block_radius off
+    blocked Gaussians) is drawn too, zero or not: render_config must keep it."""
     kind = draw(st.sampled_from(list(vd.ModeKind)))
     n = 2 * draw(st.integers(4, 256))
     w0, D = draw(_floats(0.1, 4.0)), draw(_floats(0.0, 10.0))
@@ -46,6 +46,7 @@ def scenario_configs(draw):
         extent = draw(_floats(0.5, 100.0))
         k = draw(st.integers(-n // 2, n // 2)) * math.pi / extent
     else:
+        k = draw(st.just(0.0) | _floats(-10.0, 10.0))
         lg = kind is vd.ModeKind.LG
         s_max = vd.evolution_factor(times[-1], D, w0)
         required = lg_required_extent(w0, m if lg else 0, p if lg else 0, s_max)
@@ -55,6 +56,8 @@ def scenario_configs(draw):
         block_radius = draw(_floats(2.0 * grid.dx, extent / 2.0))
     elif kind is vd.ModeKind.BLOCKED_GAUSSIAN:
         block_radius = draw(_floats(0.0, extent, exclude_max=True))
+    else:
+        block_radius = draw(st.just(0.0) | _floats(0.0, 10.0))
     amp = draw(st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False))
     mode = vd.ModeSpec(kind=kind, p=p, m=m, w0=w0, P=draw(_floats(0.01, 100.0)), amp=amp, k=k,
                        block_radius=block_radius)
@@ -234,6 +237,19 @@ grid.extent = 8
         bad = MINIMAL + "solver.scheme = fd\nsolver.dt = 1.0\n"
         with pytest.raises(vd.ConfigError, match="stability"):
             vd.parse_config(bad)
+
+    def test_nbins_rule_checked_at_parse_and_validation(self):
+        with pytest.raises(vd.ConfigError, match=r"^line 11: nbins must be an integer >= 4, got 3$"):
+            vd.parse_config(MINIMAL + "nbins = 3\n")
+        cfg = dataclasses.replace(vd.parse_config(MINIMAL), nbins=2)
+        with pytest.raises(vd.ConfigError, match="^nbins: "):
+            vd.validate_scenario(cfg)
+
+    def test_empty_times_rejected_by_validation(self):
+        cfg = vd.parse_config(MINIMAL)
+        cfg = dataclasses.replace(cfg, diffusion=vd.DiffusionParams(D=1.0, times=()))
+        with pytest.raises(vd.ConfigError, match="^diffusion.times needs at least one value$"):
+            vd.validate_scenario(cfg)
 
 
 class TestRenderRoundTrip:

@@ -125,7 +125,7 @@ out_dir = {tmp_path / "blocked"}
     def test_each_reduction_runs_once_per_snapshot(self, tmp_path, monkeypatch):
         import vortexdiff.scenario as scenario
 
-        calls = {"azimuthal": 0, "coherence": 0}
+        calls = {"azimuthal": 0, "radial": 0, "coherence": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -135,12 +135,50 @@ out_dir = {tmp_path / "blocked"}
 
         monkeypatch.setattr(scenario, "azimuthal_average",
                             counted("azimuthal", scenario.azimuthal_average))
+        monkeypatch.setattr(scenario, "radial_mean", counted("radial", scenario.radial_mean))
         monkeypatch.setattr(scenario, "coherence_factor_field",
                             counted("coherence", scenario.coherence_factor_field))
         cfg = vd.parse_config(small_vortex_cfg(tmp_path / "run"))
         vd.run_scenario(cfg, fmt="vxf")
-        # rho12 and rho22 profiles once each, one coherence map per snapshot
-        assert calls == {"azimuthal": 2 * 5, "coherence": 5}
+        # per snapshot: the rho12 profile, the rho22 radial mean and the
+        # coherence map, once each
+        assert calls == {"azimuthal": 5, "radial": 5, "coherence": 5}
+
+    @pytest.mark.parametrize("scheme", ["spectral", "kernel", "fd"])
+    def test_run_holds_one_evolved_snapshot_at_a_time(self, tmp_path, monkeypatch, scheme):
+        import weakref
+
+        import vortexdiff.solvers as solvers
+
+        alive = []  # weak references to each evolved snapshot and its arrays
+        seen = {"snapshots": 0, "older_alive": 0}
+
+        def live():
+            alive[:] = [ref for ref in alive if ref() is not None]
+            return len(alive)
+
+        def tracked(*args, **kwargs):
+            # no earlier snapshot, nor any of its arrays, survives to the next one
+            seen["older_alive"] = max(seen["older_alive"], live())
+            snap = vd.StateSnapshot(*args, **kwargs)
+            alive.extend(weakref.ref(x) for x in (snap, snap.rho12.values, snap.rho22))
+            seen["snapshots"] += 1
+            return snap
+
+        ifft2 = np.fft.ifft2
+
+        def probed_ifft2(*args, **kwargs):
+            # nor while the next time's transforms run
+            seen["older_alive"] = max(seen["older_alive"], live())
+            return ifft2(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "StateSnapshot", tracked)
+        monkeypatch.setattr(np.fft, "ifft2", probed_ifft2)
+        times = "[0, 0.03, 0.06, 0.09, 0.12, 0.15, 0.2, 0.25]"
+        text = small_vortex_cfg(tmp_path / "run", f"solver.scheme = {scheme}\n").replace(
+            "grid.n = 64", "grid.n = 128").replace("[0, 0.05, 0.1, 0.15, 0.25]", times)
+        vd.run_scenario(vd.parse_config(text), fmt="vxf")
+        assert seen == {"snapshots": 8, "older_alive": 0}
 
     def test_failed_run_leaves_no_stale_manifest(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -256,6 +294,14 @@ class TestCliSimulate:
             if f1.name == "manifest.json":
                 continue  # embeds out_dir, which differs by construction here
             assert f1.read_bytes() == f2.read_bytes(), f1.name
+
+    def test_threads_option_still_accepted(self, tmp_path):
+        cfg_file = tmp_path / "v.cfg"
+        cfg_file.write_text(small_vortex_cfg(tmp_path / "out"))
+        out = tmp_path / "threads2"
+        assert main(["--out-dir", str(out), "--format", "vxf", "--threads", "2",
+                     "simulate", str(cfg_file)]) == 0
+        assert (out / "manifest.json").exists()
 
     def test_threads_below_one_is_usage_error(self, tmp_path, capsys):
         cfg_file = tmp_path / "v.cfg"

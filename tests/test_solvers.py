@@ -5,7 +5,7 @@ import pytest
 
 import vortexdiff as vd
 from vortexdiff.solvers import heat_kernel_patch
-from vortexdiff.solvers import _fd_march
+from vortexdiff.solvers import _fd_march, _free_space_size
 from helpers import free_gaussian_dispersed
 
 
@@ -368,6 +368,61 @@ class TestEvolveSnapshot:
             e01 = vd.retrieval_efficiency(vd.diffuse_spectral(lg01, 1.0, t), lg01)
             e11 = vd.retrieval_efficiency(vd.diffuse_spectral(lg11, 1.0, t), lg11)
             assert e11 < e01
+
+
+class TestSnapshotStream:
+    """evolve_snapshots shares transforms between times and fields; every
+    time must keep the bytes of a step from the initial snapshot alone."""
+
+    @staticmethod
+    def _spectral_reference(f: vd.ComplexField2D, D: float, t: float) -> np.ndarray:
+        # one fft2, multiply, ifft2 and crop of this field at this time
+        size = _free_space_size(f.grid, f.free_space, D, t)
+        k = 2.0 * np.pi * np.fft.fftfreq(size, d=f.grid.dx)
+        kx, ky = np.meshgrid(k, k, indexing="ij")
+        spectrum = np.fft.fft2(f.values, s=(size, size))
+        spectrum *= np.exp(-D * (kx**2 + ky**2) * t)
+        return np.ascontiguousarray(np.fft.ifft2(spectrum)[:f.grid.n, :f.grid.n])
+
+    def test_padded_spectral_stream_matches_per_time_steps(self):
+        # [-6, 6) contains LG_0^1 up to s = 1.125; later times pad, to
+        # sides 96, 96, 144 and 216, so the stream reuses and then renews
+        # its transforms
+        g = vd.make_grid(64, 6.0)
+        f = vd.lg_field(vd.ModeSpec(kind=vd.ModeKind.LG, m=1), g)
+        snap = vd.initial_snapshot(f)
+        rho22 = vd.ComplexField2D(g, snap.rho22.astype(np.complex128), f.free_space)
+        times = [0.0, 0.01, 0.02, 0.31, 0.32, 1.0, 2.5]
+        sides = [_free_space_size(g, f.free_space, 1.0, t) for t in times[1:]]
+        assert sides == [64, 64, 96, 96, 144, 216]
+        outs = vd.evolve_snapshots(snap, 1.0, times, spectral_cfg())
+        for t, out in zip(times, outs):
+            assert out.time == t
+            single = vd.diffuse_spectral(f, 1.0, t).values
+            assert np.array_equal(out.rho12.values, single)
+            assert np.array_equal(out.rho22, np.maximum(
+                vd.diffuse_spectral(rho22, 1.0, t).values.real, 0.0))
+            if t > 0:
+                assert np.array_equal(single, self._spectral_reference(f, 1.0, t))
+
+    def test_kernel_stream_matches_per_field_steps(self, lg01):
+        cfg = vd.SolverConfig(scheme=vd.Scheme.KERNEL)
+        snap = vd.initial_snapshot(lg01)
+        rho22 = vd.ComplexField2D(lg01.grid, snap.rho22.astype(np.complex128), lg01.free_space)
+        times = [0.0, 0.05, 0.125, 0.25]
+        for t, out in zip(times, vd.evolve_snapshots(snap, 1.0, times, cfg)):
+            if t == 0:
+                assert np.array_equal(out.rho12.values, lg01.values)
+                assert np.array_equal(out.rho22, snap.rho22)
+                continue
+            assert np.array_equal(out.rho12.values, vd.diffuse_kernel(lg01, 1.0, t).values)
+            assert np.array_equal(out.rho22, np.maximum(
+                vd.diffuse_kernel(rho22, 1.0, t).values.real, 0.0))
+
+    def test_stream_is_lazy(self, lg01):
+        stream = vd.evolve_snapshots(vd.initial_snapshot(lg01), -1.0, [0.1], spectral_cfg())
+        with pytest.raises(ValueError, match="diffusion coefficient"):
+            next(stream)
 
 
 class TestSolverConfig:
