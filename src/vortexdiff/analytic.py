@@ -31,6 +31,15 @@ DEFAULT_ETA = 1e-12
 PHYSICALITY_TOL = 1e-9
 
 
+def check_diffusion(D: float, times) -> None:
+    """The diffusion-input rule: D >= 0 and every time t >= 0."""
+    if D < 0:
+        raise ValueError(f"diffusion coefficient must be >= 0, got {D}")
+    for t in times:
+        if t < 0:
+            raise ValueError(f"time must be >= 0, got {t}")
+
+
 @dataclass(frozen=True)
 class DiffusionParams:
     """Diffusion coefficient and the times at which diagnostics are evaluated."""
@@ -39,11 +48,8 @@ class DiffusionParams:
     times: tuple[float, ...]
 
     def __post_init__(self):
-        if self.D < 0:
-            raise ValueError(f"diffusion coefficient must be >= 0, got {self.D}")
         times = tuple(float(t) for t in self.times)
-        if any(t < 0 for t in times):
-            raise ValueError("times must be nonnegative")
+        check_diffusion(self.D, times)
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError(f"times must be strictly ascending, got {times}")
         object.__setattr__(self, "times", times)
@@ -111,10 +117,7 @@ def initial_snapshot(rho12: ComplexField2D) -> StateSnapshot:
 
 def evolution_factor(t: float, D: float, w0: float) -> float:
     """s(t) = (w0^2 + 4 D t) / w0^2, the squared waist-growth factor (>= 1)."""
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t}")
-    if D < 0:
-        raise ValueError(f"diffusion coefficient must be >= 0, got {D}")
+    check_diffusion(D, (t,))
     if not (w0 > 0):
         raise ValueError(f"waist must be positive, got {w0}")
     return (w0**2 + 4.0 * D * t) / w0**2
@@ -145,8 +148,7 @@ def population_m1(r, t: float, w0: float, P: float, D: float):
     4 P e^{-2 r^2 / (8 D t + w0^2)} (32 D^2 t^2 + r^2 w0^2 + 4 D t w0^2)
     / (pi (8 D t + w0^2)^3).
     """
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t}")
+    check_diffusion(D, (t,))
     r = np.asarray(r, dtype=np.float64)
     q = 8.0 * D * t + w0**2
     poly = 32.0 * D**2 * t**2 + r**2 * w0**2 + 4.0 * D * t * w0**2
@@ -155,8 +157,7 @@ def population_m1(r, t: float, w0: float, P: float, D: float):
 
 def population_m0(r, t: float, w0: float, P: float, D: float):
     """rho22(r, t) for a stored Gaussian: 2 P e^{-2 r^2/(8 D t + w0^2)} / (pi (8 D t + w0^2))."""
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t}")
+    check_diffusion(D, (t,))
     r = np.asarray(r, dtype=np.float64)
     q = 8.0 * D * t + w0**2
     return 2.0 * P * np.exp(-2.0 * r**2 / q) / (np.pi * q)

@@ -31,7 +31,8 @@ from .analytic import DEFAULT_ETA, CoherenceFactorParams, DiffusionParams, evolu
 from .grid import GridSpec, check_nbins
 from .modes import (ContainmentError, ModeKind, ModeSpec, check_block_radius, check_contained,
                     check_plane_wave_k, lg_required_extent)
-from .solvers import CflError, QuantumParams, Scheme, SolverConfig, fd_timestep
+from .solvers import (CflError, QuantumParams, Scheme, SolverConfig, check_kernel_resolution,
+                      fd_timestep)
 
 
 class ConfigError(ValueError):
@@ -242,8 +243,9 @@ def validate_scenario(cfg: ScenarioConfig) -> None:
 
     Each physical rule is asked of its one owner (README, "Invariants"); its
     error becomes a ConfigError naming the key: grid.extent (containment at
-    the latest time), mode.block_radius, mode.k, solver.dt or nbins.  An
-    empty diffusion.times fails with the message parse_config gives it.
+    the latest time), mode.block_radius, mode.k, solver.dt, diffusion.times
+    (kernel resolution) or nbins.  An empty diffusion.times fails with the
+    message parse_config gives it.
     """
     mode, grid, diffusion = cfg.mode, cfg.grid, cfg.diffusion
     if not diffusion.times:
@@ -279,6 +281,12 @@ def validate_scenario(cfg: ScenarioConfig) -> None:
             fd_timestep(grid, diffusion.D, cfg.solver)
         except CflError as exc:
             raise ConfigError(f"solver.dt: {exc}") from exc
+
+    if cfg.solver.scheme is Scheme.KERNEL:
+        try:
+            check_kernel_resolution(grid, diffusion.D, diffusion.times)
+        except ValueError as exc:
+            raise ConfigError(f"diffusion.times: {exc}") from exc
 
     try:
         check_nbins(cfg.nbins)

@@ -237,12 +237,10 @@ def _write_fields(out: Path, cfg: ScenarioConfig, fmt: str, i: int, snap: StateS
     return written
 
 
-def run_scenario(cfg: ScenarioConfig, fmt: str = "csv", threads: int = 1,
-                 out_dir: str | Path | None = None) -> Manifest:
+def run_scenario(cfg: ScenarioConfig, fmt: str = "csv", out_dir: str | Path | None = None) -> Manifest:
     """Run one scenario and write the requested outputs plus manifest.json.
 
-    threads is accepted for compatibility and has no effect: the run is one
-    serial stream that holds one evolved snapshot at a time.
+    The run is one serial stream that holds one evolved snapshot at a time.
     """
     if fmt not in ("csv", "vxf", "both"):
         raise ValueError(f"format must be csv, vxf or both, got {fmt!r}")

@@ -11,29 +11,29 @@ Three independent classical schemes on the same grid:
   evolved periodically.
 * FD_EXPLICIT: forward-Euler 5-point stencil with periodic wrap; O(dx^2)+O(dt),
   kept deliberately simple as convergence-order evidence.  It marches once
-  across all requested times (evolve_snapshots), at O(t_max) work instead of
-  one march from t = 0 per time, and gives each time the same bytes as a
-  march to that time alone.
+  across all requested times, at O(t_max) work, and gives each time the
+  bytes of a march to that time alone.
 * KERNEL: discrete convolution with the sampled heat kernel
-  G = e^{-|r|^2 / 4 D t} / (4 pi D t), truncated where G < 1e-16 G(0).  It is
-  a zero-padded numpy.fft linear convolution, so this scheme is free-space
-  for every field.
+  G = e^{-|r|^2 / 4 D t} / (4 pi D t), truncated where G < 1e-16 G(0): the
+  spectral step again with the multiplier fft2(G) dx^2 on a zero-padded
+  side, a linear convolution, so this scheme is free-space for every field.
 
-evolve_snapshots is the one evolution path for a snapshot: a lazy generator
-that yields one evolved snapshot per requested time and keeps none of them,
-so a caller that reduces each snapshot as it arrives holds one at a time.
-Within it each scheme shares work between times and fields: the spectral
-scheme transforms rho12 and rho22 once per FFT side and builds each time's
-multiplier once, the kernel scheme builds each time's kernel spectrum once,
-and the FD scheme marches once.  evolve_snapshot and the one-field steps
-diffuse_spectral, diffuse_kernel and diffuse_fd are its one-time cases, with
-the same bytes.  The transform-based steps (spectral, kernel, quantum) all
-run numpy.fft: fft2 at a chosen size, multiply, ifft2, crop back to the grid.
+The spectral, kernel and quantum steps are one loop, _fourier_stream: per
+time a plan gives the FFT side and crop offset (or the identity) and a
+multiplier, built once for all fields; each field goes fft2 at that side,
+multiply, ifft2, crop.  Its memory rule: a field's padded spectrum is held
+only while the next time uses the same side; otherwise each field is
+transformed lazily, multiplied in place and dropped.  _classical_stream is
+the one scheme dispatch: spectral and kernel run that loop, FD runs
+_fd_march.  evolve_snapshots (a lazy generator that keeps no snapshot it
+has yielded) and the one-field steps diffuse_spectral, diffuse_kernel and
+diffuse_fd all call it; evolve_quantum is the loop's periodic one-time case.
 
 Every classical step returns a field with its input's boundary; a free-space
 record grows to the diffused waist w0^2 + 4 D t, so chained steps pad enough.
-The padding asks modes.check_contained, and every evolved snapshot passes
-the one physicality check, the StateSnapshot constructor.
+The padding asks modes.check_contained, the inputs analytic.check_diffusion,
+the kernel check_kernel_resolution, and every evolved snapshot passes the
+one physicality check, the StateSnapshot constructor.
 
 Quantum diffusion is the dispersive analogue e^{-i beta k^2 t}: unitary and
 reversible by a conjugation echo, in contrast with classical diffusion whose
@@ -47,12 +47,12 @@ import enum
 import functools
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import numpy.fft  # noqa: F401  numpy 2 imports numpy.fft lazily; load it with the package
 
-from .analytic import StateSnapshot
+from .analytic import StateSnapshot, check_diffusion
 from .grid import ComplexField2D, FreeSpace, GridSpec
 from .modes import ContainmentError, check_contained
 
@@ -139,13 +139,6 @@ def _fft_size(n_min: int) -> int:
         n += 2
 
 
-def _crop(full: np.ndarray, n: int, offset: int = 0) -> np.ndarray:
-    """The n x n window of full starting at offset, as its own array: a
-    window of a padded transform is copied out, so a stored result does not
-    keep the whole padded array alive."""
-    return np.ascontiguousarray(full[offset:offset + n, offset:offset + n])
-
-
 def _free_space_size(grid: GridSpec, fs: FreeSpace | None, D: float, t: float) -> int:
     """FFT side that contains a field with boundary fs after time t, on the grid's dx.
 
@@ -163,56 +156,79 @@ def _free_space_size(grid: GridSpec, fs: FreeSpace | None, D: float, t: float) -
     return grid.n
 
 
-def _check_diffusion(D: float, times) -> None:
-    """Reject a negative diffusion coefficient or a negative time."""
-    if D < 0:
-        raise ValueError(f"diffusion coefficient must be >= 0, got {D}")
-    for t in times:
-        if t < 0:
-            raise ValueError(f"time must be >= 0, got {t}")
+def _fourier_stream(grid: GridSpec, fields: list[np.ndarray], times: list[float], plan,
+                    multiplier, scale: float = 1.0) -> Iterator[list[np.ndarray]]:
+    """The one Fourier-multiplier loop, one list of complex results per time,
+    yielded as it is computed.  plan(t) gives (side, offset), or None for
+    the identity (copies).  Each array in fields (real or complex) goes fft2
+    at that side, times multiplier(t, side), ifft2, and its n x n window at
+    offset, times scale.  A field's padded spectrum is held only while the
+    next time uses the same side: such a time transforms every field up
+    front, any other transforms each field lazily, multiplies it in place
+    and drops it.  Results are the bytes of a separate fft2, multiply,
+    ifft2 per field and time."""
+    def spectrum(v: np.ndarray, side: int) -> np.ndarray:
+        return np.fft.fft2(np.asarray(v, np.complex128), s=(side, side))
 
-
-def _spectral_stream(grid: GridSpec, fs: FreeSpace | None, fields: list[np.ndarray],
-                     D: float, times: list[float]) -> Iterator[list[np.ndarray]]:
-    """Heat-equation steps e^{-D k^2 t} of each array in fields (real or
-    complex, transformed as complex), one list of complex results per time,
-    yielded as it is computed.
-
-    Each field is transformed once per FFT side: the grid's own side, or for
-    a free-space field (fs set) the padded side _free_space_size gives each
-    time, and ascending times ask for ascending sides.  Each time builds its
-    multiplier once for all fields and runs one ifft2 per field.  Results
-    are the bytes of a separate fft2, multiply, ifft2 per field and time.
-    """
-    _check_diffusion(D, times)
-    side, spectra = None, []
-    for t in times:
-        if t == 0 or D == 0:
+    steps = [plan(t) for t in times]
+    sides = [None if step is None else step[0] for step in steps]
+    held = []  # this side's spectra, kept while the next time uses the same side
+    for i, (t, step) in enumerate(zip(times, steps)):
+        if step is None:
             yield [v.copy() for v in fields]
             continue
-        size = _free_space_size(grid, fs, D, t)
-        if size != side:
-            spectra = []  # the previous side's spectra go before the new ones are made
-            side, spectra = size, [np.fft.fft2(np.asarray(v, np.complex128), s=(size, size))
-                                   for v in fields]
-        multiplier = np.exp(-D * _k_squared(size, grid.dx) * t)
-        out = [_crop(np.fft.ifft2(spectrum * multiplier), grid.n) for spectrum in spectra]
-        del multiplier
+        side, offset = step
+        keep = sides[i + 1:i + 2] == [side]
+        if keep and not held:
+            held = [spectrum(v, side) for v in fields]
+        factor = multiplier(t, side)
+        window = slice(offset, offset + grid.n)
+        out = []
+        for j, v in enumerate(fields):
+            if held:
+                product = held[j] * factor
+            else:
+                product = spectrum(v, side)
+                product *= factor
+            # the window is copied out, so no result keeps a padded array alive
+            out.append(np.ascontiguousarray(np.fft.ifft2(product)[window, window]))
+            del product
+            if scale != 1.0:
+                out[-1] *= scale
+        if not keep:
+            held = []
+        del factor
         yield out
         del out  # the caller holds this time's results; drop them before the next time
 
 
-def diffuse_spectral(f: ComplexField2D, D: float, t: float) -> ComplexField2D:
-    """Heat-equation step: multiply Fourier components by e^{-D k^2 t}.
+def heat_kernel_patch(grid: GridSpec, D: float, t: float) -> np.ndarray:
+    """Sampled free-space heat kernel on a square patch, zero beyond the
+    radius where G drops below 1e-16 of its center value."""
+    r_cut, half = _kernel_cut(grid, D, t)
+    offsets = grid.dx * np.arange(-half, half + 1)
+    ox, oy = np.meshgrid(offsets, offsets, indexing="ij")
+    r_sq = ox**2 + oy**2
+    kernel = np.exp(-r_sq / (4.0 * D * t)) / (4.0 * np.pi * D * t)
+    kernel[r_sq > r_cut**2] = 0.0
+    return kernel
 
-    A free-space field whose grid is smaller than the containment extent at
-    time t is zero-padded on the same dx to an FFT-friendly size, stepped
-    and cropped: a linear convolution with the heat kernel instead of a
-    periodic one.  This is the one-field, one-time case of the stream that
-    evolve_snapshots runs.
-    """
-    ((out,),) = _spectral_stream(f.grid, f.free_space, [f.values], D, [t])
-    return ComplexField2D(f.grid, out, _diffused_boundary(f, D, t))
+
+def _kernel_cut(grid: GridSpec, D: float, t: float) -> tuple[float, int]:
+    """Cut radius of the truncated heat kernel and the patch's half-width in samples."""
+    r_cut = math.sqrt(4.0 * D * t * math.log(1e16))
+    return r_cut, max(1, int(math.ceil(r_cut / grid.dx)))
+
+
+def check_kernel_resolution(grid: GridSpec, D: float, times) -> None:
+    """The kernel scheme's resolution rule: every nonzero step has 4 D t >= dx^2.
+    A shorter one under-samples the kernel and would fabricate mass."""
+    for t in times:
+        if 0 < 4.0 * D * t < grid.dx**2:
+            raise ValueError(
+                f"kernel unresolved: needs 4 D t >= dx^2 = {grid.dx ** 2:.6g}, "
+                f"got {4.0 * D * t:.6g}; use the spectral scheme for short steps"
+            )
 
 
 def fd_max_dt(grid: GridSpec, D: float, cfl_safety: float = 1.0) -> float:
@@ -262,7 +278,6 @@ def _fd_march(values: np.ndarray, grid: GridSpec, D: float, times: list[float],
     float64.  Results are yielded one time at a time, each a new array, so a
     caller can consume them as they come.
     """
-    _check_diffusion(D, times)
     if any(later < earlier for earlier, later in zip(times, times[1:])):
         raise ValueError(f"FD march needs ascending times, got {times}")
     if D == 0 or not times or times[-1] == 0:
@@ -290,71 +305,67 @@ def _fd_march(values: np.ndarray, grid: GridSpec, D: float, times: list[float],
             yield u.copy()
 
 
-def diffuse_fd(f: ComplexField2D, D: float, t: float, cfg: SolverConfig) -> ComplexField2D:
-    """Explicit 5-point-stencil time stepping with periodic wrap.
+def _classical_stream(cfg: SolverConfig, grid: GridSpec, free_space: FreeSpace | None,
+                      fields: list[np.ndarray], D: float, times: list[float]) -> Iterator[list[np.ndarray]]:
+    """The one scheme dispatch for classical steps: each array in fields
+    (with boundary free_space) diffused to each time under cfg.scheme, one
+    list of results per time, yielded lazily.  Spectral and kernel run
+    through _fourier_stream and give complex results; FD marches each field
+    once across the ascending times and keeps its dtype.  t = 0 and D = 0
+    are the identity.
+    """
+    check_diffusion(D, times)
+    if cfg.scheme is Scheme.FD_EXPLICIT:
+        marches = [_fd_march(v, grid, D, times, cfg) for v in fields]
+        return ([next(march) for march in marches] for _ in times)
+    if cfg.scheme is Scheme.SPECTRAL:
+        def step(t):
+            return _free_space_size(grid, free_space, D, t), 0
 
-    The wrap is kept for every field, free-space ones included: this scheme
-    is the independent convergence witness, so it stays as simple as
-    possible.
+        def factor(t, side):
+            return np.exp(-D * _k_squared(side, grid.dx) * t)
+        scale = 1.0
+    elif cfg.scheme is Scheme.KERNEL:
+        def step(t):  # pad by the patch's half-width, keep the window at that offset
+            check_kernel_resolution(grid, D, (t,))
+            half = _kernel_cut(grid, D, t)[1]
+            return _fft_size(grid.n + half), half
+
+        def factor(t, side):
+            return np.fft.fft2(heat_kernel_patch(grid, D, t), s=(side, side))
+        scale = grid.dx**2
+    else:
+        raise ValueError(f"unknown scheme {cfg.scheme!r}")
+    return _fourier_stream(grid, fields, times, lambda t: None if t == 0 or D == 0 else step(t),
+                           factor, scale)
+
+
+def diffuse_spectral(f: ComplexField2D, D: float, t: float) -> ComplexField2D:
+    """Heat-equation step: multiply Fourier components by e^{-D k^2 t}.
+
+    A free-space field whose grid is smaller than the containment extent at
+    time t is zero-padded on the same dx to an FFT-friendly size, stepped
+    and cropped: a linear convolution with the heat kernel instead of a
+    periodic one.
+    """
+    ((out,),) = _classical_stream(SolverConfig(Scheme.SPECTRAL), f.grid, f.free_space,
+                                  [f.values], D, [t])
+    return ComplexField2D(f.grid, out, _diffused_boundary(f, D, t))
+
+
+def diffuse_fd(f: ComplexField2D, D: float, t: float, cfg: SolverConfig) -> ComplexField2D:
+    """Explicit 5-point-stencil time stepping with periodic wrap, for every
+    field, free-space ones included: this scheme is the independent
+    convergence witness, so it stays as simple as possible.
 
     Marches floor(t/dt) full steps of cfg.dt (or the stability bound when
     cfg.dt is None) plus one shorter final step covering the remainder, so
     an arbitrary t is reached exactly.  A dt above the stability bound is a
-    hard error naming the maximum admissible value.  This is the one-time
-    case of the march that evolve_snapshots runs once across all requested
-    times, at O(t_max).
+    hard error naming the maximum admissible value.
     """
-    (u,) = _fd_march(f.values, f.grid, D, [t], cfg)
+    ((u,),) = _classical_stream(replace(cfg, scheme=Scheme.FD_EXPLICIT), f.grid, f.free_space,
+                                [f.values], D, [t])
     return ComplexField2D(f.grid, u, _diffused_boundary(f, D, t))
-
-
-def heat_kernel_patch(grid: GridSpec, D: float, t: float) -> np.ndarray:
-    """Sampled free-space heat kernel on a square patch, zero beyond the
-    radius where G drops below 1e-16 of its center value."""
-    r_cut = math.sqrt(4.0 * D * t * math.log(1e16))
-    half = max(1, int(math.ceil(r_cut / grid.dx)))
-    offsets = grid.dx * np.arange(-half, half + 1)
-    ox, oy = np.meshgrid(offsets, offsets, indexing="ij")
-    r_sq = ox**2 + oy**2
-    kernel = np.exp(-r_sq / (4.0 * D * t)) / (4.0 * np.pi * D * t)
-    kernel[r_sq > r_cut**2] = 0.0
-    return kernel
-
-
-def _kernel_stream(grid: GridSpec, fields: list[np.ndarray], D: float,
-                   times: list[float]) -> Iterator[list[np.ndarray]]:
-    """Heat-kernel convolutions of each array in fields (real or complex,
-    transformed as complex), one list of complex results per time, yielded
-    as it is computed.
-
-    Each time builds its kernel patch and padded kernel spectrum once for
-    all fields; each field then takes one fft2 and one ifft2.  t = 0 (or
-    D = 0) is the identity.
-    """
-    _check_diffusion(D, times)
-    for t in times:
-        if t == 0 or D == 0:
-            yield [v.copy() for v in fields]
-            continue
-        if 4.0 * D * t < grid.dx**2:
-            raise ValueError(
-                f"kernel unresolved: needs 4 D t >= dx^2 = {grid.dx ** 2:.6g}, "
-                f"got {4.0 * D * t:.6g}; use the spectral scheme for short steps"
-            )
-        kernel = heat_kernel_patch(grid, D, t)
-        half = (kernel.shape[0] - 1) // 2
-        size = _fft_size(grid.n + half)
-        kernel_spectrum = np.fft.fft2(kernel, s=(size, size))
-        del kernel
-        out = []
-        for v in fields:
-            spectrum = np.fft.fft2(np.asarray(v, np.complex128), s=(size, size))
-            spectrum *= kernel_spectrum
-            out.append(_crop(np.fft.ifft2(spectrum), grid.n, half))
-            out[-1] *= grid.dx**2
-        del kernel_spectrum, spectrum
-        yield out
-        del out  # the caller holds this time's results; drop them before the next time
 
 
 def diffuse_kernel(f: ComplexField2D, D: float, t: float) -> ComplexField2D:
@@ -364,12 +375,11 @@ def diffuse_kernel(f: ComplexField2D, D: float, t: float) -> ComplexField2D:
     centred n x n window, starting at (K - 1) / 2, is kept; the circular
     wrap of that transform lands only outside the window.  t = 0 is
     rejected (the kernel degenerates to a delta; use the identity instead),
-    as are steps too short for the grid to resolve the kernel
-    (4 D t < dx^2), which would fabricate mass.  This is the one-field,
-    one-time case of the stream that evolve_snapshots runs."""
+    as are steps too short for the grid to resolve the kernel."""
     if not (t > 0):
         raise ValueError("kernel propagator needs t > 0 (t = 0 is the identity)")
-    ((out,),) = _kernel_stream(f.grid, [f.values], D, [t])
+    ((out,),) = _classical_stream(SolverConfig(Scheme.KERNEL), f.grid, f.free_space,
+                                  [f.values], D, [t])
     return ComplexField2D(f.grid, out, _diffused_boundary(f, D, t))
 
 
@@ -379,9 +389,10 @@ def evolve_quantum(f: ComplexField2D, q: QuantumParams, t: float) -> ComplexFiel
     The step is periodic on the grid, so that the echo undoes it exactly; the
     boundary record passes through unchanged.
     """
-    spectrum = np.fft.fft2(f.values)
-    spectrum *= np.exp(-1j * q.beta * _k_squared(f.grid.n, f.grid.dx) * t)
-    return ComplexField2D(f.grid, np.fft.ifft2(spectrum), f.free_space)
+    ((out,),) = _fourier_stream(
+        f.grid, [f.values], [t], lambda _: (f.grid.n, 0),
+        lambda t, side: np.exp(-1j * q.beta * _k_squared(side, f.grid.dx) * t))
+    return ComplexField2D(f.grid, out, f.free_space)
 
 
 def echo_reverse(f: ComplexField2D, q: QuantumParams, t: float) -> ComplexField2D:
@@ -411,8 +422,7 @@ def reverse_classical(f: ComplexField2D, D: float, t: float) -> ComplexField2D:
     carrying that factor without touching the field; the t = 0 / D = 0 no-op
     is returned unchanged.
     """
-    if t < 0 or D < 0:
-        raise ValueError("reverse_classical needs t >= 0 and D >= 0")
+    check_diffusion(D, (t,))
     if t == 0 or D == 0:
         return f.copy()
     amplification = classical_reversal_amplification(f.grid, D, t)
@@ -428,39 +438,22 @@ def evolve_snapshots(s: StateSnapshot, D: float, times, cfg: SolverConfig) -> It
     configured scheme, yielding one evolved snapshot per time, lazily.
 
     rho12 diffuses as a complex field, rho22 as a real field with rho12's
-    boundary; rho11 is homogeneous and diffusion-invariant.  Each result
-    passes the one physicality check, the StateSnapshot constructor, which
-    rejects data too rough for the scheme and grid and clips rounding
-    residues.  Per scheme:
-
-    * spectral: rho12 and rho22 (as complex) are transformed once per FFT
-      side, and each time builds one multiplier and runs one ifft2 per field;
-    * kernel: each time builds one kernel spectrum for both fields;
-    * FD: rho12 and rho22 (as float64) march once each across the
-      ascending times, side by side.
-
-    Every time gets the bytes of a step (or march) from s to that time
-    alone.  Nothing is computed until a snapshot is asked for, and the
-    generator keeps no reference to a snapshot it has yielded, so a caller
-    that reduces each snapshot and lets it go holds one at a time.
+    boundary, both in one _classical_stream; rho11 is homogeneous and
+    diffusion-invariant.  Each result passes the one physicality check, the
+    StateSnapshot constructor, which rejects data too rough for the scheme
+    and grid and clips rounding residues.  Every time gets the bytes of a
+    step from s to that time alone.  Nothing is computed until a snapshot
+    is asked for, and the generator keeps no reference to a snapshot it has
+    yielded, so a caller that reduces each snapshot and lets it go holds one
+    at a time.
     """
     times = list(times)
-    grid = s.grid
-    if cfg.scheme is Scheme.SPECTRAL:
-        fields = _spectral_stream(grid, s.rho12.free_space, [s.rho12.values, s.rho22], D, times)
-    elif cfg.scheme is Scheme.KERNEL:
-        fields = _kernel_stream(grid, [s.rho12.values, s.rho22], D, times)
-    elif cfg.scheme is Scheme.FD_EXPLICIT:
-        march12 = _fd_march(s.rho12.values, grid, D, times, cfg)
-        march22 = _fd_march(np.asarray(s.rho22, dtype=np.float64), grid, D, times, cfg)
-        fields = ((next(march12), next(march22)) for _ in times)
-    else:
-        raise ValueError(f"unknown scheme {cfg.scheme!r}")
+    fields = _classical_stream(cfg, s.grid, s.rho12.free_space, [s.rho12.values, s.rho22], D, times)
     # next() rather than zip: zip keeps its last tuple, and with it the
     # previous time's arrays, alive while the next time is computed
     for t in times:
         rho12, rho22 = next(fields)
-        snap = StateSnapshot(s.time + t, ComplexField2D(grid, rho12, _diffused_boundary(s.rho12, D, t)),
+        snap = StateSnapshot(s.time + t, ComplexField2D(s.grid, rho12, _diffused_boundary(s.rho12, D, t)),
                              rho22.real, s.rho11)
         del rho12, rho22
         yield snap

@@ -61,7 +61,10 @@ def scenario_configs(draw):
     amp = draw(st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False))
     mode = vd.ModeSpec(kind=kind, p=p, m=m, w0=w0, P=draw(_floats(0.01, 100.0)), amp=amp, k=k,
                        block_radius=block_radius)
-    scheme = draw(st.sampled_from(list(vd.Scheme)))
+    # the kernel scheme needs 4 D t >= dx^2 at every nonzero time
+    kernel_resolved = all(t == 0 or 4.0 * D * t >= grid.dx**2 for t in times) or D == 0
+    scheme = draw(st.sampled_from([s for s in vd.Scheme
+                                   if kernel_resolved or s is not vd.Scheme.KERNEL]))
     cfl_safety = draw(_floats(0.0, 1.0, exclude_min=True))
     dt = draw(st.none() | _floats(0.0, 1.0, exclude_min=True))
     if dt is not None and scheme is vd.Scheme.FD_EXPLICIT and D > 0:
@@ -237,6 +240,16 @@ grid.extent = 8
         bad = MINIMAL + "solver.scheme = fd\nsolver.dt = 1.0\n"
         with pytest.raises(vd.ConfigError, match="stability"):
             vd.parse_config(bad)
+
+    def test_kernel_resolution_checked_at_every_nonzero_time(self):
+        # dx = 1/16: the kernel needs 4 D t >= dx^2, t >= 1/1024, at every t > 0
+        kernel = MINIMAL + "solver.scheme = kernel\n"
+        with pytest.raises(vd.ConfigError, match=r"^diffusion.times: kernel unresolved"):
+            vd.parse_config(kernel.replace("[0, 0.25]", "[0, 0.0005, 0.25]"))
+        assert vd.parse_config(kernel.replace("[0, 0.25]", "[0, 0.001, 0.25]"))
+        assert vd.parse_config(MINIMAL.replace("[0, 0.25]", "[0, 0.0005, 0.25]"))
+        no_diffusion = kernel.replace("diffusion.D = 1.0", "diffusion.D = 0.0")
+        assert vd.parse_config(no_diffusion.replace("[0, 0.25]", "[0, 0.0005, 0.25]"))
 
     def test_nbins_rule_checked_at_parse_and_validation(self):
         with pytest.raises(vd.ConfigError, match=r"^line 11: nbins must be an integer >= 4, got 3$"):

@@ -67,22 +67,16 @@ class TestRunScenario:
         for line in vd.render_config(cfg).strip().splitlines():
             assert f"# config: {line}\n" in text
 
-    def test_byte_identical_reruns(self, tmp_path):
+    @pytest.mark.parametrize("scheme", ["spectral", "fd"])
+    def test_byte_identical_reruns(self, tmp_path, scheme):
         # identical config, run twice: every output byte must repeat
-        cfg = vd.parse_config(small_vortex_cfg(tmp_path / "a"))
+        cfg = vd.parse_config(small_vortex_cfg(tmp_path / "a", f"solver.scheme = {scheme}\n"))
         ma = vd.run_scenario(cfg, fmt="both")
         first = {e.path: e.sha256 for e in ma.entries}
         first_manifest = ma.manifest_path.read_bytes()
         mb = vd.run_scenario(cfg, fmt="both")
         assert {e.path: e.sha256 for e in mb.entries} == first
         assert mb.manifest_path.read_bytes() == first_manifest
-
-    def test_threads_match_serial(self, tmp_path):
-        cfg = vd.parse_config(small_vortex_cfg(tmp_path / "serial"))
-        m1 = vd.run_scenario(cfg, threads=1)
-        serial = [e.sha256 for e in m1.entries]
-        m4 = vd.run_scenario(cfg, threads=4)
-        assert [e.sha256 for e in m4.entries] == serial
 
     def test_vxf_snapshots_agree_with_solver(self, tmp_path):
         cfg = vd.parse_config(small_vortex_cfg(tmp_path / "run"))
@@ -206,19 +200,9 @@ out_dir = {tmp_path / "blocked"}
         with pytest.raises(ValueError):
             vd.run_scenario(cfg, fmt="json")
 
-    @staticmethod
-    def _fd_vortex_cfg(out_dir):
-        return vd.parse_config(small_vortex_cfg(out_dir, "solver.scheme = fd\n"))
-
-    def test_fd_threads_write_identical_manifest(self, tmp_path):
-        cfg = self._fd_vortex_cfg(tmp_path / "fd")
-        serial = vd.run_scenario(cfg, fmt="both", threads=1).manifest_path.read_bytes()
-        threaded = vd.run_scenario(cfg, fmt="both", threads=4).manifest_path.read_bytes()
-        assert threaded == serial
-
     def test_fd_snapshots_equal_single_time_evolution(self, tmp_path):
         # one march across all times must reproduce a fresh march to each time
-        cfg = self._fd_vortex_cfg(tmp_path / "fd")
+        cfg = vd.parse_config(small_vortex_cfg(tmp_path / "fd", "solver.scheme = fd\n"))
         manifest = vd.run_scenario(cfg, fmt="vxf")
         snap0 = vd.initial_snapshot(vd.build_mode(cfg.mode, cfg.grid))
         for i, t in enumerate(cfg.diffusion.times):
@@ -294,6 +278,18 @@ class TestCliSimulate:
             if f1.name == "manifest.json":
                 continue  # embeds out_dir, which differs by construction here
             assert f1.read_bytes() == f2.read_bytes(), f1.name
+
+    def test_unresolved_kernel_time_fails_before_any_output(self, tmp_path, capsys):
+        # dx = 1/16 resolves the kernel only for t >= 1/1024
+        out = tmp_path / "out"
+        cfg_file = tmp_path / "k.cfg"
+        cfg_file.write_text(small_vortex_cfg(out, "solver.scheme = kernel\n").replace(
+            "grid.n = 64", "grid.n = 256").replace(
+            "[0, 0.05, 0.1, 0.15, 0.25]", "[0.0, 0.0005, 0.25]").replace(", fit\n", "\n"))
+        assert main(["--format", "vxf", "simulate", str(cfg_file)]) == 2
+        message = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["message"]
+        assert message.startswith("diffusion.times: kernel unresolved")
+        assert not out.exists()
 
     def test_threads_option_still_accepted(self, tmp_path):
         cfg_file = tmp_path / "v.cfg"

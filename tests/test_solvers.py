@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import vortexdiff as vd
 from vortexdiff.solvers import heat_kernel_patch
-from vortexdiff.solvers import _fd_march, _free_space_size
+from vortexdiff.solvers import _fd_march, _fft_size, _free_space_size
 from helpers import free_gaussian_dispersed
 
 
@@ -267,6 +268,17 @@ class TestQuantumEvolution:
             expected = free_gaussian_dispersed(radius, 1.0, beta, t)
             assert out.values[i0 + j, i0] == pytest.approx(expected, rel=1e-10)
 
+    def test_matches_direct_transform(self, lg01):
+        # the periodic one-time case of the Fourier loop: fft2, multiply by
+        # e^{-i beta k^2 t}, ifft2, with the same bytes
+        beta, t = 0.8, 0.3
+        k = 2.0 * np.pi * np.fft.fftfreq(lg01.grid.n, d=lg01.grid.dx)
+        kx, ky = np.meshgrid(k, k, indexing="ij")
+        expected = np.fft.ifft2(np.fft.fft2(lg01.values) * np.exp(-1j * beta * (kx**2 + ky**2) * t))
+        out = vd.evolve_quantum(lg01, vd.QuantumParams(beta=beta), t)
+        assert np.array_equal(out.values, expected)
+        assert out.free_space == lg01.free_space
+
     def test_echo_round_trip(self, lg01):
         q = vd.QuantumParams(beta=1.0)
         forward = vd.evolve_quantum(lg01, q, 0.25)
@@ -405,19 +417,52 @@ class TestSnapshotStream:
             if t > 0:
                 assert np.array_equal(single, self._spectral_reference(f, 1.0, t))
 
-    def test_kernel_stream_matches_per_field_steps(self, lg01):
+    @staticmethod
+    def _kernel_side(g: vd.GridSpec, t: float) -> int:
+        return _fft_size(g.n + (heat_kernel_patch(g, 1.0, t).shape[0] - 1) // 2)
+
+    def test_kernel_stream_matches_per_field_steps(self):
+        # the first three nonzero times share one padded side, with a
+        # different crop offset each, so the stream holds their spectra;
+        # the last has a side of its own and is transformed lazily
+        g = vd.make_grid(64, 8.0)
+        f = vd.lg_field(vd.ModeSpec(kind=vd.ModeKind.LG, m=1), g)
+        snap = vd.initial_snapshot(f)
+        rho22 = vd.ComplexField2D(g, snap.rho22.astype(np.complex128), f.free_space)
+        times = [0.0, 0.05, 0.06, 0.08, 0.25]
+        assert [self._kernel_side(g, t) for t in times[1:]] == [80, 80, 80, 90]
+        assert len({heat_kernel_patch(g, 1.0, t).shape for t in times[1:4]}) == 3
         cfg = vd.SolverConfig(scheme=vd.Scheme.KERNEL)
-        snap = vd.initial_snapshot(lg01)
-        rho22 = vd.ComplexField2D(lg01.grid, snap.rho22.astype(np.complex128), lg01.free_space)
-        times = [0.0, 0.05, 0.125, 0.25]
         for t, out in zip(times, vd.evolve_snapshots(snap, 1.0, times, cfg)):
             if t == 0:
-                assert np.array_equal(out.rho12.values, lg01.values)
+                assert np.array_equal(out.rho12.values, f.values)
                 assert np.array_equal(out.rho22, snap.rho22)
                 continue
-            assert np.array_equal(out.rho12.values, vd.diffuse_kernel(lg01, 1.0, t).values)
+            assert np.array_equal(out.rho12.values, vd.diffuse_kernel(f, 1.0, t).values)
             assert np.array_equal(out.rho22, np.maximum(
                 vd.diffuse_kernel(rho22, 1.0, t).values.real, 0.0))
+
+    def test_kernel_stream_peak_memory(self):
+        # each time on its own padded side: every field is transformed
+        # lazily, so the padded arrays alive at once are the multiplier, one
+        # spectrum and ifft2's two working arrays.  Holding both fields'
+        # spectra would add two more.
+        g = vd.make_grid(64, 8.0)
+        snap = vd.initial_snapshot(vd.lg_field(vd.ModeSpec(kind=vd.ModeKind.LG, m=1), g))
+        times = [0.25, 0.5, 1.0]
+        sides = [self._kernel_side(g, t) for t in times]
+        assert sides == sorted(set(sides))
+        cfg = vd.SolverConfig(scheme=vd.Scheme.KERNEL)
+        tracemalloc.start()
+        try:
+            for out in vd.evolve_snapshots(snap, 1.0, times, cfg):
+                del out  # the caller keeps no snapshot
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        padded = 16 * sides[-1] ** 2
+        snapshot = 24 * g.n**2  # complex rho12 and real rho22
+        assert peak <= 4 * padded + 2 * snapshot
 
     def test_stream_is_lazy(self, lg01):
         stream = vd.evolve_snapshots(vd.initial_snapshot(lg01), -1.0, [0.1], spectral_cfg())
