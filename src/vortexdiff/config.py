@@ -189,7 +189,6 @@ def parse_config(text: str, strict: bool = True) -> ScenarioConfig:
             dt=take("solver.dt", float, None),
             cfl_safety=take("solver.cfl_safety", float, 0.9),
         )
-        eta = CoherenceFactorParams(eta=take("eta", float, DEFAULT_ETA)).eta
     except ConfigError:
         raise
     except ValueError as exc:
@@ -228,7 +227,7 @@ def parse_config(text: str, strict: bool = True) -> ScenarioConfig:
         diffusion=diffusion,
         solver=solver,
         quantum=quantum,
-        eta=eta,
+        eta=take("eta", float, DEFAULT_ETA),
         nbins=nbins,
         outputs=outputs,
         out_dir=entries.get("out_dir", ("out", 0))[0],
@@ -244,7 +243,7 @@ def validate_scenario(cfg: ScenarioConfig) -> None:
     Each physical rule is asked of its one owner (README, "Invariants"); its
     error becomes a ConfigError naming the key: grid.extent (containment at
     the latest time), mode.block_radius, mode.k, solver.dt, diffusion.times
-    (kernel resolution) or nbins.  An empty diffusion.times fails with the
+    (kernel resolution), eta or nbins.  An empty diffusion.times fails with the
     message parse_config gives it.
     """
     mode, grid, diffusion = cfg.mode, cfg.grid, cfg.diffusion
@@ -287,6 +286,11 @@ def validate_scenario(cfg: ScenarioConfig) -> None:
             check_kernel_resolution(grid, diffusion.D, diffusion.times)
         except ValueError as exc:
             raise ConfigError(f"diffusion.times: {exc}") from exc
+
+    try:
+        CoherenceFactorParams(eta=cfg.eta)
+    except ValueError as exc:
+        raise ConfigError(f"eta: {exc}") from exc
 
     try:
         check_nbins(cfg.nbins)

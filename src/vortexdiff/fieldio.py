@@ -12,8 +12,9 @@ VXF1 layout (little-endian throughout):
     29      ...   payload, row-major f64: (re, im) pairs for kind 0,
                   singles for kind 1; length n*n*(2 or 1)*8 bytes
 
-read(write(f)) is bit-identical.  CSV files carry x, y, re, im (complex) or
-x, y, value (real) at 17 significant digits, enough to round-trip f64.
+read(write(f)) is bit-identical.  One writer, write_table_csv, writes every
+CSV file, field dumps (x, y, re, im or x, y, value) included: labels verbatim,
+numbers at 17 significant digits, enough to round-trip f64.
 """
 
 from __future__ import annotations
@@ -111,50 +112,42 @@ def read_field(path) -> FieldDump:
         grid = GridSpec(n=int(n), extent=float(extent))
     except ValueError as exc:
         raise FieldFormatError(f"invalid grid in header: {exc}", FieldFormatError.BAD_HEADER)
+    if not np.isfinite(time):
+        raise FieldFormatError(f"non-finite time in header: {time}", FieldFormatError.BAD_HEADER)
     return FieldDump(values=values, grid=grid, time=float(time), kind=int(kind))
 
 
-def _g17(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def write_field_csv(path, values: np.ndarray, grid: GridSpec, header_lines=()) -> None:
-    """CSV dump with columns x,y,re,im (complex) or x,y,value (real)."""
+    """CSV dump with columns x,y,re,im (complex) or x,y,value (real), row-major:
+    a table whose coordinates are formatted once and passed as label columns."""
     values = np.asarray(values)
     if values.shape != (grid.n, grid.n):
         raise ValueError(f"values shape {values.shape} does not match grid n={grid.n}")
-    coords = grid.coords()
-    is_complex = np.iscomplexobj(values)
-    with open(path, "w", newline="\n") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write("x,y,re,im\n" if is_complex else "x,y,value\n")
-        for i in range(grid.n):
-            xi = _g17(coords[i])
-            row = values[i]
-            if is_complex:
-                for j in range(grid.n):
-                    fh.write(f"{xi},{_g17(coords[j])},{_g17(row[j].real)},{_g17(row[j].imag)}\n")
-            else:
-                for j in range(grid.n):
-                    fh.write(f"{xi},{_g17(coords[j])},{_g17(row[j])}\n")
+    coords = [format(c, ".17g") for c in grid.coords().tolist()]
+    columns = {"x": [c for c in coords for _ in coords], "y": coords * grid.n}
+    if np.iscomplexobj(values):  # flat iterators: the values are not copied
+        columns.update(re=values.real.flat, im=values.imag.flat)
+    else:
+        columns["value"] = values.flat
+    write_table_csv(path, columns, header_lines)
 
 
 def write_table_csv(path, columns: dict, header_lines=()) -> None:
-    """Small table, one named column per dict entry: numeric cells at 17
-    significant digits, string cells (labels such as a model name) verbatim."""
-    names = list(columns)
-    cols = [[cell if isinstance(cell, str) else _g17(cell) for cell in columns[name]]
-            for name in names]
+    """The one CSV writer: `# ` header lines, column names, then the rows,
+    streamed.  A label column (its first cell a str, such as a model name) is
+    written verbatim, any other column at 17 significant digits."""
+    cols = list(columns.values())
     length = len(cols[0]) if cols else 0
     if any(len(c) != length for c in cols):
         raise ValueError("all columns must have equal length")
+    template = ",".join("%s" if length and isinstance(c[0], str) else "%.17g" for c in cols)
+    template += "\n"
     with open(path, "w", newline="\n") as fh:
         for line in header_lines:
             fh.write(f"# {line}\n")
-        fh.write(",".join(names) + "\n")
+        fh.write(",".join(columns) + "\n")
         for row in zip(*cols):
-            fh.write(",".join(row) + "\n")
+            fh.write(template % row)
 
 
 def read_table_csv(path) -> dict[str, np.ndarray]:

@@ -158,29 +158,28 @@ def blocked_gaussian(spec: ModeSpec, grid: GridSpec) -> ComplexField2D:
     return ComplexField2D(grid, values, FreeSpace(spec.w0**2, 1))
 
 
-def check_plane_wave_k(k: float, grid: GridSpec, allow_nonperiodic: bool = False) -> None:
+def check_plane_wave_k(k: float, grid: GridSpec) -> None:
     """The plane-wave rule: raise ValueError unless e^{-i k x} suits the grid.
 
     k must be an integer multiple of pi/extent so the wave is periodic on the
-    grid; a non-periodic k silently corrupts spectral evolution, so it is
-    rejected unless allow_nonperiodic is set.  k beyond the Nyquist limit
-    pi/dx is always rejected.
+    grid (a non-periodic k would silently corrupt spectral evolution), and
+    at most the Nyquist limit pi/dx.
     """
     if abs(k) * grid.dx > math.pi * (1.0 + 1e-12):
         raise ValueError(f"k = {k} exceeds the Nyquist limit pi/dx = {math.pi / grid.dx:.6g}")
     harmonics = k * grid.extent / math.pi
-    if not allow_nonperiodic and abs(harmonics - round(harmonics)) > 1e-9:
+    if abs(harmonics - round(harmonics)) > 1e-9:
         raise ValueError(
             f"k = {k} is not grid-periodic; use an integer multiple of "
             f"pi/extent = {math.pi / grid.extent:.6g}"
         )
 
 
-def plane_wave(spec: ModeSpec, grid: GridSpec, allow_nonperiodic: bool = False) -> ComplexField2D:
+def plane_wave(spec: ModeSpec, grid: GridSpec) -> ComplexField2D:
     """Plane wave amp * e^{-i k x}; k obeys check_plane_wave_k."""
     if spec.kind is not ModeKind.PLANE_WAVE:
         raise ValueError(f"plane_wave needs kind=PLANE_WAVE, got {spec.kind}")
-    check_plane_wave_k(spec.k, grid, allow_nonperiodic)
+    check_plane_wave_k(spec.k, grid)
     x, _ = grid.meshgrid()
     values = spec.amp * np.exp(-1j * spec.k * x)
     return ComplexField2D(grid, values)

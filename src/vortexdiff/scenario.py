@@ -8,8 +8,8 @@ run_scenario writes each snapshot's field dumps and computes the reductions
 its tables read as the snapshot arrives; the stream then releases the
 snapshot before the next time is evolved, so one evolved snapshot is alive
 at a time.  Each table OutputKind is one function from those reductions to
-its table's columns; every table is written by fieldio.write_table_csv,
-every field dump by write_field or write_field_csv.
+its table's columns; every CSV file, table or field dump, is written by
+fieldio.write_table_csv, every VXF dump by write_field.
 
 manifest.json lists each output file with its SHA-256 checksum.  It is
 removed before the first file is written and rewritten last, so a failed run
@@ -40,7 +40,7 @@ from .analysis import (
     total_population,
 )
 from .analytic import CoherenceFactorParams, StateSnapshot, evolution_factor, initial_snapshot
-from .config import OutputKind, ScenarioConfig, render_config
+from .config import OutputKind, ScenarioConfig, render_config, validate_scenario
 from .fieldio import write_field, write_field_csv, write_table_csv
 from .grid import RadialProfile, azimuthal_average, radial_mean
 from .modes import build_mode
@@ -240,10 +240,12 @@ def _write_fields(out: Path, cfg: ScenarioConfig, fmt: str, i: int, snap: StateS
 def run_scenario(cfg: ScenarioConfig, fmt: str = "csv", out_dir: str | Path | None = None) -> Manifest:
     """Run one scenario and write the requested outputs plus manifest.json.
 
-    The run is one serial stream that holds one evolved snapshot at a time.
+    The config is validated before the output directory is touched.  The run
+    is one serial stream that holds one evolved snapshot at a time.
     """
     if fmt not in ("csv", "vxf", "both"):
         raise ValueError(f"format must be csv, vxf or both, got {fmt!r}")
+    validate_scenario(cfg)
     manifest = Manifest(out_dir=Path(out_dir) if out_dir is not None else Path(cfg.out_dir),
                         entries=[])
     out = manifest.out_dir

@@ -258,6 +258,15 @@ grid.extent = 8
         with pytest.raises(vd.ConfigError, match="^nbins: "):
             vd.validate_scenario(cfg)
 
+    def test_eta_rule_checked_by_validation_before_any_output(self, tmp_path):
+        cfg = dataclasses.replace(vd.parse_config(MINIMAL), eta=1.0)
+        with pytest.raises(vd.ConfigError, match=r"^eta: eta must be in \(0, 1e-8\]"):
+            vd.validate_scenario(cfg)
+        out = tmp_path / "run"
+        with pytest.raises(vd.ConfigError, match="^eta: "):
+            vd.run_scenario(cfg, "vxf", out)
+        assert not out.exists()
+
     def test_empty_times_rejected_by_validation(self):
         cfg = vd.parse_config(MINIMAL)
         cfg = dataclasses.replace(cfg, diffusion=vd.DiffusionParams(D=1.0, times=()))

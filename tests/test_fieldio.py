@@ -1,5 +1,9 @@
+import math
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import vortexdiff as vd
 from vortexdiff.fieldio import FieldFormatError, MAGIC, _HEADER
@@ -97,6 +101,40 @@ class TestVxfErrors:
             vd.read_field(bad)
         assert err.value.code == FieldFormatError.TRUNCATED
 
+    def test_non_finite_header_values_are_bad_header(self, tmp_path, small_grid):
+        for offset, name in ((12, "grid"), (20, "time")):
+            blob = self._valid_bytes(tmp_path, small_grid)
+            blob[offset:offset + 8] = struct.pack("<d", math.inf)
+            bad = tmp_path / "bad.vxf"
+            bad.write_bytes(blob)
+            with pytest.raises(FieldFormatError, match=name) as err:
+                vd.read_field(bad)
+            assert err.value.code == FieldFormatError.BAD_HEADER
+
+    # overwrite header bytes with random bytes, or a header double (extent at
+    # 12, time at 20) with a packed double, which reaches the infinities and
+    # NaNs that random bytes seldom spell
+    @settings(max_examples=300, deadline=None)
+    @given(edits=st.lists(st.tuples(
+        st.sampled_from((12, 20)) | st.integers(0, _HEADER.size - 1),
+        st.binary(min_size=1, max_size=8)
+        | (st.sampled_from((math.inf, -math.inf, math.nan)) | st.floats()).map(
+            lambda f: struct.pack("<d", f)),
+    ), min_size=1, max_size=4))
+    def test_corrupted_header_fails_cleanly_or_reads_finite(self, tmp_path_factory, edits):
+        path = tmp_path_factory.mktemp("vxf") / "f.vxf"
+        vd.write_field(path, random_complex(16, seed=7), vd.make_grid(16, 2.0), time=0.5)
+        blob = bytearray(path.read_bytes())
+        for offset, data in edits:
+            data = data[:_HEADER.size - offset]
+            blob[offset:offset + len(data)] = data
+        path.write_bytes(blob)
+        try:
+            dump = vd.read_field(path)
+        except FieldFormatError:
+            return
+        assert math.isfinite(dump.grid.extent) and math.isfinite(dump.time)
+
     def test_distinct_codes(self):
         codes = {
             FieldFormatError.BAD_MAGIC, FieldFormatError.BAD_VERSION,
@@ -118,6 +156,33 @@ class TestCsv:
         assert float(re) == values[0, 0].real
         assert float(im) == values[0, 0].imag
         assert len(lines) == 1 + 16 * 16
+
+    @pytest.mark.parametrize("is_complex", [True, False], ids=["complex", "real"])
+    def test_field_csv_exact_bytes(self, tmp_path, is_complex):
+        grid = vd.make_grid(8, 1.5)
+        special = [-0.0, 5e-324, 1e300, 1.0 / 3.0]
+        rng = np.random.default_rng(10)
+        values = rng.standard_normal((8, 8))
+        values.flat[:4] = special
+        if is_complex:
+            values = values + 1j * rng.standard_normal((8, 8))
+            values.imag.flat[-4:] = special
+        path = tmp_path / "f.csv"
+        vd.write_field_csv(path, values, grid, header_lines=["demo", "time = 0"])
+        coords = grid.coords()
+        expected = ["# demo", "# time = 0", "x,y,re,im" if is_complex else "x,y,value"]
+        for i in range(8):
+            for j in range(8):
+                v = values[i, j]
+                cells = (coords[i], coords[j]) + ((v.real, v.imag) if is_complex else (v,))
+                expected.append(",".join(format(float(c), ".17g") for c in cells))
+        text = path.read_text()
+        assert text == "\n".join(expected) + "\n"
+        rows = [row.split(",") for row in text.splitlines()[3:]]
+        cells = ["-0", "4.9406564584124654e-324", "1.0000000000000001e+300", "0.33333333333333331"]
+        assert [row[2] for row in rows[:4]] == cells
+        if is_complex:
+            assert [row[3] for row in rows[-4:]] == cells
 
     def test_table_round_trip(self, tmp_path):
         path = tmp_path / "t.csv"

@@ -25,7 +25,8 @@ class TestMakeGrid:
         b = vd.make_grid(64, 3.7)
         assert np.array_equal(a.coords(), b.coords())
 
-    @pytest.mark.parametrize("n,extent", [(9, 4.0), (7, 4.0), (6, 4.0), (8, 0.0), (8, -1.0)])
+    @pytest.mark.parametrize("n,extent", [(9, 4.0), (7, 4.0), (6, 4.0), (8, 0.0), (8, -1.0),
+                                          (8, np.inf), (8, np.nan)])
     def test_rejects_bad_parameters(self, n, extent):
         with pytest.raises(ValueError):
             vd.make_grid(n, extent)
