@@ -151,26 +151,32 @@ def find_radial_nodes(
     return NodeReport(time=time, node_radii=sorted(nodes))
 
 
+def check_fit_times(times, D: float, w0: float) -> None:
+    """The fit-trace rule: raise ValueError unless there are at least 5 times
+    and the evolution factor s(t) varies over them, so that both decay laws
+    are determined.  fit_decay and config validation ask it."""
+    if len(times) < 5:
+        raise ValueError("needs at least 5 diffusion times")
+    if len({evolution_factor(t, D, w0) for t in times}) == 1:
+        raise ValueError("needs the evolution factor s(t) to vary over the times (D = 0?)")
+
+
 def fit_decay(times, values, D: float, w0: float) -> tuple[DecayFit, DecayFit]:
     """Least-squares fits of a trace to a power law in s(t) and an exponential in t.
 
     log v = log a + q log s(t)   and   log v = log a - gamma t,
     both solved in the log domain; the lower-rms model gets preferred=True.
-    Needs at least 5 strictly positive samples.
+    Needs strictly positive samples at times that pass check_fit_times.
     """
     t = np.asarray(times, dtype=np.float64)
     v = np.asarray(values, dtype=np.float64)
     if t.shape != v.shape or t.ndim != 1:
         raise ValueError("times and values must be 1-D arrays of equal length")
-    if len(t) < 5:
-        raise ValueError(f"need at least 5 samples to fit, got {len(t)}")
+    check_fit_times(t, D, w0)
     if np.any(v <= 0):
         raise ValueError("decay fits need strictly positive values")
     log_v = np.log(v)
-    s = np.array([evolution_factor(ti, D, w0) for ti in t])
-    log_s = np.log(s)
-    if np.ptp(log_s) == 0.0:
-        raise ValueError("evolution factor does not vary over the trace (D = 0?)")
+    log_s = np.log([evolution_factor(ti, D, w0) for ti in t])
 
     def linfit(x):
         design = np.column_stack([np.ones_like(x), x])

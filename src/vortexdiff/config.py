@@ -15,23 +15,29 @@ Example document (see README for the full grammar):
     out_dir         = out/vortex
 
 Keys are dotted, values are scalars or comma lists (brackets optional),
-comments run from '#' to end of line.  Parse errors are line-addressed;
-semantic errors name the violated invariant.  Strict mode rejects unknown
-keys so a typo in a physics parameter cannot pass silently.
+comments run from '#' to end of line.  One table, _KEYS, is the grammar:
+each key is the path of the ScenarioConfig field it sets, and its declared
+kind both parses and renders the value.  An absent key takes the default of
+the dataclass field it names; an absent quantum section stays None.  Parse
+errors are line-addressed; semantic errors name the violated invariant.
+Strict mode rejects unknown keys so a typo in a physics parameter cannot
+pass silently.
 """
 
 from __future__ import annotations
 
 import cmath
+import contextlib
 import enum
+import typing
 from dataclasses import dataclass, field
 
-from .analysis import check_hole_geometry
+from .analysis import check_fit_times, check_hole_geometry
 from .analytic import DEFAULT_ETA, CoherenceFactorParams, DiffusionParams, evolution_factor
 from .grid import GridSpec, check_nbins
-from .modes import (ContainmentError, ModeKind, ModeSpec, check_block_radius, check_contained,
-                    check_plane_wave_k, lg_required_extent)
-from .solvers import (CflError, QuantumParams, Scheme, SolverConfig, check_kernel_resolution,
+from .modes import (ModeKind, ModeSpec, check_block_radius, check_contained, check_plane_wave_k,
+                    lg_required_extent)
+from .solvers import (QuantumParams, Scheme, SolverConfig, check_kernel_resolution,
                       fd_timestep)
 
 
@@ -54,21 +60,25 @@ class OutputKind(enum.Enum):
     HOLE_REFILL = "hole_refill"
 
 
-_MODE_KINDS = {"lg": ModeKind.LG, "plane_wave": ModeKind.PLANE_WAVE,
-               "blocked_gaussian": ModeKind.BLOCKED_GAUSSIAN}
-_SCHEMES = {"spectral": Scheme.SPECTRAL, "fd": Scheme.FD_EXPLICIT, "kernel": Scheme.KERNEL}
-
-_KNOWN_KEYS = {
-    "mode.kind", "mode.p", "mode.m", "mode.w0", "mode.P", "mode.amp", "mode.k",
-    "mode.block_radius",
-    "grid.n", "grid.extent",
-    "diffusion.D", "diffusion.times",
-    "solver.scheme", "solver.dt", "solver.cfl_safety",
-    "quantum.beta",
-    "eta", "nbins", "outputs", "out_dir",
+# The grammar, in rendering order.  Each key is the path of the field it sets
+# (mode.w0 sets ScenarioConfig.mode.w0, eta sets ScenarioConfig.eta) and maps
+# to the kind of its value: int, float, complex, str, an enum written by its
+# value, or a comma list of floats or of outputs.
+_KEYS = {
+    "mode.kind": ModeKind, "mode.p": int, "mode.m": int, "mode.w0": float, "mode.P": float,
+    "mode.amp": complex, "mode.k": float, "mode.block_radius": float,
+    "grid.n": int, "grid.extent": float,
+    "diffusion.D": float, "diffusion.times": tuple[float, ...],
+    "solver.scheme": Scheme, "solver.dt": float, "solver.cfl_safety": float,
+    "quantum.beta": float,
+    "eta": float, "nbins": int, "outputs": tuple[OutputKind, ...], "out_dir": str,
 }
-
+_SECTIONS = {"mode": ModeSpec, "grid": GridSpec, "diffusion": DiffusionParams,
+             "solver": SolverConfig, "quantum": QuantumParams}
 _REQUIRED_KEYS = ("mode.kind", "grid.n", "grid.extent", "diffusion.D", "diffusion.times")
+# a mode field that one kind uses is rendered for the other kinds only when
+# set, so the text parses back to an equal config
+_USED_BY = {"mode.k": ModeKind.PLANE_WAVE, "mode.block_radius": ModeKind.BLOCKED_GAUSSIAN}
 
 
 @dataclass(frozen=True)
@@ -105,8 +115,28 @@ def _split_lines(text: str):
         yield lineno, key, value
 
 
-def _parse_scalar(value: str, kind, key: str, lineno: int):
-    """Parse one int, float or complex value; NaN and infinities are rejected."""
+def _parse_value(value: str, kind, key: str, lineno: int):
+    """Parse one value of a _KEYS kind; NaN and infinities are rejected."""
+    if typing.get_origin(kind) is tuple:
+        item = typing.get_args(kind)[0]
+        if value.startswith("[") and value.endswith("]"):
+            value = value[1:-1]
+        items = tuple(_parse_value(s.strip(), item, key, lineno)
+                      for s in value.split(",") if s.strip())
+        if item is OutputKind:
+            return tuple(dict.fromkeys(items))
+        if not items:
+            raise ConfigError(f"{key} needs at least one value", lineno)
+        return items
+    if kind is str:
+        return value
+    if isinstance(kind, enum.EnumMeta):
+        valid = sorted(member.value for member in kind)
+        if value in valid:
+            return kind(value)
+        if kind is OutputKind:
+            raise ConfigError(f"unknown output {value!r}; valid: {valid}", lineno)
+        raise ConfigError(f"{key} must be one of {valid}, got {value!r}", lineno)
     try:
         parsed = kind(value.replace(" ", "") if kind is complex else value)
     except ValueError:
@@ -117,18 +147,26 @@ def _parse_scalar(value: str, kind, key: str, lineno: int):
     return parsed
 
 
-def _parse_float_list(value: str, key: str, lineno: int) -> tuple[float, ...]:
-    inner = value.strip()
-    if inner.startswith("[") and inner.endswith("]"):
-        inner = inner[1:-1]
-    items = [s.strip() for s in inner.split(",") if s.strip()]
-    if not items:
-        raise ConfigError(f"{key} needs at least one value", lineno)
-    return tuple(_parse_scalar(s, float, key, lineno) for s in items)
+def _render_value(value, kind) -> str:
+    """Text of one value of a _KEYS kind; floats keep all 17 significant digits."""
+    if typing.get_origin(kind) is tuple:
+        item = typing.get_args(kind)[0]
+        text = ", ".join(_render_value(v, item) for v in value)
+        return (text or "[]") if item is OutputKind else f"[{text}]"
+    if isinstance(kind, enum.EnumMeta):
+        return value.value
+    if kind is float:
+        return format(float(value), ".17g")
+    if kind is complex:
+        return f"{value.real:.17g}{value.imag:+.17g}j"
+    return f"{value}"
 
 
 def parse_config(text: str, strict: bool = True) -> ScenarioConfig:
-    """Parse and validate a scenario document; defaults are filled in.
+    """Parse and validate a scenario document.
+
+    Only the keys present are parsed; each section's dataclass is built from
+    them, so an absent key takes that field's default.
 
     strict=True (the default) rejects unknown keys; otherwise they are
     collected into ScenarioConfig.warnings.
@@ -140,101 +178,43 @@ def parse_config(text: str, strict: bool = True) -> ScenarioConfig:
         entries[key] = (value, lineno)
 
     warnings = []
-    for key, (_, lineno) in entries.items():
-        if key not in _KNOWN_KEYS:
+    sections: dict[str, dict] = {}  # section -> field -> value; "" holds the top level
+    for key, (value, lineno) in entries.items():
+        if key not in _KEYS:
             if strict:
                 raise ConfigError(f"unknown key {key!r}", lineno)
             warnings.append(f"line {lineno}: ignoring unknown key {key!r}")
+            continue
+        section, _, name = key.rpartition(".")
+        sections.setdefault(section, {})[name] = _parse_value(value, _KEYS[key], key, lineno)
 
     for key in _REQUIRED_KEYS:
         if key not in entries:
             raise ConfigError(f"missing required key {key!r}")
 
-    def take(key: str, kind, default=None):
-        if key not in entries:
-            return default
-        value, lineno = entries[key]
-        return _parse_scalar(value, kind, key, lineno)
-
-    kind_value, kind_line = entries["mode.kind"]
-    if kind_value not in _MODE_KINDS:
-        raise ConfigError(
-            f"mode.kind must be one of {sorted(_MODE_KINDS)}, got {kind_value!r}", kind_line
-        )
-    scheme_name = entries.get("solver.scheme", ("spectral", 0))[0]
-    if scheme_name not in _SCHEMES:
-        raise ConfigError(
-            f"solver.scheme must be one of {sorted(_SCHEMES)}, got {scheme_name!r}",
-            entries.get("solver.scheme", (None, None))[1],
-        )
+    top = sections.pop("", {})
+    if "nbins" in top:
+        try:
+            check_nbins(top["nbins"])
+        except ValueError as exc:
+            raise ConfigError(str(exc), entries["nbins"][1]) from exc
     try:
-        mode = ModeSpec(
-            kind=_MODE_KINDS[kind_value],
-            p=take("mode.p", int, 0),
-            m=take("mode.m", int, 0),
-            w0=take("mode.w0", float, 1.0),
-            P=take("mode.P", float, 1.0),
-            amp=take("mode.amp", complex, 1.0 + 0.0j),
-            k=take("mode.k", float, 0.0),
-            block_radius=take("mode.block_radius", float, 0.0),
-        )
-        grid = GridSpec(n=take("grid.n", int), extent=take("grid.extent", float))
-        times_value, times_line = entries["diffusion.times"]
-        diffusion = DiffusionParams(
-            D=take("diffusion.D", float),
-            times=_parse_float_list(times_value, "diffusion.times", times_line),
-        )
-        solver = SolverConfig(
-            scheme=_SCHEMES[scheme_name],
-            dt=take("solver.dt", float, None),
-            cfl_safety=take("solver.cfl_safety", float, 0.9),
-        )
-    except ConfigError:
-        raise
+        parts = {section: _SECTIONS[section](**fields) for section, fields in sections.items()}
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    quantum = None
-    if "quantum.beta" in entries:
-        quantum = QuantumParams(beta=take("quantum.beta", float))
-
-    nbins = take("nbins", int, 200)
-    try:
-        check_nbins(nbins)
-    except ValueError as exc:
-        raise ConfigError(str(exc), entries["nbins"][1]) from exc
-
-    outputs = (OutputKind.FIDELITY_TRACE,)
-    if "outputs" in entries:
-        value, lineno = entries["outputs"]
-        inner = value.strip()
-        if inner.startswith("[") and inner.endswith("]"):
-            inner = inner[1:-1]
-        names = [s.strip() for s in inner.split(",") if s.strip()]
-        valid = {o.value: o for o in OutputKind}
-        parsed = []
-        for name in names:
-            if name not in valid:
-                raise ConfigError(
-                    f"unknown output {name!r}; valid: {sorted(valid)}", lineno
-                )
-            parsed.append(valid[name])
-        outputs = tuple(dict.fromkeys(parsed))
-
-    cfg = ScenarioConfig(
-        mode=mode,
-        grid=grid,
-        diffusion=diffusion,
-        solver=solver,
-        quantum=quantum,
-        eta=take("eta", float, DEFAULT_ETA),
-        nbins=nbins,
-        outputs=outputs,
-        out_dir=entries.get("out_dir", ("out", 0))[0],
-        warnings=tuple(warnings),
-    )
+    cfg = ScenarioConfig(**parts, **top, warnings=tuple(warnings))
     validate_scenario(cfg)
     return cfg
+
+
+@contextlib.contextmanager
+def _key(name: str):
+    """Turn a rule's ValueError into a ConfigError that names the key to change."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
 
 
 def validate_scenario(cfg: ScenarioConfig) -> None:
@@ -244,61 +224,50 @@ def validate_scenario(cfg: ScenarioConfig) -> None:
     error becomes a ConfigError naming the key: grid.extent (containment at
     the latest time), mode.block_radius, mode.k, solver.dt, diffusion.times
     (kernel resolution), eta or nbins.  An empty diffusion.times fails with the
-    message parse_config gives it.
+    message parse_config gives it, and a fit output whose trace cannot be
+    fitted fails naming that output.
     """
     mode, grid, diffusion = cfg.mode, cfg.grid, cfg.diffusion
     if not diffusion.times:
         raise ConfigError("diffusion.times needs at least one value")
-    t_max = diffusion.times[-1]
 
     if mode.kind in (ModeKind.LG, ModeKind.BLOCKED_GAUSSIAN):
         lg = mode.kind is ModeKind.LG
-        try:
+        with _key("grid.extent"):
             check_contained(grid.extent, mode.w0, mode.m if lg else 0, mode.p if lg else 0,
-                            evolution_factor(t_max, diffusion.D, mode.w0))
-        except ContainmentError as exc:
-            raise ConfigError(f"grid.extent: {exc}") from exc
+                            evolution_factor(diffusion.times[-1], diffusion.D, mode.w0))
 
     if mode.kind is ModeKind.BLOCKED_GAUSSIAN:
-        try:
+        with _key("mode.block_radius"):
             check_block_radius(mode.block_radius, grid)
             if OutputKind.HOLE_REFILL in cfg.outputs:
                 check_hole_geometry(mode.block_radius, grid)
-        except ValueError as exc:
-            raise ConfigError(f"mode.block_radius: {exc}") from exc
     elif OutputKind.HOLE_REFILL in cfg.outputs:
         raise ConfigError("hole_refill output applies to blocked_gaussian scenarios only")
 
     if mode.kind is ModeKind.PLANE_WAVE:
-        try:
+        with _key("mode.k"):
             check_plane_wave_k(mode.k, grid)
-        except ValueError as exc:
-            raise ConfigError(f"mode.k: {exc}") from exc
 
     if cfg.solver.scheme is Scheme.FD_EXPLICIT and diffusion.D > 0:
-        try:
+        with _key("solver.dt"):
             fd_timestep(grid, diffusion.D, cfg.solver)
-        except CflError as exc:
-            raise ConfigError(f"solver.dt: {exc}") from exc
 
     if cfg.solver.scheme is Scheme.KERNEL:
-        try:
+        with _key("diffusion.times"):
             check_kernel_resolution(grid, diffusion.D, diffusion.times)
-        except ValueError as exc:
-            raise ConfigError(f"diffusion.times: {exc}") from exc
 
-    try:
+    with _key("eta"):
         CoherenceFactorParams(eta=cfg.eta)
-    except ValueError as exc:
-        raise ConfigError(f"eta: {exc}") from exc
 
-    try:
+    with _key("nbins"):
         check_nbins(cfg.nbins)
-    except ValueError as exc:
-        raise ConfigError(f"nbins: {exc}") from exc
 
-    if OutputKind.FIT in cfg.outputs and len(diffusion.times) < 5:
-        raise ConfigError("the fit output needs at least 5 diffusion times")
+    if OutputKind.FIT in cfg.outputs:
+        try:
+            check_fit_times(diffusion.times, diffusion.D, mode.w0)
+        except ValueError as exc:
+            raise ConfigError(f"the fit output {exc}") from exc
 
     # render_config writes out_dir raw on one line, parse_config strips it
     if "#" in cfg.out_dir or cfg.out_dir.strip().splitlines() != [cfg.out_dir]:
@@ -306,42 +275,17 @@ def validate_scenario(cfg: ScenarioConfig) -> None:
                           f"got {cfg.out_dir!r}")
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def render_config(cfg: ScenarioConfig) -> str:
-    """Canonical text form of a resolved config (round-trips through parse_config)."""
-    lines = [
-        f"mode.kind = {cfg.mode.kind.value}",
-        f"mode.p = {cfg.mode.p}",
-        f"mode.m = {cfg.mode.m}",
-        f"mode.w0 = {_fmt(cfg.mode.w0)}",
-        f"mode.P = {_fmt(cfg.mode.P)}",
-        f"mode.amp = {cfg.mode.amp.real:.17g}{cfg.mode.amp.imag:+.17g}j",
-    ]
-    # a field the mode kind does not use is written too when it is set, so
-    # the text parses back to an equal config
-    if cfg.mode.kind is ModeKind.PLANE_WAVE or cfg.mode.k != 0:
-        lines.append(f"mode.k = {_fmt(cfg.mode.k)}")
-    if cfg.mode.kind is ModeKind.BLOCKED_GAUSSIAN or cfg.mode.block_radius != 0:
-        lines.append(f"mode.block_radius = {_fmt(cfg.mode.block_radius)}")
-    lines += [
-        f"grid.n = {cfg.grid.n}",
-        f"grid.extent = {_fmt(cfg.grid.extent)}",
-        f"diffusion.D = {_fmt(cfg.diffusion.D)}",
-        "diffusion.times = [" + ", ".join(_fmt(t) for t in cfg.diffusion.times) + "]",
-        f"solver.scheme = {cfg.solver.scheme.value}",
-    ]
-    if cfg.solver.dt is not None:
-        lines.append(f"solver.dt = {_fmt(cfg.solver.dt)}")
-    lines.append(f"solver.cfl_safety = {_fmt(cfg.solver.cfl_safety)}")
-    if cfg.quantum is not None:
-        lines.append(f"quantum.beta = {_fmt(cfg.quantum.beta)}")
-    lines += [
-        f"eta = {_fmt(cfg.eta)}",
-        f"nbins = {cfg.nbins}",
-        "outputs = " + (", ".join(o.value for o in cfg.outputs) or "[]"),
-        f"out_dir = {cfg.out_dir}",
-    ]
+    """Canonical text form of a resolved config (round-trips through parse_config).
+
+    Walks _KEYS in order; a field that is None (solver.dt, or the quantum
+    section) is left out, and so is a zero mode field its kind does not use."""
+    lines = []
+    for key, kind in _KEYS.items():
+        section, _, name = key.rpartition(".")
+        owner = getattr(cfg, section) if section else cfg
+        value = None if owner is None else getattr(owner, name)
+        if value is None or (key in _USED_BY and value == 0 and cfg.mode.kind is not _USED_BY[key]):
+            continue
+        lines.append(f"{key} = {_render_value(value, kind)}")
     return "\n".join(lines) + "\n"

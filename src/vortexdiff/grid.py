@@ -19,7 +19,7 @@ import numpy as np
 class GridSpec:
     """Uniform square grid covering [-extent, extent) with n samples per axis.
 
-    dx = 2*extent/n, with extent positive and finite.  n must be even (the
+    dx = 2*extent/n, positive and finite.  n must be even (the
     spectral propagator's wavenumber layout needs a symmetric band) and >= 8.
     """
 
@@ -33,8 +33,9 @@ class GridSpec:
             raise ValueError(f"grid n must be >= 8, got {self.n}")
         if self.n % 2 != 0:
             raise ValueError(f"grid n must be even, got {self.n}")
-        if not (0 < self.extent < np.inf):
-            raise ValueError(f"grid extent must be positive and finite, got {self.extent}")
+        if not (0 < self.dx < np.inf):
+            raise ValueError(f"grid spacing dx = 2 extent / n must be positive and finite, "
+                             f"got extent {self.extent} with n {self.n}")
 
     @property
     def dx(self) -> float:
@@ -63,7 +64,7 @@ class GridSpec:
 
 
 def make_grid(n: int, extent: float) -> GridSpec:
-    """Build a GridSpec; rejects odd n, n < 8 and a nonpositive or infinite extent."""
+    """Build a GridSpec; rejects odd n, n < 8 and an extent whose dx is not positive and finite."""
     return GridSpec(n=n, extent=extent)
 
 

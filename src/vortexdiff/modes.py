@@ -60,6 +60,8 @@ class ModeSpec:
             raise ValueError(f"waist w0 must be positive, got {self.w0}")
         if not (self.P > 0):
             raise ValueError(f"total intensity P must be positive, got {self.P}")
+        if self.amp == 0:
+            raise ValueError(f"amplitude amp must be nonzero, got {self.amp}")
         if not isinstance(self.p, (int, np.integer)) or self.p < 0:
             raise ValueError(f"radial index p must be a nonnegative integer, got {self.p!r}")
         if not isinstance(self.m, (int, np.integer)):

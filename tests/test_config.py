@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import vortexdiff as vd
+from vortexdiff.analysis import check_fit_times
 from vortexdiff.cli import main
 from vortexdiff.config import OutputKind, lg_required_extent
 
@@ -38,7 +39,9 @@ def scenario_configs(draw):
     p, m = draw(st.integers(0, 4)), draw(st.integers(-5, 5))
     allowed = [o for o in OutputKind
                if o is not OutputKind.HOLE_REFILL or kind is vd.ModeKind.BLOCKED_GAUSSIAN]
-    if len(times) < 5:
+    try:
+        check_fit_times(times, D, w0)
+    except ValueError:
         allowed.remove(OutputKind.FIT)
     outputs = tuple(draw(st.lists(st.sampled_from(allowed), unique=True)))
     k = block_radius = 0.0
@@ -58,7 +61,8 @@ def scenario_configs(draw):
         block_radius = draw(_floats(0.0, extent, exclude_max=True))
     else:
         block_radius = draw(st.just(0.0) | _floats(0.0, 10.0))
-    amp = draw(st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False))
+    amp = draw(st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+               .filter(lambda z: z != 0))
     mode = vd.ModeSpec(kind=kind, p=p, m=m, w0=w0, P=draw(_floats(0.01, 100.0)), amp=amp, k=k,
                        block_radius=block_radius)
     # the kernel scheme needs 4 D t >= dx^2 at every nonzero time
@@ -196,6 +200,43 @@ class TestParsing:
         with pytest.raises(vd.ConfigError, match="fit"):
             vd.parse_config(MINIMAL + "outputs = fit\n")
 
+    def test_fit_needs_a_varying_evolution_factor(self, tmp_path):
+        # with D = 0, s(t) = 1 at every time and neither decay law is determined
+        still = MINIMAL.replace("diffusion.D = 1.0", "diffusion.D = 0.0")
+        still = still.replace("[0, 0.25]", "[0, 0.05, 0.1, 0.15, 0.25]")
+        with pytest.raises(vd.ConfigError, match=r"^the fit output needs the evolution factor"):
+            vd.parse_config(still + "outputs = fit\n")
+        cfg = dataclasses.replace(vd.parse_config(still), outputs=(OutputKind.FIT,))
+        out = tmp_path / "run"
+        with pytest.raises(vd.ConfigError, match="^the fit output "):
+            vd.run_scenario(cfg, "vxf", out)
+        assert not out.exists()
+
+    def test_zero_amplitude_rejected(self):
+        with pytest.raises(vd.ConfigError, match="^amplitude amp must be nonzero, got 0j$"):
+            vd.parse_config(MINIMAL + "mode.amp = 0\n")
+
+    def test_grid_spacing_must_be_finite(self):
+        from pathlib import Path
+
+        text = (Path(__file__).parent.parent / "scenarios" / "gaussian.cfg").read_text()
+        huge = text.replace("grid.extent     = 16.0", "grid.extent     = 1e308")
+        assert huge != text
+        with pytest.raises(vd.ConfigError, match="dx = 2 extent / n must be positive and finite"):
+            vd.parse_config(huge)
+
+    def test_required_keys_alone_take_dataclass_defaults(self):
+        text = """
+mode.kind = lg
+grid.n = 64
+grid.extent = 8
+diffusion.D = 0.5
+diffusion.times = [0, 0.25]
+"""
+        assert vd.parse_config(text) == vd.ScenarioConfig(
+            mode=vd.ModeSpec(kind=vd.ModeKind.LG), grid=vd.make_grid(64, 8.0),
+            diffusion=vd.DiffusionParams(D=0.5, times=(0.0, 0.25)))
+
     def test_hole_refill_needs_blocked_mode(self):
         with pytest.raises(vd.ConfigError, match="hole_refill"):
             vd.parse_config(MINIMAL + "outputs = hole_refill\n")
@@ -284,6 +325,56 @@ class TestRenderRoundTrip:
         empty = vd.parse_config(MINIMAL + "outputs = []\n")
         assert empty.outputs == ()
         assert vd.parse_config(vd.render_config(empty)) == empty
+
+    def test_every_key_renders_to_pinned_text(self):
+        # every key set, including the ones render_config may leave out: a
+        # non-zero k and a block_radius on an LG mode, solver.dt, quantum.beta
+        text = """
+mode.kind = lg
+mode.p = 1
+mode.m = -2
+mode.w0 = 0.75
+mode.P = 2.5
+mode.amp = 0.5 - 0.25j
+mode.k = 0.1
+mode.block_radius = 0.5
+grid.n = 64
+grid.extent = 8
+diffusion.D = 0.5
+diffusion.times = 0, 0.1, 0.2
+solver.scheme = fd
+solver.dt = 0.001
+solver.cfl_safety = 0.5
+quantum.beta = -0.5
+eta = 1e-10
+nbins = 50
+outputs = []
+out_dir = runs/every key
+"""
+        rendered = vd.render_config(vd.parse_config(text))
+        assert rendered == """\
+mode.kind = lg
+mode.p = 1
+mode.m = -2
+mode.w0 = 0.75
+mode.P = 2.5
+mode.amp = 0.5-0.25j
+mode.k = 0.10000000000000001
+mode.block_radius = 0.5
+grid.n = 64
+grid.extent = 8
+diffusion.D = 0.5
+diffusion.times = [0, 0.10000000000000001, 0.20000000000000001]
+solver.scheme = fd
+solver.dt = 0.001
+solver.cfl_safety = 0.5
+quantum.beta = -0.5
+eta = 1e-10
+nbins = 50
+outputs = []
+out_dir = runs/every key
+"""
+        assert vd.parse_config(rendered) == vd.parse_config(text)
 
     @pytest.mark.parametrize("out_dir", ["runs/#3", "runs\n3", "runs\r3", "runs\v3", " runs", "runs ", ""])
     def test_out_dir_that_cannot_round_trip_rejected(self, out_dir):

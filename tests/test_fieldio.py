@@ -111,6 +111,15 @@ class TestVxfErrors:
                 vd.read_field(bad)
             assert err.value.code == FieldFormatError.BAD_HEADER
 
+    def test_extent_whose_spacing_overflows_is_bad_header(self, tmp_path, small_grid):
+        blob = self._valid_bytes(tmp_path, small_grid)
+        blob[12:20] = struct.pack("<d", 1e308)
+        bad = tmp_path / "bad.vxf"
+        bad.write_bytes(blob)
+        with pytest.raises(FieldFormatError, match="invalid grid") as err:
+            vd.read_field(bad)
+        assert err.value.code == FieldFormatError.BAD_HEADER
+
     # overwrite header bytes with random bytes, or a header double (extent at
     # 12, time at 20) with a packed double, which reaches the infinities and
     # NaNs that random bytes seldom spell

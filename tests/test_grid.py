@@ -26,7 +26,7 @@ class TestMakeGrid:
         assert np.array_equal(a.coords(), b.coords())
 
     @pytest.mark.parametrize("n,extent", [(9, 4.0), (7, 4.0), (6, 4.0), (8, 0.0), (8, -1.0),
-                                          (8, np.inf), (8, np.nan)])
+                                          (8, np.inf), (8, np.nan), (8, 1e308), (8, 5e-324)])
     def test_rejects_bad_parameters(self, n, extent):
         with pytest.raises(ValueError):
             vd.make_grid(n, extent)
