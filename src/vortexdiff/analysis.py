@@ -60,10 +60,17 @@ def retrieval_efficiency(f_t: ComplexField2D, f_0: ComplexField2D) -> float:
     """
     if f_t.grid != f_0.grid:
         raise ValueError("fields must share a grid")
-    ref = float(np.sum(np.abs(f_0.values) ** 2))
+    ref = reference_energy(np.abs(f_0.values) ** 2)
+    return float(np.sum(np.abs(f_t.values) ** 2)) / ref
+
+
+def reference_energy(coh_sq_0: np.ndarray) -> float:
+    """The efficiency's denominator sum(|rho12|^2) of the stored field,
+    from its |rho12|^2 map; an identically zero field has no efficiency."""
+    ref = float(np.sum(coh_sq_0))
     if ref == 0.0:
         raise ValueError("reference field is identically zero")
-    return float(np.sum(np.abs(f_t.values) ** 2)) / ref
+    return ref
 
 
 def coherence_factor_values(coh_sq, rho11: float, rho22, eta: float) -> np.ndarray:
@@ -82,9 +89,9 @@ def coherence_factor_field(s: StateSnapshot, params: CoherenceFactorParams) -> C
 
     Also returns the rho22-weighted average, the natural summary for the
     retrieved light (regions the diffusion never reached keep f = 1 but carry
-    vanishing weight).
+    vanishing weight).  Reads the snapshot's |rho12|^2, s.coh_sq.
     """
-    f = coherence_factor_values(np.abs(s.rho12.values) ** 2, s.rho11, s.rho22, params.eta)
+    f = coherence_factor_values(s.coh_sq, s.rho11, s.rho22, params.eta)
     weight = float(np.sum(s.rho22))
     if weight > 0.0:
         weighted = float(np.sum(f * s.rho22) / weight)

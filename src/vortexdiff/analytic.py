@@ -75,12 +75,17 @@ class StateSnapshot:
     physicality check, for initial and evolved snapshots alike: rho22 >= -tol
     and |rho12|^2 <= rho11 * rho22 + tol, with tol = PHYSICALITY_TOL scaled
     by the field peaks; rho22's residues within tol are clipped to 0.
+
+    coh_sq is |rho12|^2 as the check computed it, kept so that the
+    diagnostics read it instead of forming it again; it describes rho12 at
+    construction.
     """
 
     time: float
     rho12: ComplexField2D
     rho22: np.ndarray
     rho11: float = 1.0
+    coh_sq: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         r22 = np.asarray(self.rho22, dtype=np.float64)
@@ -95,12 +100,13 @@ class StateSnapshot:
         if float(r22.min()) < -tol:
             raise ValueError(f"rho22 has negative values below tolerance (min {r22.min():.3e}, "
                              f"tol {tol:.3e}); initial data too rough for the scheme and grid?")
-        excess = float(np.max(coh_sq - self.rho11 * np.maximum(r22, 0.0)))
+        clipped = np.maximum(r22, 0.0)
+        excess = float(np.max(coh_sq - self.rho11 * clipped))
         if excess > tol:
             raise ValueError(
                 f"snapshot violates |rho12|^2 <= rho11*rho22 by {excess:.3e} (tol {tol:.3e})"
             )
-        self.rho22 = np.maximum(r22, 0.0)
+        self.rho22, self.coh_sq = clipped, coh_sq
 
     @property
     def grid(self):

@@ -150,24 +150,29 @@ def check_nbins(nbins) -> None:
 
 
 @functools.lru_cache(maxsize=4, typed=True)
-def radial_bins(grid: GridSpec, nbins: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The radial binning of grid: which samples fall in a bin, the bin of
-    each of those samples in order, and the sample count of each bin.
+def radial_bins(grid: GridSpec, nbins: int) -> tuple[np.ndarray, np.ndarray]:
+    """The radial binning of grid: the bin of every sample, in flat order,
+    and the sample count of each bin.
 
     Bin b holds the samples with r in [b*dr, (b+1)*dr), dr = extent/nbins;
-    samples at r >= extent (the grid corners) fall outside the last bin.  The
-    flat boolean mask, bin indices and counts are read-only and cached per
+    samples at r >= extent (the grid corners) go to an overflow bin nbins,
+    which each reduction drops after its bincount, so no sample is gathered.
+    The bin indices and the nbins counts are read-only and cached per
     (grid, nbins), so the radius map is built once per grid instead of once
     per reduction.
     """
     check_nbins(nbins)
     idx = np.floor(grid.radius() / (grid.extent / nbins)).astype(np.intp).ravel()
-    inside = idx < nbins
-    idx = idx[inside]
-    counts = np.bincount(idx, minlength=nbins)
-    for a in (inside, idx, counts):
+    np.minimum(idx, nbins, out=idx)
+    counts = _binned(idx, None, nbins)
+    for a in (idx, counts):
         a.flags.writeable = False
-    return inside, idx, counts
+    return idx, counts
+
+
+def _binned(idx: np.ndarray, weights, nbins: int) -> np.ndarray:
+    """Per-bin sums of weights (or counts) over bins 0..nbins-1, the overflow bin dropped."""
+    return np.bincount(idx, weights=weights, minlength=nbins + 1)[:nbins]
 
 
 def radial_mean(values: np.ndarray, grid: GridSpec, nbins: int) -> np.ndarray:
@@ -176,28 +181,30 @@ def radial_mean(values: np.ndarray, grid: GridSpec, nbins: int) -> np.ndarray:
     One real bincount.  The mean is divided as a complex number, so it keeps
     the bytes of the real part of azimuthal_average's mean_amplitude.
     """
-    inside, idx, counts = radial_bins(grid, nbins)
-    sums = np.bincount(idx, weights=values.ravel()[inside], minlength=nbins)
+    idx, counts = radial_bins(grid, nbins)
+    sums = _binned(idx, values.ravel(), nbins)
     occupied = counts > 0
     return ((sums[occupied] + 0j) / counts[occupied]).real
 
 
-def azimuthal_average(f: ComplexField2D, nbins: int) -> RadialProfile:
+def azimuthal_average(f: ComplexField2D, nbins: int, intensity: np.ndarray | None = None) -> RadialProfile:
     """Average a field over azimuth in radial bins of width extent/nbins.
 
     Bin b collects samples with r in [b*dr, (b+1)*dr); samples at r >= extent
     (grid corners) fall outside the last bin and are dropped.  Returns both
     the complex mean (phase-sensitive, cancels for vortex fields) and the
-    mean squared magnitude per bin.
+    mean squared magnitude per bin.  intensity is |f|^2 when the caller has
+    it already.
     """
-    inside, idx, counts = radial_bins(f.grid, nbins)
+    idx, counts = radial_bins(f.grid, nbins)
     dr = f.grid.extent / nbins
-    vals = f.values.ravel()[inside]
-    inten = np.abs(vals) ** 2
+    vals = f.values.ravel()
+    if intensity is None:
+        intensity = np.abs(vals) ** 2
 
-    sum_re = np.bincount(idx, weights=vals.real, minlength=nbins)
-    sum_im = np.bincount(idx, weights=vals.imag, minlength=nbins)
-    sum_int = np.bincount(idx, weights=inten, minlength=nbins)
+    sum_re = _binned(idx, vals.real, nbins)
+    sum_im = _binned(idx, vals.imag, nbins)
+    sum_int = _binned(idx, intensity.ravel(), nbins)
 
     occupied = counts > 0
     n_occ = counts[occupied]

@@ -3,7 +3,10 @@
 The run is one stream.  stream_diagnostics wraps each snapshot that
 solvers.evolve_snapshots yields in a SnapshotDiagnostics, which runs each
 reduction (radial profiles, coherence-factor summary, efficiency, ...) at
-most once and keeps only reduced numbers, never a full-grid map.
+most once and keeps only reduced numbers, never a full-grid map.  The
+reductions that read |rho12|^2 share the one array the physicality check
+formed (StateSnapshot.coh_sq), and the efficiency's t = 0 reference is
+computed once per run.
 run_scenario writes each snapshot's field dumps and computes the reductions
 its tables read as the snapshot arrives; the stream then releases the
 snapshot before the next time is evolved, so one evolved snapshot is alive
@@ -11,10 +14,11 @@ at a time.  Each table OutputKind is one function from those reductions to
 its table's columns; every CSV file, table or field dump, is written by
 fieldio.write_table_csv, every VXF dump by write_field.
 
-manifest.json lists each output file with its SHA-256 checksum.  It is
-removed before the first file is written and rewritten last, so a failed run
-leaves none.  The run is serial and every step is a pure computation, so
-identical configs produce byte-identical outputs.
+manifest.json lists each output file with its SHA-256 checksum, hashed in
+fixed-size chunks read back from disk.  It is removed before the first file
+is written and rewritten last, so a failed run leaves none.  The run is
+serial and every step is a pure computation, so identical configs produce
+byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from .analysis import (
     find_radial_nodes,
     fit_decay,
     hole_refill_ratio,
-    retrieval_efficiency,
+    reference_energy,
     total_population,
 )
 from .analytic import CoherenceFactorParams, StateSnapshot, evolution_factor, initial_snapshot
@@ -77,20 +81,22 @@ def _config_header(cfg: ScenarioConfig, title: str | None = None,
 class SnapshotDiagnostics:
     """The reductions of one evolved snapshot, each computed on first use and
     kept; a full-grid map such as the coherence factor is dropped once
-    reduced.  After release() only the reductions computed so far remain."""
+    reduced.  reference is the efficiency's denominator, the stored field's
+    coherent energy.  After release() only the reductions computed so far
+    remain."""
 
-    def __init__(self, cfg: ScenarioConfig, snap0: StateSnapshot, snap: StateSnapshot):
-        self.cfg, self.snap0, self.snap = cfg, snap0, snap
+    def __init__(self, cfg: ScenarioConfig, reference: float, snap: StateSnapshot):
+        self.cfg, self.reference, self.snap = cfg, reference, snap
         self.time, self.rho11 = snap.time, snap.rho11
 
     def release(self) -> None:
-        """Drop the snapshots and their full-grid arrays."""
-        self.snap = self.snap0 = None
+        """Drop the snapshot and its full-grid arrays."""
+        self.snap = None
 
     @cached_property
     def profile(self) -> RadialProfile:
         """Azimuthal average of rho12."""
-        return azimuthal_average(self.snap.rho12, self.cfg.nbins)
+        return azimuthal_average(self.snap.rho12, self.cfg.nbins, intensity=self.snap.coh_sq)
 
     @cached_property
     def rho22_radial(self) -> np.ndarray:
@@ -106,7 +112,7 @@ class SnapshotDiagnostics:
 
     @cached_property
     def efficiency(self) -> float:
-        return retrieval_efficiency(self.snap.rho12, self.snap0.rho12)
+        return float(np.sum(self.snap.coh_sq)) / self.reference
 
     @cached_property
     def population(self) -> float:
@@ -133,8 +139,10 @@ def stream_diagnostics(cfg: ScenarioConfig) -> Iterator[SnapshotDiagnostics]:
     each is released then, before the next time is evolved.
     """
     snap0 = initial_snapshot(build_mode(cfg.mode, cfg.grid))
+    reference = reference_energy(snap0.coh_sq)
+    snap0.coh_sq = None  # the stream keeps snap0's fields for the whole run, not this map
     for snap in evolve_snapshots(snap0, cfg.diffusion.D, cfg.diffusion.times, cfg.solver):
-        d = SnapshotDiagnostics(cfg, snap0, snap)
+        d = SnapshotDiagnostics(cfg, reference, snap)
         del snap
         yield d
         d.release()
@@ -237,6 +245,22 @@ def _write_fields(out: Path, cfg: ScenarioConfig, fmt: str, i: int, snap: StateS
     return written
 
 
+_HASH_CHUNK = 1 << 20
+
+
+def _sha256(path: Path) -> tuple[str, int]:
+    """SHA-256 hex digest and size of a file, read in _HASH_CHUNK pieces
+    into one buffer, so no file is held in memory whole."""
+    digest, size = hashlib.sha256(), 0
+    buf = bytearray(_HASH_CHUNK)
+    view = memoryview(buf)
+    with open(path, "rb") as fh:
+        while got := fh.readinto(buf):
+            digest.update(view[:got])
+            size += got
+    return digest.hexdigest(), size
+
+
 def run_scenario(cfg: ScenarioConfig, fmt: str = "csv", out_dir: str | Path | None = None) -> Manifest:
     """Run one scenario and write the requested outputs plus manifest.json.
 
@@ -270,8 +294,7 @@ def run_scenario(cfg: ScenarioConfig, fmt: str = "csv", out_dir: str | Path | No
                 written.append(out / name)
 
     for path in sorted(written):
-        blob = path.read_bytes()
-        manifest.entries.append(ManifestEntry(path.name, hashlib.sha256(blob).hexdigest(), len(blob)))
+        manifest.entries.append(ManifestEntry(path.name, *_sha256(path)))
     payload = {
         "generator": "vortexdiff",
         "config": render_config(cfg).strip().splitlines(),

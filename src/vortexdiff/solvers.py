@@ -20,14 +20,18 @@ Three independent classical schemes on the same grid:
 
 The spectral, kernel and quantum steps are one loop, _fourier_stream: per
 time a plan gives the FFT side and crop offset (or the identity) and a
-multiplier, built once for all fields; each field goes fft2 at that side,
-multiply, ifft2, crop.  Its memory rule: a field's padded spectrum is held
-only while the next time uses the same side; otherwise each field is
-transformed lazily, multiplied in place and dropped.  _classical_stream is
-the one scheme dispatch: spectral and kernel run that loop, FD runs
-_fd_march.  evolve_snapshots (a lazy generator that keeps no snapshot it
-has yielded) and the one-field steps diffuse_spectral, diffuse_kernel and
-diffuse_fd all call it; evolve_quantum is the loop's periodic one-time case.
+multiplier, built once for all fields; each field goes to its spectrum at
+that side, is multiplied, goes back and is cropped.  A complex field uses
+fft2; a real one (rho22) uses rfft2 and half the multiplier, and comes back
+real.  Every inverse runs one axis at a time, the complex passes in place,
+with the bytes of ifft2 / irfft2.  Its memory rule: a field's padded
+spectrum is held only while the next time uses the same side; otherwise
+each field is transformed lazily, multiplied in place and dropped.
+_classical_stream is the one scheme dispatch: spectral and kernel run that
+loop, FD runs _fd_march.  evolve_snapshots (a lazy generator that keeps no
+snapshot it has yielded) and the one-field steps diffuse_spectral,
+diffuse_kernel and diffuse_fd all call it; evolve_quantum is the loop's
+periodic one-time case.
 
 Every classical step returns a field with its input's boundary; a free-space
 record grows to the diffused waist w0^2 + 4 D t, so chained steps pad enough.
@@ -156,19 +160,37 @@ def _free_space_size(grid: GridSpec, fs: FreeSpace | None, D: float, t: float) -
     return grid.n
 
 
+def _inverse_fft2(product: np.ndarray, side: int, real: bool) -> np.ndarray:
+    """ifft2 of a full spectrum, or irfft2 at side of a half spectrum, one
+    axis at a time in numpy's own order, so the bytes are those of
+    ifft2 / irfft2.  The complex passes run in place and overwrite product,
+    so no padded working array is allocated beside it."""
+    if real:
+        np.fft.ifft(product, axis=0, out=product)
+        return np.fft.irfft(product, n=side, axis=1)
+    np.fft.ifft(product, axis=1, out=product)
+    return np.fft.ifft(product, axis=0, out=product)
+
+
 def _fourier_stream(grid: GridSpec, fields: list[np.ndarray], times: list[float], plan,
                     multiplier, scale: float = 1.0) -> Iterator[list[np.ndarray]]:
-    """The one Fourier-multiplier loop, one list of complex results per time,
+    """The one Fourier-multiplier loop, one list of results per time,
     yielded as it is computed.  plan(t) gives (side, offset), or None for
-    the identity (copies).  Each array in fields (real or complex) goes fft2
-    at that side, times multiplier(t, side), ifft2, and its n x n window at
-    offset, times scale.  A field's padded spectrum is held only while the
-    next time uses the same side: such a time transforms every field up
+    the identity (copies).  Each array in fields goes to the spectrum at
+    that side, times multiplier(t, side), back, and its n x n window at
+    offset, times scale.  A complex field goes fft2 and the per-axis
+    in-place inverse; a real field goes rfft2, times the multiplier's
+    first side // 2 + 1 columns, and the per-axis irfft2, and stays real.
+    That is exact because every multiplier applied to a real field is the
+    spectrum of a real kernel.  A field's padded spectrum is held only while
+    the next time uses the same side: such a time transforms every field up
     front, any other transforms each field lazily, multiplies it in place
-    and drops it.  Results are the bytes of a separate fft2, multiply,
-    ifft2 per field and time."""
+    and drops it.  Results are the bytes of a separate forward transform,
+    multiply and inverse per field and time."""
     def spectrum(v: np.ndarray, side: int) -> np.ndarray:
-        return np.fft.fft2(np.asarray(v, np.complex128), s=(side, side))
+        if np.iscomplexobj(v):
+            return np.fft.fft2(v, s=(side, side))
+        return np.fft.rfft2(v, s=(side, side))
 
     steps = [plan(t) for t in times]
     sides = [None if step is None else step[0] for step in steps]
@@ -185,13 +207,15 @@ def _fourier_stream(grid: GridSpec, fields: list[np.ndarray], times: list[float]
         window = slice(offset, offset + grid.n)
         out = []
         for j, v in enumerate(fields):
+            real = not np.iscomplexobj(v)
+            mul = factor[:, :side // 2 + 1] if real else factor
             if held:
-                product = held[j] * factor
+                product = held[j] * mul
             else:
                 product = spectrum(v, side)
-                product *= factor
+                product *= mul
             # the window is copied out, so no result keeps a padded array alive
-            out.append(np.ascontiguousarray(np.fft.ifft2(product)[window, window]))
+            out.append(np.ascontiguousarray(_inverse_fft2(product, side, real)[window, window]))
             del product
             if scale != 1.0:
                 out[-1] *= scale
@@ -309,10 +333,10 @@ def _classical_stream(cfg: SolverConfig, grid: GridSpec, free_space: FreeSpace |
                       fields: list[np.ndarray], D: float, times: list[float]) -> Iterator[list[np.ndarray]]:
     """The one scheme dispatch for classical steps: each array in fields
     (with boundary free_space) diffused to each time under cfg.scheme, one
-    list of results per time, yielded lazily.  Spectral and kernel run
-    through _fourier_stream and give complex results; FD marches each field
-    once across the ascending times and keeps its dtype.  t = 0 and D = 0
-    are the identity.
+    list of results per time, yielded lazily; every result keeps its
+    field's dtype, so a real field stays real.  Spectral and kernel run
+    through _fourier_stream; FD marches each field once across the
+    ascending times.  t = 0 and D = 0 are the identity.
     """
     check_diffusion(D, times)
     if cfg.scheme is Scheme.FD_EXPLICIT:
@@ -454,7 +478,7 @@ def evolve_snapshots(s: StateSnapshot, D: float, times, cfg: SolverConfig) -> It
     for t in times:
         rho12, rho22 = next(fields)
         snap = StateSnapshot(s.time + t, ComplexField2D(s.grid, rho12, _diffused_boundary(s.rho12, D, t)),
-                             rho22.real, s.rho11)
+                             rho22, s.rho11)
         del rho12, rho22
         yield snap
         del snap

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import vortexdiff as vd
+from vortexdiff.grid import radial_mean
 from helpers import lg_intensity, radial_integral
 
 
@@ -101,6 +102,27 @@ class TestAzimuthalAverage:
     def test_bins_beyond_extent_dropped(self, lg00):
         prof = vd.azimuthal_average(lg00, 40)
         assert prof.radii[-1] < lg00.grid.extent
+
+    def test_overflow_bin_matches_a_gather_of_the_binned_samples(self, lg01):
+        # the corner samples go to an overflow bin that is dropped; every
+        # kept bin sums the same samples in the same order as a gather would
+        nbins = 50
+        g = lg01.grid
+        idx = np.floor(g.radius() / (g.extent / nbins)).astype(np.intp).ravel()
+        inside = idx < nbins
+        vals = lg01.values.ravel()[inside]
+        counts = np.bincount(idx[inside], minlength=nbins)
+        occupied = counts > 0
+        sums = [np.bincount(idx[inside], weights=w, minlength=nbins)[occupied]
+                for w in (vals.real, vals.imag, np.abs(vals) ** 2)]
+        intensity = np.abs(lg01.values) ** 2
+        for prof in (vd.azimuthal_average(lg01, nbins),
+                     vd.azimuthal_average(lg01, nbins, intensity=intensity)):
+            assert np.array_equal(prof.counts, counts[occupied])
+            assert np.array_equal(prof.mean_amplitude, (sums[0] + 1j * sums[1]) / counts[occupied])
+            assert np.array_equal(prof.mean_intensity, sums[2] / counts[occupied])
+        assert np.array_equal(radial_mean(np.ascontiguousarray(lg01.values.real), g, nbins),
+                              prof.mean_amplitude.real)
 
 
 class TestComplexField2D:

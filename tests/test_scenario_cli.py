@@ -200,6 +200,27 @@ out_dir = {tmp_path / "blocked"}
         with pytest.raises(ValueError):
             vd.run_scenario(cfg, fmt="json")
 
+    def test_efficiency_equals_retrieval_efficiency(self, tmp_path):
+        # the run computes its reference norm once and reads each snapshot's
+        # |rho12|^2 from the physicality check: the bytes of the public helper
+        cfg = vd.parse_config(small_vortex_cfg(tmp_path / "run"))
+        table = vd.read_table_csv(vd.run_scenario(cfg).out_dir / "fidelity.csv")
+        f0 = vd.build_mode(cfg.mode, cfg.grid)
+        snap0 = vd.initial_snapshot(f0)
+        evolved = [vd.evolve_snapshot(snap0, cfg.diffusion.D, t, cfg.solver).rho12
+                   for t in cfg.diffusion.times]
+        expected = [vd.retrieval_efficiency(f, f0) for f in evolved]
+        assert list(table["efficiency"]) == expected
+
+    def test_manifest_hash_is_chunked_without_changing_the_digest(self, tmp_path):
+        from vortexdiff.scenario import _HASH_CHUNK, _sha256
+
+        for size in (0, _HASH_CHUNK, 2 * _HASH_CHUNK + 7):
+            blob = bytes(range(256)) * (size // 256) + b"t" * (size % 256)
+            path = tmp_path / f"blob{size}"
+            path.write_bytes(blob)
+            assert _sha256(path) == (hashlib.sha256(blob).hexdigest(), size)
+
     def test_fd_snapshots_equal_single_time_evolution(self, tmp_path):
         # one march across all times must reproduce a fresh march to each time
         cfg = vd.parse_config(small_vortex_cfg(tmp_path / "fd", "solver.scheme = fd\n"))

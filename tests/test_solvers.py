@@ -6,7 +6,7 @@ import pytest
 
 import vortexdiff as vd
 from vortexdiff.solvers import heat_kernel_patch
-from vortexdiff.solvers import _fd_march, _fft_size, _free_space_size
+from vortexdiff.solvers import _classical_stream, _fd_march, _fft_size, _free_space_size, _inverse_fft2
 from helpers import free_gaussian_dispersed
 
 
@@ -382,19 +382,58 @@ class TestEvolveSnapshot:
             assert e11 < e01
 
 
+class TestInverseTransform:
+    """The per-axis inverse runs in numpy's own axis order, so its bytes are
+    those of ifft2 and irfft2, at the padded sides the streams use."""
+
+    @pytest.mark.parametrize("side", [150, 180])
+    def test_complex_inverse_in_place_matches_ifft2(self, side):
+        rng = np.random.default_rng(side)
+        spectrum = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
+        expected = np.fft.ifft2(spectrum)
+        work = spectrum.copy()
+        out = _inverse_fft2(work, side, real=False)
+        assert out is work  # in place: no padded array beside the product
+        assert np.array_equal(out, expected)
+
+    @pytest.mark.parametrize("side", [150, 180])
+    def test_real_inverse_matches_irfft2(self, side):
+        rng = np.random.default_rng(side)
+        half = np.fft.rfft2(rng.standard_normal((side - 20, side - 20)), s=(side, side))
+        half *= np.exp(-rng.random(half.shape))
+        expected = np.fft.irfft2(half, s=(side, side))
+        out = _inverse_fft2(half.copy(), side, real=True)
+        assert out.dtype == np.float64 and out.shape == (side, side)
+        assert np.array_equal(out, expected)
+
+
 class TestSnapshotStream:
     """evolve_snapshots shares transforms between times and fields; every
     time must keep the bytes of a step from the initial snapshot alone."""
 
     @staticmethod
-    def _spectral_reference(f: vd.ComplexField2D, D: float, t: float) -> np.ndarray:
-        # one fft2, multiply, ifft2 and crop of this field at this time
-        size = _free_space_size(f.grid, f.free_space, D, t)
-        k = 2.0 * np.pi * np.fft.fftfreq(size, d=f.grid.dx)
+    def _spectral_reference(grid: vd.GridSpec, fs, values: np.ndarray, D: float, t: float) -> np.ndarray:
+        # one forward transform, multiply, inverse and crop of this field at
+        # this time: fft2 / ifft2 for a complex field, rfft2 / irfft2 for a
+        # real one
+        size = _free_space_size(grid, fs, D, t)
+        k = 2.0 * np.pi * np.fft.fftfreq(size, d=grid.dx)
         kx, ky = np.meshgrid(k, k, indexing="ij")
-        spectrum = np.fft.fft2(f.values, s=(size, size))
-        spectrum *= np.exp(-D * (kx**2 + ky**2) * t)
-        return np.ascontiguousarray(np.fft.ifft2(spectrum)[:f.grid.n, :f.grid.n])
+        factor = np.exp(-D * (kx**2 + ky**2) * t)
+        if np.iscomplexobj(values):
+            back = np.fft.ifft2(np.fft.fft2(values, s=(size, size)) * factor)
+        else:
+            half = np.fft.rfft2(values, s=(size, size)) * factor[:, :size // 2 + 1]
+            back = np.fft.irfft2(half, s=(size, size))
+        return np.ascontiguousarray(back[:grid.n, :grid.n])
+
+    @staticmethod
+    def _real_step(cfg: vd.SolverConfig, snap: vd.StateSnapshot, t: float) -> np.ndarray:
+        # rho22 alone, diffused to t alone as a real field, clipped as the
+        # snapshot clips it
+        ((out,),) = _classical_stream(cfg, snap.grid, snap.rho12.free_space, [snap.rho22], 1.0, [t])
+        assert out.dtype == np.float64
+        return np.maximum(out, 0.0)
 
     def test_padded_spectral_stream_matches_per_time_steps(self):
         # [-6, 6) contains LG_0^1 up to s = 1.125; later times pad, to
@@ -403,7 +442,6 @@ class TestSnapshotStream:
         g = vd.make_grid(64, 6.0)
         f = vd.lg_field(vd.ModeSpec(kind=vd.ModeKind.LG, m=1), g)
         snap = vd.initial_snapshot(f)
-        rho22 = vd.ComplexField2D(g, snap.rho22.astype(np.complex128), f.free_space)
         times = [0.0, 0.01, 0.02, 0.31, 0.32, 1.0, 2.5]
         sides = [_free_space_size(g, f.free_space, 1.0, t) for t in times[1:]]
         assert sides == [64, 64, 96, 96, 144, 216]
@@ -411,11 +449,13 @@ class TestSnapshotStream:
         for t, out in zip(times, outs):
             assert out.time == t
             single = vd.diffuse_spectral(f, 1.0, t).values
+            single22 = self._real_step(spectral_cfg(), snap, t)
             assert np.array_equal(out.rho12.values, single)
-            assert np.array_equal(out.rho22, np.maximum(
-                vd.diffuse_spectral(rho22, 1.0, t).values.real, 0.0))
+            assert np.array_equal(out.rho22, single22)
             if t > 0:
-                assert np.array_equal(single, self._spectral_reference(f, 1.0, t))
+                assert np.array_equal(single, self._spectral_reference(g, f.free_space, f.values, 1.0, t))
+                assert np.array_equal(single22, np.maximum(
+                    self._spectral_reference(g, f.free_space, snap.rho22, 1.0, t), 0.0))
 
     @staticmethod
     def _kernel_side(g: vd.GridSpec, t: float) -> int:
@@ -428,7 +468,6 @@ class TestSnapshotStream:
         g = vd.make_grid(64, 8.0)
         f = vd.lg_field(vd.ModeSpec(kind=vd.ModeKind.LG, m=1), g)
         snap = vd.initial_snapshot(f)
-        rho22 = vd.ComplexField2D(g, snap.rho22.astype(np.complex128), f.free_space)
         times = [0.0, 0.05, 0.06, 0.08, 0.25]
         assert [self._kernel_side(g, t) for t in times[1:]] == [80, 80, 80, 90]
         assert len({heat_kernel_patch(g, 1.0, t).shape for t in times[1:4]}) == 3
@@ -439,30 +478,46 @@ class TestSnapshotStream:
                 assert np.array_equal(out.rho22, snap.rho22)
                 continue
             assert np.array_equal(out.rho12.values, vd.diffuse_kernel(f, 1.0, t).values)
-            assert np.array_equal(out.rho22, np.maximum(
-                vd.diffuse_kernel(rho22, 1.0, t).values.real, 0.0))
+            assert np.array_equal(out.rho22, self._real_step(cfg, snap, t))
+
+    @staticmethod
+    def _stream_peak(snap: vd.StateSnapshot, times, cfg: vd.SolverConfig) -> int:
+        tracemalloc.start()
+        try:
+            for out in vd.evolve_snapshots(snap, 1.0, times, cfg):
+                del out  # the caller keeps no snapshot
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # Each time below is on its own padded side, so every field is
+    # transformed lazily and the padded arrays alive at once are the
+    # multiplier and one spectrum: the inverse runs in place and rho22's
+    # half spectrum and real inverse are half a padded array each.  Holding
+    # both fields' spectra, or ifft2's two working arrays, would break the
+    # bound.  A snapshot is complex rho12, real rho22 and real |rho12|^2.
 
     def test_kernel_stream_peak_memory(self):
-        # each time on its own padded side: every field is transformed
-        # lazily, so the padded arrays alive at once are the multiplier, one
-        # spectrum and ifft2's two working arrays.  Holding both fields'
-        # spectra would add two more.
         g = vd.make_grid(64, 8.0)
         snap = vd.initial_snapshot(vd.lg_field(vd.ModeSpec(kind=vd.ModeKind.LG, m=1), g))
         times = [0.25, 0.5, 1.0]
         sides = [self._kernel_side(g, t) for t in times]
         assert sides == sorted(set(sides))
-        cfg = vd.SolverConfig(scheme=vd.Scheme.KERNEL)
-        tracemalloc.start()
-        try:
-            for out in vd.evolve_snapshots(snap, 1.0, times, cfg):
-                del out  # the caller keeps no snapshot
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = self._stream_peak(snap, times, vd.SolverConfig(scheme=vd.Scheme.KERNEL))
         padded = 16 * sides[-1] ** 2
-        snapshot = 24 * g.n**2  # complex rho12 and real rho22
-        assert peak <= 4 * padded + 2 * snapshot
+        snapshot = 32 * g.n**2
+        assert peak <= 2.5 * padded + 2 * snapshot
+
+    def test_padded_spectral_stream_peak_memory(self):
+        g = vd.make_grid(256, 6.0)
+        snap = vd.initial_snapshot(vd.lg_field(vd.ModeSpec(kind=vd.ModeKind.LG, m=1), g))
+        times = [0.31, 1.0, 2.5]
+        sides = [_free_space_size(g, snap.rho12.free_space, 1.0, t) for t in times]
+        assert sides == sorted(set(sides)) and sides[0] > g.n
+        peak = self._stream_peak(snap, times, spectral_cfg())
+        padded = 16 * sides[-1] ** 2
+        snapshot = 32 * g.n**2
+        assert peak <= 2.5 * padded + 2 * snapshot
 
     def test_stream_is_lazy(self, lg01):
         stream = vd.evolve_snapshots(vd.initial_snapshot(lg01), -1.0, [0.1], spectral_cfg())
