@@ -112,9 +112,6 @@ class StateSnapshot:
     def grid(self):
         return self.rho12.grid
 
-    def copy(self) -> "StateSnapshot":
-        return StateSnapshot(self.time, self.rho12.copy(), self.rho22.copy(), self.rho11)
-
 
 def initial_snapshot(rho12: ComplexField2D) -> StateSnapshot:
     """Strong-pump initial condition: rho11 = 1, rho22 = |rho12|^2 at t = 0."""

@@ -19,7 +19,8 @@ comments run from '#' to end of line.  One table, _KEYS, is the grammar:
 each key is the path of the ScenarioConfig field it sets, and its declared
 kind both parses and renders the value.  An absent key takes the default of
 the dataclass field it names; an absent quantum section stays None.  Parse
-errors are line-addressed; semantic errors name the violated invariant.
+errors are line-addressed; semantic errors name the violated invariant, and
+the key and line of the value to change when validation knows them.
 Strict mode rejects unknown keys so a typo in a physics parameter cannot
 pass silently.
 """
@@ -42,7 +43,10 @@ from .solvers import (QuantumParams, Scheme, SolverConfig, check_kernel_resoluti
 
 
 class ConfigError(ValueError):
-    """Configuration problem; carries the offending line number when known."""
+    """Configuration problem; carries the offending line number when known, and
+    the key to change when a validation rule names one."""
+
+    key: str | None = None
 
     def __init__(self, message: str, line: int | None = None):
         super().__init__(f"line {line}: {message}" if line is not None else message)
@@ -193,18 +197,18 @@ def parse_config(text: str, strict: bool = True) -> ScenarioConfig:
             raise ConfigError(f"missing required key {key!r}")
 
     top = sections.pop("", {})
-    if "nbins" in top:
-        try:
-            check_nbins(top["nbins"])
-        except ValueError as exc:
-            raise ConfigError(str(exc), entries["nbins"][1]) from exc
     try:
         parts = {section: _SECTIONS[section](**fields) for section, fields in sections.items()}
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
     cfg = ScenarioConfig(**parts, **top, warnings=tuple(warnings))
-    validate_scenario(cfg)
+    try:
+        validate_scenario(cfg)
+    except ConfigError as exc:
+        if exc.key not in entries:
+            raise
+        raise ConfigError(str(exc), entries[exc.key][1]) from exc
     return cfg
 
 
@@ -214,7 +218,9 @@ def _key(name: str):
     try:
         yield
     except ValueError as exc:
-        raise ConfigError(f"{name}: {exc}") from exc
+        error = ConfigError(f"{name}: {exc}")
+        error.key = name
+        raise error from exc
 
 
 def validate_scenario(cfg: ScenarioConfig) -> None:
@@ -223,9 +229,9 @@ def validate_scenario(cfg: ScenarioConfig) -> None:
     Each physical rule is asked of its one owner (README, "Invariants"); its
     error becomes a ConfigError naming the key: grid.extent (containment at
     the latest time), mode.block_radius, mode.k, solver.dt, diffusion.times
-    (kernel resolution), eta or nbins.  An empty diffusion.times fails with the
-    message parse_config gives it, and a fit output whose trace cannot be
-    fitted fails naming that output.
+    (kernel resolution), eta or nbins; parse_config adds the key's line.  An
+    empty diffusion.times fails with the message parse_config gives it, and
+    a fit output whose trace cannot be fitted fails naming that output.
     """
     mode, grid, diffusion = cfg.mode, cfg.grid, cfg.diffusion
     if not diffusion.times:

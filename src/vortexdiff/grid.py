@@ -118,16 +118,15 @@ class ComplexField2D:
 
 @dataclass
 class RadialProfile:
-    """Azimuthal averages binned by radius.
+    """Mean intensity |f|^2 per radial bin.
 
-    radii are bin centers (strictly increasing), bin_width is the uniform
-    bin size used for the reduction; empty bins are omitted so counts >= 1.
+    radii are the centers of the occupied bins (strictly increasing) and
+    bin_width is the uniform bin size used for the reduction; empty bins
+    are omitted.
     """
 
     radii: np.ndarray
-    mean_amplitude: np.ndarray
     mean_intensity: np.ndarray
-    counts: np.ndarray
     bin_width: float
 
 
@@ -178,40 +177,31 @@ def _binned(idx: np.ndarray, weights, nbins: int) -> np.ndarray:
 def radial_mean(values: np.ndarray, grid: GridSpec, nbins: int) -> np.ndarray:
     """Azimuthal mean of a real field per occupied bin, on the bins of azimuthal_average.
 
-    One real bincount.  The mean is divided as a complex number, so it keeps
-    the bytes of the real part of azimuthal_average's mean_amplitude.
+    One real bincount.  Each sum is scaled by its reciprocal count, which
+    gives the bytes of the shipped rho22 columns; a true division
+    sums / counts differs from that by one ulp in about a quarter of the bins.
     """
     idx, counts = radial_bins(grid, nbins)
     sums = _binned(idx, values.ravel(), nbins)
     occupied = counts > 0
-    return ((sums[occupied] + 0j) / counts[occupied]).real
+    return sums[occupied] * (1.0 / counts[occupied])
 
 
 def azimuthal_average(f: ComplexField2D, nbins: int, intensity: np.ndarray | None = None) -> RadialProfile:
-    """Average a field over azimuth in radial bins of width extent/nbins.
+    """Mean of |f|^2 over azimuth in radial bins of width extent/nbins.
 
     Bin b collects samples with r in [b*dr, (b+1)*dr); samples at r >= extent
-    (grid corners) fall outside the last bin and are dropped.  Returns both
-    the complex mean (phase-sensitive, cancels for vortex fields) and the
-    mean squared magnitude per bin.  intensity is |f|^2 when the caller has
-    it already.
+    (grid corners) fall outside the last bin and are dropped.  One weighted
+    bincount; intensity is |f|^2 when the caller has it already.
     """
     idx, counts = radial_bins(f.grid, nbins)
     dr = f.grid.extent / nbins
-    vals = f.values.ravel()
     if intensity is None:
-        intensity = np.abs(vals) ** 2
-
-    sum_re = _binned(idx, vals.real, nbins)
-    sum_im = _binned(idx, vals.imag, nbins)
-    sum_int = _binned(idx, intensity.ravel(), nbins)
-
+        intensity = np.abs(f.values) ** 2
+    sums = _binned(idx, intensity.ravel(), nbins)
     occupied = counts > 0
-    n_occ = counts[occupied]
     return RadialProfile(
         radii=(np.arange(nbins)[occupied] + 0.5) * dr,
-        mean_amplitude=(sum_re[occupied] + 1j * sum_im[occupied]) / n_occ,
-        mean_intensity=sum_int[occupied] / n_occ,
-        counts=n_occ,
+        mean_intensity=sums[occupied] / counts[occupied],
         bin_width=dr,
     )

@@ -95,7 +95,7 @@ class SnapshotDiagnostics:
 
     @cached_property
     def profile(self) -> RadialProfile:
-        """Azimuthal average of rho12."""
+        """Azimuthal mean of |rho12|^2."""
         return azimuthal_average(self.snap.rho12, self.cfg.nbins, intensity=self.snap.coh_sq)
 
     @cached_property

@@ -159,10 +159,7 @@ class TestFindRadialNodes:
                 vd.find_radial_nodes(prof, rel_threshold=thr)
 
     def test_rejects_empty_profile(self):
-        prof = vd.RadialProfile(
-            radii=np.array([]), mean_amplitude=np.array([]),
-            mean_intensity=np.array([]), counts=np.array([]), bin_width=0.1,
-        )
+        prof = vd.RadialProfile(radii=np.array([]), mean_intensity=np.array([]), bin_width=0.1)
         with pytest.raises(ValueError):
             vd.find_radial_nodes(prof)
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -182,6 +183,22 @@ class TestParsing:
         assert err.value.line == 4
         assert key in str(err.value)
 
+    @pytest.mark.parametrize("key,text,line", [
+        ("grid.extent", MINIMAL.replace("grid.extent = 8", "grid.extent = 7"), 10),
+        ("mode.block_radius",
+         MINIMAL.replace("= lg", "= blocked_gaussian") + "mode.block_radius = 8\n", 11),
+        ("mode.k", MINIMAL.replace("= lg", "= plane_wave") + "mode.k = 1.0\n", 11),
+        ("solver.dt", MINIMAL + "solver.scheme = fd\nsolver.dt = 1.0\n", 12),
+        ("diffusion.times",
+         MINIMAL.replace("[0, 0.25]", "[0, 0.0005, 0.25]") + "solver.scheme = kernel\n", 8),
+        ("eta", "eta = 1.0" + MINIMAL, 1),
+        ("nbins", MINIMAL + "nbins = 3\n", 11),
+    ])
+    def test_keyed_validation_error_names_its_line(self, key, text, line):
+        with pytest.raises(vd.ConfigError, match=rf"^line {line}: {re.escape(key)}: ") as err:
+            vd.parse_config(text)
+        assert err.value.line == line
+
     def test_outputs_parsing(self):
         cfg = vd.parse_config(MINIMAL + "outputs = snapshots, nodes, fidelity_trace\n")
         assert cfg.outputs == (OutputKind.SNAPSHOTS, OutputKind.NODES, OutputKind.FIDELITY_TRACE)
@@ -248,7 +265,7 @@ diffusion.times = [0, 0.25]
             (0.1, "hole_refill", "too small to resolve"),
         ]:
             text = blocked + f"mode.block_radius = {radius}\noutputs = {outputs}\n"
-            with pytest.raises(vd.ConfigError, match=rf"^mode\.block_radius: .*{message}"):
+            with pytest.raises(vd.ConfigError, match=rf"^line 11: mode\.block_radius: .*{message}"):
                 vd.parse_config(text)
         ok = vd.parse_config(blocked + "mode.block_radius = 4\noutputs = hole_refill\n")
         assert ok.mode.block_radius == 4.0
@@ -274,7 +291,7 @@ diffusion.times = [0, 0.1]
 grid.n = 64
 grid.extent = 8
 """
-        with pytest.raises(vd.ConfigError, match=r"^mode\.k: .*Nyquist"):
+        with pytest.raises(vd.ConfigError, match=r"^line 3: mode\.k: .*Nyquist"):
             vd.parse_config(cfg_text)
 
     def test_fd_dt_against_cfl(self):
@@ -285,7 +302,7 @@ grid.extent = 8
     def test_kernel_resolution_checked_at_every_nonzero_time(self):
         # dx = 1/16: the kernel needs 4 D t >= dx^2, t >= 1/1024, at every t > 0
         kernel = MINIMAL + "solver.scheme = kernel\n"
-        with pytest.raises(vd.ConfigError, match=r"^diffusion.times: kernel unresolved"):
+        with pytest.raises(vd.ConfigError, match=r"^line 8: diffusion\.times: kernel unresolved"):
             vd.parse_config(kernel.replace("[0, 0.25]", "[0, 0.0005, 0.25]"))
         assert vd.parse_config(kernel.replace("[0, 0.25]", "[0, 0.001, 0.25]"))
         assert vd.parse_config(MINIMAL.replace("[0, 0.25]", "[0, 0.0005, 0.25]"))
@@ -293,7 +310,7 @@ grid.extent = 8
         assert vd.parse_config(no_diffusion.replace("[0, 0.25]", "[0, 0.0005, 0.25]"))
 
     def test_nbins_rule_checked_at_parse_and_validation(self):
-        with pytest.raises(vd.ConfigError, match=r"^line 11: nbins must be an integer >= 4, got 3$"):
+        with pytest.raises(vd.ConfigError, match=r"^line 11: nbins: nbins must be an integer >= 4, got 3$"):
             vd.parse_config(MINIMAL + "nbins = 3\n")
         cfg = dataclasses.replace(vd.parse_config(MINIMAL), nbins=2)
         with pytest.raises(vd.ConfigError, match="^nbins: "):

@@ -11,6 +11,7 @@ import pytest
 
 import vortexdiff as vd
 from vortexdiff.cli import main
+from vortexdiff.grid import radial_mean
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
@@ -117,9 +118,10 @@ out_dir = {tmp_path / "blocked"}
         assert float(fields[0][2]) == pytest.approx(-2.0, abs=1e-3)
 
     def test_each_reduction_runs_once_per_snapshot(self, tmp_path, monkeypatch):
+        import vortexdiff.grid as grid
         import vortexdiff.scenario as scenario
 
-        calls = {"azimuthal": 0, "radial": 0, "coherence": 0}
+        calls = {"azimuthal": 0, "radial": 0, "coherence": 0, "binned": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -127,16 +129,26 @@ out_dir = {tmp_path / "blocked"}
                 return fn(*args, **kwargs)
             return wrapper
 
+        binned = grid._binned
+
+        def weighted_binned(idx, weights, nbins):
+            # a weighted sum is a pass over the grid; the cached bin-count
+            # build (weights None) is not
+            calls["binned"] += weights is not None
+            return binned(idx, weights, nbins)
+
         monkeypatch.setattr(scenario, "azimuthal_average",
                             counted("azimuthal", scenario.azimuthal_average))
         monkeypatch.setattr(scenario, "radial_mean", counted("radial", scenario.radial_mean))
         monkeypatch.setattr(scenario, "coherence_factor_field",
                             counted("coherence", scenario.coherence_factor_field))
+        monkeypatch.setattr(grid, "_binned", weighted_binned)
         cfg = vd.parse_config(small_vortex_cfg(tmp_path / "run"))
         vd.run_scenario(cfg, fmt="vxf")
         # per snapshot: the rho12 profile, the rho22 radial mean and the
-        # coherence map, once each
-        assert calls == {"azimuthal": 5, "radial": 5, "coherence": 5}
+        # coherence map, once each; the two radial reductions are one
+        # weighted binned sum each, of |rho12|^2 and of rho22
+        assert calls == {"azimuthal": 5, "radial": 5, "coherence": 5, "binned": 10}
 
     @pytest.mark.parametrize("scheme", ["spectral", "kernel", "fd"])
     def test_run_holds_one_evolved_snapshot_at_a_time(self, tmp_path, monkeypatch, scheme):
@@ -309,7 +321,7 @@ class TestCliSimulate:
             "[0, 0.05, 0.1, 0.15, 0.25]", "[0.0, 0.0005, 0.25]").replace(", fit\n", "\n"))
         assert main(["--format", "vxf", "simulate", str(cfg_file)]) == 2
         message = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["message"]
-        assert message.startswith("diffusion.times: kernel unresolved")
+        assert message.startswith("line 7: diffusion.times: kernel unresolved")
         assert not out.exists()
 
     def test_threads_option_still_accepted(self, tmp_path):
@@ -520,16 +532,12 @@ class TestShippedScenarios:
         coh_field = vd.ComplexField2D(
             grid, vd.coherence_closed_form(r, theta, t, spec, cfg.diffusion.D)
         )
-        pop_field = vd.ComplexField2D(
-            grid, population(r, t, spec.w0, spec.P, cfg.diffusion.D).astype(complex)
-        )
         coh_prof = vd.azimuthal_average(coh_field, cfg.nbins)
-        pop_prof = vd.azimuthal_average(pop_field, cfg.nbins)
+        pop_curve = radial_mean(population(r, t, spec.w0, spec.P, cfg.diffusion.D), grid, cfg.nbins)
 
         prof = vd.read_table_csv(manifest.out_dir / "profile_001.csv")
         assert np.allclose(prof["r"], coh_prof.radii)
         coh_curve = np.sqrt(coh_prof.mean_intensity)
-        pop_curve = pop_prof.mean_amplitude.real
         assert np.max(np.abs(prof["rho12_abs"] - coh_curve)) <= 1e-6 * coh_curve.max()
         assert np.max(np.abs(prof["rho22"] - pop_curve)) <= 1e-5 * pop_curve.max()
 
