@@ -4,11 +4,15 @@
 #
 #   scripts/same_outputs.sh <base-rev>
 #
-# The base revision is checked out with `git worktree` into a temporary
+# The base revision is exported with `git archive` into a temporary
 # directory, which is removed on exit.  Each tree runs its own code on its
 # own scenarios.  The script prints nothing and exits 0 when every manifest,
-# table and dump is byte-identical; otherwise `diff -r` shows what differs
-# and the exit status is nonzero.  Needs only Python with numpy.
+# table and dump is byte-identical.  Otherwise it lists the files that
+# differ (`diff -rq`), then explains the numeric change: the worst relative
+# L-infinity per output kind (tables by column, VXF and CSV dumps by field,
+# the time index folded into NNN), against the base's peak, with the run
+# where it occurs; and the exit status is nonzero.  Needs only Python with
+# numpy.
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -17,12 +21,9 @@ if [ $# -ne 1 ]; then
 fi
 head=$(git rev-parse --show-toplevel)
 work=$(mktemp -d)
-cleanup() {
-  git -C "$head" worktree remove --force "$work/base" 2> /dev/null || true
-  rm -rf "$work"
-}
-trap cleanup EXIT
-git -C "$head" worktree add --quiet --detach "$work/base" "$1"
+trap 'rm -rf "$work"' EXIT
+mkdir "$work/base"
+git -C "$head" archive "$1" | tar -x -C "$work/base"
 
 run_all() {  # run_all TREE OUT
   (
@@ -55,6 +56,79 @@ run_all() {  # run_all TREE OUT
   )
 }
 
+explain() {  # explain BASE HEAD: worst relative L-infinity per output kind
+  python - "$1" "$2" << 'PY'
+import re
+import struct
+import sys
+from pathlib import Path
+
+import numpy as np
+
+base, head = map(Path, sys.argv[1:])
+HEADER = struct.Struct("<4sIIddB")  # VXF1: magic, version, n, extent, time, kind
+
+
+def number(cell):
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def fields(path):
+    """{field or column: values} of a dump or table, None for any other file.
+
+    A dump is one field; a table gives one entry per numeric column, or,
+    when its first column holds labels (fit.csv, echo_report.csv), one per
+    labelled cell."""
+    if path.suffix == ".vxf":
+        blob = path.read_bytes()
+        kind = HEADER.unpack_from(blob)[5]
+        return {"": np.frombuffer(blob[HEADER.size:], "<c16" if kind == 0 else "<f8")}
+    if path.suffix != ".csv":
+        return None
+    rows = [ln.split(",") for ln in path.read_text().splitlines() if not ln.startswith("#")]
+    names, cells = rows[0], rows[1:]
+    if cells and number(cells[0][0]) is None:
+        return {f"{name}[{row[0]}]": np.array([number(cell)]) for row in cells
+                for name, cell in zip(names[1:], row[1:])}
+    cols = {name: np.array([float(r[i]) for r in cells]) for i, name in enumerate(names)}
+    if names[:2] == ["x", "y"]:  # a field dump: one complex or real field
+        return {"": cols["re"] + 1j * cols["im"] if "re" in cols else cols["value"]}
+    return cols
+
+
+worst = {}  # kind -> (relative L-infinity, base peak, run)
+for b in sorted(p for p in base.rglob("*") if p.is_file()):
+    rel = b.relative_to(base)
+    h = head / rel
+    if not h.is_file() or b.read_bytes() == h.read_bytes():
+        continue
+    stem = re.sub(r"_\d{3}$", "_NNN", b.stem) + b.suffix
+    old, new = fields(b), fields(h)
+    if old is None or new is None or old.keys() != new.keys() or any(
+            old[k].shape != new[k].shape for k in old):
+        worst.setdefault(stem, (np.inf, np.nan, str(rel.parent)))  # text, or a changed layout
+        continue
+    for k in old:
+        peak = np.max(np.abs(old[k]), initial=0.0)
+        gap = np.max(np.abs(new[k] - old[k]), initial=0.0)
+        change = gap / peak if peak > 0 else (0.0 if gap == 0 else np.inf)
+        kind = f"{stem}:{k}" if k else stem
+        if change >= worst.get(kind, (-1.0,))[0]:
+            worst[kind] = (change, peak, str(rel.parent))
+
+print(f"{'output kind':<48} {'worst rel. Linf':>15} {'base peak':>10}  run")
+for kind, (change, peak, run) in sorted(worst.items()):
+    shown = "text" if np.isnan(peak) else f"{change:.3g}"
+    print(f"{kind:<48} {shown:>15} {peak:>10.3g}  {run}")
+PY
+}
+
 run_all "$work/base" "$work/out-base"
 run_all "$head" "$work/out-head"
-diff -r "$work/out-base" "$work/out-head"
+if ! diff -rq "$work/out-base" "$work/out-head"; then
+  explain "$work/out-base" "$work/out-head"
+  exit 1
+fi

@@ -214,11 +214,13 @@ def parse_config(text: str, strict: bool = True) -> ScenarioConfig:
 
 @contextlib.contextmanager
 def _key(name: str):
-    """Turn a rule's ValueError into a ConfigError that names the key to change."""
+    """Turn a rule's ValueError into a ConfigError that names the key to
+    change, once: a message that already opens with the key keeps its text."""
     try:
         yield
     except ValueError as exc:
-        error = ConfigError(f"{name}: {exc}")
+        message = str(exc)
+        error = ConfigError(message if message.startswith(f"{name} ") else f"{name}: {message}")
         error.key = name
         raise error from exc
 

@@ -10,28 +10,32 @@ Three independent classical schemes on the same grid:
   meets its own periodic images.  Other fields (plane waves, raw data) are
   evolved periodically.
 * FD_EXPLICIT: forward-Euler 5-point stencil with periodic wrap; O(dx^2)+O(dt),
-  kept deliberately simple as convergence-order evidence.  It marches once
-  across all requested times, at O(t_max) work, and gives each time the
-  bytes of a march to that time alone.
+  kept deliberately simple as convergence-order evidence.  The DFT modes are
+  the eigenvectors of the periodic stencil, with eigenvalue
+  lambda = (2 cos(kx dx) - 2 + 2 cos(ky dx) - 2) / dx^2, so N full steps of
+  dt and one over the remainder r are the multiplier
+  (1 + D dt lambda)^N (1 + D r lambda) on the grid's own side: the same
+  discretization and step count as a march, evaluated exactly.
 * KERNEL: discrete convolution with the sampled heat kernel
   G = e^{-|r|^2 / 4 D t} / (4 pi D t), truncated where G < 1e-16 G(0): the
   spectral step again with the multiplier fft2(G) dx^2 on a zero-padded
   side, a linear convolution, so this scheme is free-space for every field.
 
-The spectral, kernel and quantum steps are one loop, _fourier_stream: per
-time a plan gives the FFT side and crop offset (or the identity) and a
-multiplier, built once for all fields; each field goes to its spectrum at
-that side, is multiplied, goes back and is cropped.  A complex field uses
-fft2; a real one (rho22) uses rfft2 and half the multiplier, and comes back
-real.  Every inverse runs one axis at a time, the complex passes in place,
-with the bytes of ifft2 / irfft2.  Its memory rule: a field's padded
-spectrum is held only while the next time uses the same side; otherwise
-each field is transformed lazily, multiplied in place and dropped.
-_classical_stream is the one scheme dispatch: spectral and kernel run that
-loop, FD runs _fd_march.  evolve_snapshots (a lazy generator that keeps no
-snapshot it has yielded) and the one-field steps diffuse_spectral,
-diffuse_kernel and diffuse_fd all call it; evolve_quantum is the loop's
-periodic one-time case.
+The three classical steps and the quantum step are one loop,
+_fourier_stream: per time a plan gives the FFT side and crop offset (or the
+identity) and a multiplier, built once for all fields; each field goes to
+its spectrum at that side, is multiplied, goes back and is cropped.  A
+complex field uses fft2; a real one (rho22) uses rfft2 and half the
+multiplier, and comes back real.  Every inverse runs one axis at a time,
+the complex passes in place, with the bytes of ifft2 / irfft2.  Its memory
+rule: a field's padded spectrum is held only while the next time uses the
+same side; otherwise each field is transformed lazily, multiplied in place
+and dropped.  _classical_stream is the one scheme dispatch: the schemes
+differ only in plan and multiplier.  The spectral and quantum multipliers
+are separable, outer products of 1-D factors.  evolve_snapshots (a lazy
+generator that keeps no snapshot it has yielded) and the one-field steps
+diffuse_spectral, diffuse_kernel and diffuse_fd all call it;
+evolve_quantum is the loop's periodic one-time case.
 
 Every classical step returns a field with its input's boundary; a free-space
 record grows to the diffused waist w0^2 + 4 D t, so chained steps pad enough.
@@ -109,15 +113,20 @@ class QuantumParams:
     beta: float = 1.0
 
 
-@functools.lru_cache(maxsize=2)
-def _k_squared(n: int, dx: float) -> np.ndarray:
-    """|k|^2 on an n x n FFT grid of spacing dx, read-only and cached: a
-    stream of times, or an echo, asks for the same side again and again."""
+@functools.lru_cache(maxsize=4)
+def _wavenumbers(n: int, dx: float) -> np.ndarray:
+    """Angular wavenumbers 2 pi fftfreq(n, dx) of one axis of an n x n FFT
+    grid, read-only and cached: a stream of times, or an echo, asks for the
+    same side again and again.  Every multiplier is built from them."""
     k = 2.0 * np.pi * np.fft.fftfreq(n, d=dx)
-    kx, ky = np.meshgrid(k, k, indexing="ij")
-    k2 = kx**2 + ky**2
-    k2.flags.writeable = False
-    return k2
+    k.flags.writeable = False
+    return k
+
+
+def _outer(axis_factor: np.ndarray) -> np.ndarray:
+    """The 2-D multiplier f(kx) f(ky) of a separable symbol, from its 1-D
+    factor: one n^2 product instead of an n^2 exp."""
+    return np.multiply.outer(axis_factor, axis_factor)
 
 
 def max_wavenumber(grid: GridSpec) -> float:
@@ -260,27 +269,15 @@ def fd_max_dt(grid: GridSpec, D: float, cfl_safety: float = 1.0) -> float:
     return cfl_safety * grid.dx**2 / (4.0 * D)
 
 
-def _periodic_laplacian(u: np.ndarray, out: np.ndarray) -> np.ndarray:
-    np.multiply(u, -4.0, out=out)
-    out[1:, :] += u[:-1, :]
-    out[0, :] += u[-1, :]
-    out[:-1, :] += u[1:, :]
-    out[-1, :] += u[0, :]
-    out[:, 1:] += u[:, :-1]
-    out[:, 0] += u[:, -1]
-    out[:, :-1] += u[:, 1:]
-    out[:, -1] += u[:, 0]
-    return out
-
-
 def fd_timestep(grid: GridSpec, D: float, cfg: SolverConfig) -> float:
     """The explicit-FD step size: cfg.dt, or the stability bound when cfg.dt
-    is None.  A dt above the bound is a hard error (CflError) naming the
-    maximum admissible value; this is the one CFL rule, shared by the march
-    and by config validation.  Needs D > 0."""
+    is None.  A dt above the bound, or a bound that underflows to 0, is a
+    hard error (CflError) naming the maximum admissible value; this is the
+    one CFL rule, shared by the FD stream and by config validation.  Needs
+    D > 0."""
     bound = fd_max_dt(grid, D, cfg.cfl_safety)
     dt = bound if cfg.dt is None else cfg.dt
-    if dt > bound * (1.0 + 1e-12):
+    if not 0 < dt <= bound * (1.0 + 1e-12):
         raise CflError(
             f"FD timestep dt={dt:.6g} violates the stability bound; "
             f"maximum admissible dt is {bound:.6g} "
@@ -290,65 +287,41 @@ def fd_timestep(grid: GridSpec, D: float, cfg: SolverConfig) -> float:
     return dt
 
 
-def _fd_march(values: np.ndarray, grid: GridSpec, D: float, times: list[float],
-              cfg: SolverConfig) -> Iterator[np.ndarray]:
-    """The one explicit-FD stepping loop, marched once across ascending times.
-
-    For each t the shared state advances to floor(t/dt) full steps; one
-    shorter step over the remainder is applied to a copy only, and the march
-    goes on from the full-step state.  Every result thus follows the step
-    sequence of a march to that t alone, byte for byte, at O(t_max) work
-    instead of O(sum of t).  values keeps its dtype: a real field marches as
-    float64.  Results are yielded one time at a time, each a new array, so a
-    caller can consume them as they come.
-    """
-    if any(later < earlier for earlier, later in zip(times, times[1:])):
-        raise ValueError(f"FD march needs ascending times, got {times}")
-    if D == 0 or not times or times[-1] == 0:
-        for _ in times:
-            yield values.copy()
-        return
-    dt = fd_timestep(grid, D, cfg)
-    u = values.copy()
-    lap = np.empty_like(u)
-    coeff = D * dt / grid.dx**2
-    steps_done = 0
-    for t in times:
-        n_full = int(math.floor(t / dt + 1e-12))
-        for _ in range(n_full - steps_done):
-            _periodic_laplacian(u, lap)
-            lap *= coeff
-            u += lap
-        steps_done = n_full
-        remainder = t - n_full * dt
-        if remainder > 1e-12 * dt:
-            _periodic_laplacian(u, lap)
-            lap *= D * remainder / grid.dx**2
-            yield u + lap
-        else:
-            yield u.copy()
-
-
 def _classical_stream(cfg: SolverConfig, grid: GridSpec, free_space: FreeSpace | None,
                       fields: list[np.ndarray], D: float, times: list[float]) -> Iterator[list[np.ndarray]]:
     """The one scheme dispatch for classical steps: each array in fields
     (with boundary free_space) diffused to each time under cfg.scheme, one
     list of results per time, yielded lazily; every result keeps its
-    field's dtype, so a real field stays real.  Spectral and kernel run
-    through _fourier_stream; FD marches each field once across the
-    ascending times.  t = 0 and D = 0 are the identity.
+    field's dtype, so a real field stays real.  Every scheme runs through
+    _fourier_stream and differs only in plan and multiplier: spectral pads a
+    free-space field as containment asks, kernel pads by the patch's
+    half-width, FD stays periodic on the grid's own side.  t = 0 and D = 0
+    are the identity.  An FD dt above the stability bound raises CflError
+    here, before any transform.
     """
     check_diffusion(D, times)
-    if cfg.scheme is Scheme.FD_EXPLICIT:
-        marches = [_fd_march(v, grid, D, times, cfg) for v in fields]
-        return ([next(march) for march in marches] for _ in times)
+    scale = 1.0
     if cfg.scheme is Scheme.SPECTRAL:
         def step(t):
             return _free_space_size(grid, free_space, D, t), 0
 
         def factor(t, side):
-            return np.exp(-D * _k_squared(side, grid.dx) * t)
-        scale = 1.0
+            return _outer(np.exp(-D * _wavenumbers(side, grid.dx) ** 2 * t))
+    elif cfg.scheme is Scheme.FD_EXPLICIT:
+        dt = fd_timestep(grid, D, cfg) if D > 0 else None
+
+        def step(t):  # periodic for every field: no padding
+            return grid.n, 0
+
+        def factor(t, side):  # N full steps, then one over the remainder
+            axis = (2.0 * np.cos(_wavenumbers(side, grid.dx) * grid.dx) - 2.0) / grid.dx**2
+            lam = np.add.outer(axis, axis)
+            n_full = math.floor(t / dt + 1e-12)
+            remainder = t - n_full * dt
+            out = (1.0 + D * dt * lam) ** n_full
+            if remainder > 1e-12 * dt:
+                out *= 1.0 + D * remainder * lam
+            return out
     elif cfg.scheme is Scheme.KERNEL:
         def step(t):  # pad by the patch's half-width, keep the window at that offset
             check_kernel_resolution(grid, D, (t,))
@@ -382,10 +355,13 @@ def diffuse_fd(f: ComplexField2D, D: float, t: float, cfg: SolverConfig) -> Comp
     field, free-space ones included: this scheme is the independent
     convergence witness, so it stays as simple as possible.
 
-    Marches floor(t/dt) full steps of cfg.dt (or the stability bound when
+    Takes floor(t/dt) full steps of cfg.dt (or the stability bound when
     cfg.dt is None) plus one shorter final step covering the remainder, so
-    an arbitrary t is reached exactly.  A dt above the stability bound is a
-    hard error naming the maximum admissible value.
+    an arbitrary t is reached exactly.  The steps are applied at once, as
+    the stencil's Fourier multiplier (1 + D dt lambda)^N (1 + D r lambda):
+    the result is a stepwise march's to rounding, at the cost of one
+    transform pair.  A dt above the stability bound is a hard error naming
+    the maximum admissible value.
     """
     ((u,),) = _classical_stream(replace(cfg, scheme=Scheme.FD_EXPLICIT), f.grid, f.free_space,
                                 [f.values], D, [t])
@@ -415,7 +391,7 @@ def evolve_quantum(f: ComplexField2D, q: QuantumParams, t: float) -> ComplexFiel
     """
     ((out,),) = _fourier_stream(
         f.grid, [f.values], [t], lambda _: (f.grid.n, 0),
-        lambda t, side: np.exp(-1j * q.beta * _k_squared(side, f.grid.dx) * t))
+        lambda t, side: _outer(np.exp(-1j * q.beta * _wavenumbers(side, f.grid.dx) ** 2 * t)))
     return ComplexField2D(f.grid, out, f.free_space)
 
 

@@ -2,7 +2,8 @@
 
 These deliberately avoid the package's own code paths: the Laguerre oracle
 is an explicit series sum, radial integrals go through adaptive quadrature,
-and closed-form field values are rebuilt from first principles where needed.
+closed-form field values are rebuilt from first principles where needed, and
+the finite-difference scheme is marched step by step on the grid.
 """
 
 import math
@@ -45,3 +46,21 @@ def free_gaussian_dispersed(r, w0: float, beta: float, t: float):
     the complex-width Gaussian (w0^2 / q) e^{-r^2 / q}, q = w0^2 + 4 i beta t."""
     q = w0**2 + 4.0j * beta * t
     return (w0**2 / q) * np.exp(-(r**2) / q)
+
+
+def fd_march(values: np.ndarray, dx: float, D: float, dt: float, t: float) -> np.ndarray:
+    """Forward-Euler march of the periodic 5-point stencil, one array sweep
+    per step: floor(t/dt) full steps of dt, then one step over the
+    remainder when it exceeds 1e-12 dt.  values keeps its dtype."""
+    def laplacian(u):
+        return (np.roll(u, 1, 0) + np.roll(u, -1, 0) + np.roll(u, 1, 1) + np.roll(u, -1, 1)
+                - 4.0 * u) / dx**2
+
+    u = np.array(values)
+    n_full = math.floor(t / dt + 1e-12)
+    for _ in range(n_full):
+        u = u + D * dt * laplacian(u)
+    remainder = t - n_full * dt
+    if remainder > 1e-12 * dt:
+        u = u + D * remainder * laplacian(u)
+    return u

@@ -234,7 +234,7 @@ out_dir = {tmp_path / "blocked"}
             assert _sha256(path) == (hashlib.sha256(blob).hexdigest(), size)
 
     def test_fd_snapshots_equal_single_time_evolution(self, tmp_path):
-        # one march across all times must reproduce a fresh march to each time
+        # the FD stream across all times must reproduce a step to each time alone
         cfg = vd.parse_config(small_vortex_cfg(tmp_path / "fd", "solver.scheme = fd\n"))
         manifest = vd.run_scenario(cfg, fmt="vxf")
         snap0 = vd.initial_snapshot(vd.build_mode(cfg.mode, cfg.grid))
@@ -331,6 +331,22 @@ class TestCliSimulate:
         assert main(["--out-dir", str(out), "--format", "vxf", "--threads", "2",
                      "simulate", str(cfg_file)]) == 0
         assert (out / "manifest.json").exists()
+
+    def test_benchmark_invocation_writes_only_manifested_files(self, tmp_path):
+        # the command line the benchmark runs, in a fresh process: it must
+        # exit 0 and leave only regular files, each listed in the manifest
+        cfg_file = tmp_path / "v.cfg"
+        cfg_file.write_text(small_vortex_cfg(tmp_path / "unused"))
+        out = tmp_path / "bench"
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
+        proc = subprocess.run([sys.executable, "-m", "vortexdiff.cli", "--out-dir", str(out),
+                               "--format", "vxf", "--threads", "1", "simulate", str(cfg_file)],
+                              env=env, cwd=tmp_path, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        paths = sorted(out.iterdir())
+        assert paths and all(path.is_file() and not path.is_symlink() for path in paths)
+        listed = [entry["path"] for entry in json.loads((out / "manifest.json").read_text())["files"]]
+        assert sorted(listed) == [path.name for path in paths if path.name != "manifest.json"]
 
     def test_threads_below_one_is_usage_error(self, tmp_path, capsys):
         cfg_file = tmp_path / "v.cfg"

@@ -6,8 +6,9 @@ import pytest
 
 import vortexdiff as vd
 from vortexdiff.solvers import heat_kernel_patch
-from vortexdiff.solvers import _classical_stream, _fd_march, _fft_size, _free_space_size, _inverse_fft2
-from helpers import free_gaussian_dispersed
+from vortexdiff.solvers import (_classical_stream, _fft_size, _free_space_size, _inverse_fft2, _outer,
+                                _wavenumbers)
+from helpers import fd_march, free_gaussian_dispersed
 
 
 def rel_linf(a, b):
@@ -92,7 +93,9 @@ class TestDiffuseFd:
 
 
 class TestFdMarch:
-    """One FD march across ascending times equals a fresh march to each time."""
+    """The FD scheme is the periodic 5-point march, applied as the stencil's
+    Fourier multiplier: it matches a stepwise march, and a stream of times
+    equals a step to each time alone."""
 
     @staticmethod
     def _setup():
@@ -104,17 +107,32 @@ class TestFdMarch:
         times = [0.0, k * dt, k * dt + 0.4 * dt, 25.3 * dt]
         return f, cfg, times
 
+    @pytest.mark.parametrize("given_dt", [True, False])
+    def test_matches_stepwise_march(self, given_dt):
+        # under the given dt and under the default one (the stability
+        # bound), some times end in a remainder step
+        f, cfg, times = self._setup()
+        cfg = cfg if given_dt else fd_cfg()
+        dt = vd.fd_timestep(f.grid, 1.0, cfg)
+        assert any(t / dt % 1 > 0.1 for t in times)
+        snap = vd.initial_snapshot(f)
+        for t, out in zip(times, vd.evolve_snapshots(snap, 1.0, times, cfg)):
+            expected = fd_march(f.values, f.grid.dx, 1.0, dt, t)
+            expected22 = fd_march(snap.rho22, f.grid.dx, 1.0, dt, t)
+            assert expected22.dtype == out.rho22.dtype == np.float64
+            assert rel_linf(vd.diffuse_fd(f, 1.0, t, cfg).values, expected) <= 1e-13
+            assert rel_linf(out.rho12.values, expected) <= 1e-13
+            assert rel_linf(out.rho22, expected22) <= 1e-13
+
     def test_march_matches_per_time_diffuse_fd(self):
         f, cfg, times = self._setup()
-        marched = _fd_march(f.values, f.grid, 1.0, times, cfg)
-        for t, u in zip(times, marched):
-            assert np.array_equal(u, vd.diffuse_fd(f, 1.0, t, cfg).values)
         real = np.abs(f.values) ** 2
-        marched_real = _fd_march(real, f.grid, 1.0, times, cfg)
-        for t, u in zip(times, marched_real):
-            assert u.dtype == np.float64
-            per_time = vd.diffuse_fd(vd.ComplexField2D(f.grid, real), 1.0, t, cfg).values
-            assert np.array_equal(u, per_time.real)
+        stream = _classical_stream(cfg, f.grid, f.free_space, [f.values, real], 1.0, times)
+        for t, (u, v) in zip(times, stream):
+            assert np.array_equal(u, vd.diffuse_fd(f, 1.0, t, cfg).values)
+            ((alone,),) = _classical_stream(cfg, f.grid, f.free_space, [real], 1.0, [t])
+            assert v.dtype == np.float64
+            assert np.array_equal(v, alone)
 
     def test_evolve_snapshots_matches_evolve_snapshot(self):
         f, cfg, times = self._setup()
@@ -128,17 +146,12 @@ class TestFdMarch:
 
     def test_d_zero_returns_copies(self):
         f, cfg, times = self._setup()
-        marched = list(_fd_march(f.values, f.grid, 0.0, times, cfg))
+        marched = [u for (u,) in _classical_stream(cfg, f.grid, f.free_space, [f.values], 0.0, times)]
         assert len(marched) == len(times)
         for u in marched:
             assert np.array_equal(u, f.values)
             assert not np.shares_memory(u, f.values)
         assert not np.shares_memory(marched[0], marched[1])
-
-    def test_descending_times_rejected(self):
-        f, cfg, _ = self._setup()
-        with pytest.raises(ValueError, match="ascending"):
-            list(_fd_march(f.values, f.grid, 1.0, [0.1, 0.05], cfg))
 
 
 class TestDiffuseKernel:
@@ -270,11 +283,11 @@ class TestQuantumEvolution:
 
     def test_matches_direct_transform(self, lg01):
         # the periodic one-time case of the Fourier loop: fft2, multiply by
-        # e^{-i beta k^2 t}, ifft2, with the same bytes
+        # e^{-i beta kx^2 t} e^{-i beta ky^2 t}, ifft2, with the same bytes
         beta, t = 0.8, 0.3
         k = 2.0 * np.pi * np.fft.fftfreq(lg01.grid.n, d=lg01.grid.dx)
-        kx, ky = np.meshgrid(k, k, indexing="ij")
-        expected = np.fft.ifft2(np.fft.fft2(lg01.values) * np.exp(-1j * beta * (kx**2 + ky**2) * t))
+        phase = np.exp(-1j * beta * k**2 * t)
+        expected = np.fft.ifft2(np.fft.fft2(lg01.values) * np.outer(phase, phase))
         out = vd.evolve_quantum(lg01, vd.QuantumParams(beta=beta), t)
         assert np.array_equal(out.values, expected)
         assert out.free_space == lg01.free_space
@@ -293,6 +306,28 @@ class TestQuantumEvolution:
         q = vd.QuantumParams(beta=1.0)
         out = vd.echo_reverse(lg01, q, 0.0)
         assert rel_linf(out.values, lg01.values) <= 1e-13
+
+
+class TestSeparableMultiplier:
+    """The spectral and quantum multipliers are outer products of 1-D
+    factors; they stay within rounding of the n^2 exp of |k|^2: 1e-12 of
+    the peak for the decay, the phase's own rounding for the phase."""
+
+    @pytest.mark.parametrize("side,extent", [(1024, 8.0), (256, 8.0), (216, 6.0)])
+    def test_outer_product_matches_full_grid_exp(self, side, extent):
+        dx = 2.0 * extent / side
+        k = _wavenumbers(side, dx)
+        kx, ky = np.meshgrid(k, k, indexing="ij")
+        k2 = kx**2 + ky**2
+        for t in (0.01, 0.25, 2.5):
+            full = np.exp(-k2 * t)
+            assert np.max(np.abs(_outer(np.exp(-k**2 * t)) - full)) <= 1e-12 * np.max(full)
+        for beta, t in ((1.0, 0.25), (0.8, 0.3)):
+            # a phase is resolved only to its own rounding, so the gap is
+            # bounded by that rounding, which grows with k_max^2 t
+            full = np.exp(-1j * beta * k2 * t)
+            bound = 4.0 * np.finfo(float).eps * beta * k2.max() * t
+            assert np.max(np.abs(_outer(np.exp(-1j * beta * k**2 * t)) - full)) <= bound
 
 
 class TestClassicalIrreversibility:
@@ -413,13 +448,13 @@ class TestSnapshotStream:
 
     @staticmethod
     def _spectral_reference(grid: vd.GridSpec, fs, values: np.ndarray, D: float, t: float) -> np.ndarray:
-        # one forward transform, multiply, inverse and crop of this field at
-        # this time: fft2 / ifft2 for a complex field, rfft2 / irfft2 for a
-        # real one
+        # one forward transform, multiply by e^{-D kx^2 t} e^{-D ky^2 t},
+        # inverse and crop of this field at this time: fft2 / ifft2 for a
+        # complex field, rfft2 / irfft2 for a real one
         size = _free_space_size(grid, fs, D, t)
         k = 2.0 * np.pi * np.fft.fftfreq(size, d=grid.dx)
-        kx, ky = np.meshgrid(k, k, indexing="ij")
-        factor = np.exp(-D * (kx**2 + ky**2) * t)
+        axis = np.exp(-D * k**2 * t)
+        factor = np.outer(axis, axis)
         if np.iscomplexobj(values):
             back = np.fft.ifft2(np.fft.fft2(values, s=(size, size)) * factor)
         else:
@@ -490,12 +525,15 @@ class TestSnapshotStream:
         finally:
             tracemalloc.stop()
 
-    # Each time below is on its own padded side, so every field is
-    # transformed lazily and the padded arrays alive at once are the
-    # multiplier and one spectrum: the inverse runs in place and rho22's
-    # half spectrum and real inverse are half a padded array each.  Holding
-    # both fields' spectra, or ifft2's two working arrays, would break the
-    # bound.  A snapshot is complex rho12, real rho22 and real |rho12|^2.
+    # In the kernel and padded spectral cases each time is on its own
+    # padded side, so every field is transformed lazily and the padded
+    # arrays alive at once are the multiplier and one spectrum: the inverse
+    # runs in place and rho22's half spectrum and real inverse are half a
+    # padded array each.  Holding both fields' spectra, or ifft2's two
+    # working arrays, would break the bound.  FD times all share the
+    # grid's side, so both spectra are held, beside a real multiplier and
+    # one product.  A snapshot is complex rho12, real rho22 and real
+    # |rho12|^2.
 
     def test_kernel_stream_peak_memory(self):
         g = vd.make_grid(64, 8.0)
@@ -516,6 +554,14 @@ class TestSnapshotStream:
         assert sides == sorted(set(sides)) and sides[0] > g.n
         peak = self._stream_peak(snap, times, spectral_cfg())
         padded = 16 * sides[-1] ** 2
+        snapshot = 32 * g.n**2
+        assert peak <= 2.5 * padded + 2 * snapshot
+
+    def test_fd_stream_peak_memory(self):
+        g = vd.make_grid(128, 8.0)
+        snap = vd.initial_snapshot(vd.lg_field(vd.ModeSpec(kind=vd.ModeKind.LG, m=1), g))
+        peak = self._stream_peak(snap, [0.05, 0.1, 0.2], fd_cfg())
+        padded = 16 * g.n**2
         snapshot = 32 * g.n**2
         assert peak <= 2.5 * padded + 2 * snapshot
 
