@@ -49,6 +49,8 @@ run_all() {  # run_all TREE OUT
     done
     cli --out-dir "$2/echo" echo scenarios/echo.cfg > /dev/null
     cli --out-dir "$2/sweep" sweep --param m=0..4 scenarios/sweep.cfg > /dev/null
+    # no shipped scenario has p > 0; this sweep covers the Laguerre factor's bytes
+    cli --out-dir "$2/sweep-p" sweep --param p=0..2 scenarios/sweep.cfg > /dev/null
     cli --out-dir "$2/compare-blocked" compare-blocked scenarios/blocked.cfg > /dev/null
     cli --out-dir "$2/nodes" nodes scenarios/vortex.cfg > /dev/null
     # fit prints its result; its stdout is an output to compare too

@@ -3,9 +3,9 @@
 Workflow: build a stored mode (modes), wrap it in a density-matrix snapshot
 (analytic.initial_snapshot), evolve it with one of three cross-validating
 classical propagators or the unitary quantum one (solvers), and reduce to
-decoherence diagnostics (analysis).  Closed forms in analytic are the ground
-truth the numerics are checked against; config/scenario/cli drive file-based
-reproducible runs.
+decoherence diagnostics (analysis).  The closed form in analytic
+(lg_closed_form) is the ground truth the numerics are checked against;
+config/scenario/cli drive file-based reproducible runs.
 """
 
 from .analysis import (
@@ -28,13 +28,10 @@ from .analytic import (
     DiffusionParams,
     StateSnapshot,
     center_population_peak_m1,
-    coherence_closed_form,
     coherence_factor,
     evolution_factor,
-    fidelity_closed_form,
     initial_snapshot,
-    population_m0,
-    population_m1,
+    lg_closed_form,
 )
 from .config import ConfigError, OutputKind, ScenarioConfig, parse_config, render_config, validate_scenario
 from .fieldio import FieldDump, FieldFormatError, read_field, read_table_csv, write_field, write_field_csv, write_table_csv

@@ -1,26 +1,21 @@
 """Closed-form ground truth for diffusing stored coherence.
 
-A stored LG_0^m coherence spreading under rho_t = D lap(rho) keeps its
-functional form; only the waist grows and the amplitude decays:
-
-    rho12(r, theta, t) = amp / sqrt(s^(|m|+1)) * A(r; sqrt(s) w0) * e^{-i m theta},
-    s(t) = (w0^2 + 4 D t) / w0^2.
-
-The surviving coherent fraction (fidelity, equal to the forward retrieval
-efficiency realized as a coherent-energy ratio) is F = s^-(|m|+1).  The
-populations follow their own diffusion solutions with closed forms for the
-m = 1 vortex and the m = 0 Gaussian.  These formulas are the oracles against
-which the numerical propagators are validated.
+Diffusion is the paraxial wave equation in imaginary time, so a stored
+LG_p^m stays Laguerre-Gaussian under rho_t = D lap(rho): one closed form,
+lg_closed_form, gives its coherence, its population and its retrieval
+efficiency at every time, for every (p, m).  It is the oracle against which
+the numerical propagators are validated.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .grid import ComplexField2D
-from .modes import ModeKind, ModeSpec, lg_radial_amplitude
+from .modes import ModeKind, ModeSpec, _scaled_laguerre
 
 #: Default regularizer for the coherence factor; only role is to define the
 #: undisturbed-region limit 0/0 = 1.
@@ -126,52 +121,44 @@ def evolution_factor(t: float, D: float, w0: float) -> float:
     return (w0**2 + 4.0 * D * t) / w0**2
 
 
-def coherence_closed_form(r, theta, t: float, spec: ModeSpec, D: float):
-    """Diffused coherence of a p = 0 LG mode at (r, theta, t).
+def lg_closed_form(spec: ModeSpec, D: float, t: float, r, theta=0.0):
+    """(rho12, rho22, efficiency) of a stored LG_p^m diffused for time t.
 
-    amp / sqrt(s^(|m|+1)) * A(r; sqrt(s) w0) * e^{-i m theta}.  There is no
-    closed form for p > 0 (those modes do not keep their shape); use the
-    numerical propagators instead.
+    rho12 at (r, theta) carries amp and P as lg_field does, and rho22 at r
+    carries |amp|^2.  In units of w0, with s = 1 + 4 D t / w0^2 and
+    q = (2 - s) / s, rho12 is lg_field's normalization times s^-(|m|+1)
+    q^p L_p^|m|(2 u^2 / (s^2 q)) (sqrt(2) u)^|m| e^{-u^2 / s} e^{-i m theta},
+    finite at s = 2.  rho22 at t = 0 is a sum of L_j(4 u^2) e^{-2 u^2},
+    j <= |m| + 2p, each diffusing by that form as LG_j^0 at waist
+    w0 / sqrt(2).  The efficiency is the integral of v^|m| L_p^|m|(v)^2
+    e^{-s v} over its value at s = 1 (s^-(|m|+1) for p = 0).  Gauss-Laguerre
+    quadrature evaluates both integrals exactly.
     """
+    from numpy.polynomial.laguerre import laggauss  # ~7 ms to import; off the run path
+
     if spec.kind is not ModeKind.LG:
-        raise ValueError("coherence closed form applies to LG modes only")
-    if spec.p != 0:
-        raise ValueError("no closed form for p > 0; evolve numerically")
-    s = evolution_factor(t, D, spec.w0)
-    am = abs(spec.m)
-    r = np.asarray(r, dtype=np.float64)
-    theta = np.asarray(theta, dtype=np.float64)
-    amplitude = lg_radial_amplitude(r, np.sqrt(s) * spec.w0, spec.P, spec.m, 0)
-    return spec.amp * amplitude * np.exp(-1j * spec.m * theta) / np.sqrt(s ** (am + 1))
+        raise ValueError("the LG closed form applies to LG modes only")
+    am, p = abs(spec.m), spec.p
+    s, s2 = evolution_factor(t, D, spec.w0), evolution_factor(t, D, spec.w0 / math.sqrt(2.0))
+    u_sq = (np.asarray(r, dtype=np.float64) / spec.w0) ** 2
+    scale = math.sqrt(2.0 * spec.P / math.pi * math.factorial(p) / math.factorial(p + am)) / spec.w0
 
+    rho12 = (spec.amp * scale * _scaled_laguerre(p, am, 2.0 * u_sq / s**2, (2.0 - s) / s)
+             * (2.0 * u_sq) ** (am / 2) * np.exp(-u_sq / s - 1j * spec.m * np.asarray(theta))
+             / s ** (am + 1))
 
-def population_m1(r, t: float, w0: float, P: float, D: float):
-    """rho22(r, t) for a stored m = 1 vortex (per-unit rho11, prefactor |amp|^2 = 1).
+    nodes, weights = laggauss(am + 2 * p + 1)  # project the stored rho22 onto L_j(4 u^2)
+    stored = weights * (nodes / 2.0) ** am * _scaled_laguerre(p, am, nodes / 2.0) ** 2
+    rho22 = sum(np.dot(stored, _scaled_laguerre(j, 0, nodes))
+                * _scaled_laguerre(j, 0, 4.0 * u_sq / s2**2, (2.0 - s2) / s2) for j in range(nodes.size))
+    rho22 = abs(spec.amp) ** 2 * scale**2 * rho22 * np.exp(-2.0 * u_sq / s2) / s2
 
-    4 P e^{-2 r^2 / (8 D t + w0^2)} (32 D^2 t^2 + r^2 w0^2 + 4 D t w0^2)
-    / (pi (8 D t + w0^2)^3).
-    """
-    check_diffusion(D, (t,))
-    r = np.asarray(r, dtype=np.float64)
-    q = 8.0 * D * t + w0**2
-    poly = 32.0 * D**2 * t**2 + r**2 * w0**2 + 4.0 * D * t * w0**2
-    return 4.0 * P * np.exp(-2.0 * r**2 / q) * poly / (np.pi * q**3)
+    nodes, weights = laggauss(am + p + 1)
 
+    def energy(a):  # the integral of v^|m| L_p^|m|(v)^2 e^{-a v}, with v -> v / a
+        return float(np.dot(weights, (nodes / a) ** am * _scaled_laguerre(p, am, nodes / a) ** 2)) / a
 
-def population_m0(r, t: float, w0: float, P: float, D: float):
-    """rho22(r, t) for a stored Gaussian: 2 P e^{-2 r^2/(8 D t + w0^2)} / (pi (8 D t + w0^2))."""
-    check_diffusion(D, (t,))
-    r = np.asarray(r, dtype=np.float64)
-    q = 8.0 * D * t + w0**2
-    return 2.0 * P * np.exp(-2.0 * r**2 / q) / (np.pi * q)
-
-
-def fidelity_closed_form(m: int, t: float, D: float, w0: float) -> float:
-    """Stored-coherence fidelity F = s(t)^-(m+1) for LG_0^m; in (0, 1]."""
-    if not isinstance(m, (int, np.integer)) or m < 0:
-        raise ValueError(f"winding number must be a nonnegative integer, got {m!r}")
-    s = evolution_factor(t, D, w0)
-    return float(s ** (-(m + 1)))
+    return rho12, rho22, energy(s) / energy(1.0)
 
 
 def coherence_factor(coh_sq: float, pbb: float, pcc: float, eta: float) -> float:

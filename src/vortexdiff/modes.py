@@ -97,24 +97,27 @@ def check_block_radius(block_radius: float, grid: GridSpec) -> None:
         )
 
 
-def assoc_laguerre(p: int, alpha: int, x):
-    """Generalized Laguerre polynomial L_p^alpha(x) by the three-term recurrence.
+def _scaled_laguerre(p: int, alpha: int, x, q: float = 1.0):
+    """M_p = q^p L_p^alpha(x / q) for float64 array x, finite at q = 0, by the
+    package's one Laguerre recurrence (exact products at q = 1):
+    (k+1) M_{k+1} = (q (2k+1+alpha) - x) M_k - q^2 (k+alpha) M_{k-1}, M_0 = 1."""
+    prev = np.ones_like(x)
+    if p == 0:
+        return prev
+    cur = q * (1 + alpha) - x
+    for kk in range(1, p):
+        prev, cur = cur, ((q * (2 * kk + 1 + alpha) - x) * cur - q * q * (kk + alpha) * prev) / (kk + 1)
+    return cur
 
-    (k+1) L_{k+1} = (2k + 1 + alpha - x) L_k - (k + alpha) L_{k-1},
-    with L_0 = 1 and L_1 = 1 + alpha - x.  Accepts scalar or ndarray x.
-    """
+
+def assoc_laguerre(p: int, alpha: int, x):
+    """Generalized Laguerre polynomial L_p^alpha(x), for scalar or ndarray x."""
     if not isinstance(p, (int, np.integer)) or p < 0:
         raise ValueError(f"degree p must be a nonnegative integer, got {p!r}")
     if not isinstance(alpha, (int, np.integer)) or alpha < 0:
         raise ValueError(f"order alpha must be a nonnegative integer, got {alpha!r}")
-    x = np.asarray(x, dtype=np.float64)
-    prev = np.ones_like(x)
-    if p == 0:
-        return prev if prev.ndim else float(prev)
-    cur = 1.0 + alpha - x
-    for kk in range(1, p):
-        prev, cur = cur, ((2 * kk + 1 + alpha - x) * cur - (kk + alpha) * prev) / (kk + 1)
-    return cur if cur.ndim else float(cur)
+    value = _scaled_laguerre(p, alpha, np.asarray(x, dtype=np.float64))
+    return value if value.ndim else float(value)
 
 
 def lg_radial_amplitude(r, w0: float, P: float, m: int, p: int = 0):

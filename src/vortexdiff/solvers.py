@@ -72,7 +72,8 @@ class Scheme(enum.Enum):
 
 
 class CflError(ValueError):
-    """Explicit-FD timestep above the stability bound; carries max admissible dt."""
+    """Explicit-FD timestep above the stability bound or below the step floor;
+    carries the max admissible dt."""
 
     def __init__(self, message: str, max_dt: float):
         super().__init__(message)
@@ -271,15 +272,17 @@ def fd_max_dt(grid: GridSpec, D: float, cfl_safety: float = 1.0) -> float:
 
 def fd_timestep(grid: GridSpec, D: float, cfg: SolverConfig) -> float:
     """The explicit-FD step size: cfg.dt, or the stability bound when cfg.dt
-    is None.  A dt above the bound, or a bound that underflows to 0, is a
-    hard error (CflError) naming the maximum admissible value; this is the
-    one CFL rule, shared by the FD stream and by config validation.  Needs
-    D > 0."""
-    bound = fd_max_dt(grid, D, cfg.cfl_safety)
+    is None.  A dt above the bound, a bound that underflows to 0, or a dt
+    below the floor 1e-12 dx^2 / (4 D), where 1 + D dt lambda rounds to 1 and
+    a step does no diffusion, is a hard error (CflError) naming both limits;
+    this is the one CFL rule, shared by the FD stream and by config
+    validation.  Needs D > 0."""
+    bound, floor = fd_max_dt(grid, D, cfg.cfl_safety), fd_max_dt(grid, D, 1e-12)
     dt = bound if cfg.dt is None else cfg.dt
-    if not 0 < dt <= bound * (1.0 + 1e-12):
+    if not (0 < dt and floor <= dt <= bound * (1.0 + 1e-12)):
         raise CflError(
-            f"FD timestep dt={dt:.6g} violates the stability bound; "
+            f"FD timestep dt={dt:.6g} violates the stability bound or the step floor; "
+            f"minimum admissible dt is {floor:.6g} = 1e-12 dx^2/(4 D) and "
             f"maximum admissible dt is {bound:.6g} "
             f"(cfl_safety={cfg.cfl_safety}, dx={grid.dx:.6g}, D={D})",
             max_dt=bound,

@@ -2,14 +2,16 @@
 
 These deliberately avoid the package's own code paths: the Laguerre oracle
 is an explicit series sum, radial integrals go through adaptive quadrature,
-closed-form field values are rebuilt from first principles where needed, and
-the finite-difference scheme is marched step by step on the grid.
+closed-form field values are rebuilt from first principles where needed
+(the p = 0 populations are hand-derived), heat flow of a radial profile is a
+quadrature against the heat kernel's angular average, and the
+finite-difference scheme is marched step by step on the grid.
 """
 
 import math
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 
 
 def laguerre_series(p: int, alpha: int, x: float) -> float:
@@ -27,18 +29,49 @@ def radial_integral(func, lower=0.0, upper=np.inf) -> float:
     return value
 
 
-def lg_intensity(r, w0: float, P: float, m: int, p: int = 0):
-    """|A(r)|^2 rebuilt from the definition, for quadrature oracles."""
+def lg_amplitude(r, w0: float, P: float, m: int, p: int = 0):
+    """The signed radial amplitude A(r) of LG_p^m, rebuilt from the definition."""
     am = abs(m)
     norm = math.factorial(p) / math.factorial(p + am)
     lag = laguerre_series(p, am, 2.0 * r**2 / w0**2) if p > 0 else 1.0
     return (
-        (2.0 * P / (math.pi * w0**2))
-        * norm
-        * (2.0 * r**2 / w0**2) ** am
-        * lag**2
-        * np.exp(-2.0 * r**2 / w0**2)
+        math.sqrt(2.0 * P * norm / math.pi) / w0
+        * (math.sqrt(2.0) * r / w0) ** am
+        * lag
+        * np.exp(-(r**2) / w0**2)
     )
+
+
+def lg_intensity(r, w0: float, P: float, m: int, p: int = 0):
+    """|A(r)|^2 rebuilt from the definition, for quadrature oracles."""
+    return lg_amplitude(r, w0, P, m, p) ** 2
+
+
+def population_m1(r, t: float, w0: float, P: float, D: float):
+    """Hand-derived rho22(r, t) of a stored LG_0^1 (|amp| = 1):
+    4 P e^{-2 r^2 / a} (32 D^2 t^2 + r^2 w0^2 + 4 D t w0^2) / (pi a^3), a = 8 D t + w0^2."""
+    a = 8.0 * D * t + w0**2
+    poly = 32.0 * D**2 * t**2 + r**2 * w0**2 + 4.0 * D * t * w0**2
+    return 4.0 * P * np.exp(-2.0 * r**2 / a) * poly / (np.pi * a**3)
+
+
+def population_m0(r, t: float, w0: float, P: float, D: float):
+    """Hand-derived rho22(r, t) of a stored LG_0^0 (|amp| = 1):
+    2 P e^{-2 r^2 / a} / (pi a), a = 8 D t + w0^2."""
+    a = 8.0 * D * t + w0**2
+    return 2.0 * P * np.exp(-2.0 * r**2 / a) / (np.pi * a)
+
+
+def heat_flow_radial(profile, r: float, D: float, t: float, m: int = 0) -> float:
+    """f(r, t) where f(r, theta, 0) = profile(r) e^{-i m theta} diffuses under
+    f_t = D lap f, by quadrature of the heat kernel's angular average:
+    integral of (r'/(2Dt)) e^{-(r - r')^2/(4Dt)} I_|m|e(r r'/(2Dt)) profile(r') dr',
+    with I_|m|e the exponentially scaled modified Bessel function."""
+    a = 2.0 * D * t
+    value, _ = integrate.quad(
+        lambda rp: rp / a * np.exp(-((r - rp) ** 2) / (2.0 * a)) * special.ive(abs(m), r * rp / a)
+        * profile(rp), 0.0, r + 40.0 * math.sqrt(a) + 20.0, limit=400, epsabs=1e-15, epsrel=1e-13)
+    return value
 
 
 def free_gaussian_dispersed(r, w0: float, beta: float, t: float):

@@ -31,7 +31,7 @@ def lg(m, grid, p=0, P=1.0):
 
 
 def test_criterion_01_closed_form_oracle_equivalence():
-    """Spectral evolution of LG_0^m matches the closed form pointwise.
+    """Spectral evolution of LG_p^m matches the closed form pointwise.
 
     The closed form is the free-space solution.  At t = 1 (evolution factor
     s = 5) the mandated [-8, 8) box is smaller than the containment rule
@@ -42,23 +42,23 @@ def test_criterion_01_closed_form_oracle_equivalence():
     grid = vd.make_grid(256, 8.0)
     r, theta = grid.radius(), grid.theta()
     failures = []
-    for m in (0, 1, 2):
-        spec = vd.ModeSpec(kind=vd.ModeKind.LG, p=0, m=m, w0=1.0, P=1.0)
+    for m, p in ((0, 0), (1, 0), (2, 0), (1, 1), (0, 2)):
+        spec = vd.ModeSpec(kind=vd.ModeKind.LG, p=p, m=m, w0=1.0, P=1.0)
         field = vd.lg_field(spec, grid)
         for t in (0.1, 0.25, 1.0):
             start = time.perf_counter()
             evolved = vd.diffuse_spectral(field, 1.0, t)
-            reference = vd.coherence_closed_form(r, theta, t, spec, 1.0)
+            reference, _, _ = vd.lg_closed_form(spec, 1.0, t, r, theta)
             err = rel_linf(evolved.values, reference)
             elapsed = time.perf_counter() - start
             ok = err <= 1e-6 and elapsed < 1.0
             if not ok:
-                failures.append((m, t, err))
-            print(f"    m={m} t={t}: rel Linf {err:.3e}  ({elapsed * 1e3:.0f} ms)")
-    detail = "spectral vs closed form <= 1e-6 (m in 0..2, t in {0.1, 0.25, 1})"
+                failures.append((m, p, t, err))
+            print(f"    m={m} p={p} t={t}: rel Linf {err:.3e}  ({elapsed * 1e3:.0f} ms)")
+    detail = "spectral vs closed form <= 1e-6 ((m, p) in (0..2, 0), (1, 1), (0, 2); t in {0.1, 0.25, 1})"
     if failures:
         detail += f"; {len(failures)} case(s) above tolerance: " + ", ".join(
-            f"(m={m}, t={t}: {e:.2e})" for m, t, e in failures
+            f"(m={m}, p={p}, t={t}: {e:.2e})" for m, p, t, e in failures
         )
     assert report(1, not failures, detail), (
         "spectral step departs from the free-space closed form; at t = 1 a "
@@ -70,12 +70,12 @@ def test_criterion_02_population_oracle_equivalence():
     grid = vd.make_grid(256, 8.0)
     r = grid.radius()
     worst = 0.0
-    for m, closed in ((1, vd.population_m1), (0, vd.population_m0)):
-        field = lg(m, grid)
-        snap = vd.initial_snapshot(field)
+    for m, p in ((1, 0), (0, 0), (1, 1), (0, 2)):
+        spec = vd.ModeSpec(kind=vd.ModeKind.LG, p=p, m=m, w0=1.0, P=1.0)
+        snap = vd.initial_snapshot(vd.lg_field(spec, grid))
         for t in (0.0625, 0.125, 0.25):
             out = vd.evolve_snapshot(snap, 1.0, t, vd.SolverConfig())
-            reference = closed(r, t, 1.0, 1.0, 1.0)
+            _, reference, _ = vd.lg_closed_form(spec, 1.0, t, r)
             worst = max(worst, rel_linf(out.rho22, reference))
     ok = worst <= 1e-5
     assert report(
@@ -134,16 +134,22 @@ def test_criterion_05_radial_index_penalty():
     times = (0.05, 0.1, 0.15, 0.2, 0.25)
     strictly_below = True
     margin_at_s2 = 0.0
+    oracle_gap = 0.0
     for t in times:
         e01 = vd.retrieval_efficiency(vd.diffuse_spectral(f01, 1.0, t), f01)
         e11 = vd.retrieval_efficiency(vd.diffuse_spectral(f11, 1.0, t), f11)
         strictly_below &= e11 < e01
         if t == 0.25:
             margin_at_s2 = (e01 - e11) / e01
-    ok = strictly_below and margin_at_s2 >= 0.05
+        # the [-8, 8) box crops these modes by t = 1, so the oracle stops at s = 2
+        for eff, p in ((e01, 0), (e11, 1)):
+            spec = vd.ModeSpec(kind=vd.ModeKind.LG, p=p, m=1)
+            oracle_gap = max(oracle_gap, abs(eff - vd.lg_closed_form(spec, 1.0, t, 0.0)[2]))
+    ok = strictly_below and margin_at_s2 >= 0.05 and oracle_gap <= 1e-9
     assert report(
         5, ok,
-        f"LG_1^1 below LG_0^1 at {len(times)} times, margin {margin_at_s2:.1%} >= 5% at 4Dt = w0^2",
+        f"LG_1^1 below LG_0^1 at {len(times)} times, margin {margin_at_s2:.1%} >= 5% at 4Dt = w0^2; "
+        f"both efficiencies within {oracle_gap:.1e} <= 1e-9 of the closed form",
     )
 
 

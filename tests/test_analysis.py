@@ -38,7 +38,8 @@ class TestRetrievalEfficiency:
         f = vd.lg_field(vd.ModeSpec(kind=vd.ModeKind.LG, m=m), g)
         for t in (0.1, 0.25, 0.5):
             eff = vd.retrieval_efficiency(evolved(f, t), f)
-            assert eff == pytest.approx(vd.fidelity_closed_form(m, t, 1.0, 1.0), abs=1e-4)
+            oracle = vd.lg_closed_form(vd.ModeSpec(kind=vd.ModeKind.LG, m=m), 1.0, t, 0.0)[2]
+            assert eff == pytest.approx(oracle, abs=1e-4)
 
     def test_gaussian_beats_all_vortices(self):
         g = vd.make_grid(512, 16.0)

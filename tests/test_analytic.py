@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import vortexdiff as vd
-from helpers import lg_intensity, radial_integral
+from helpers import (heat_flow_radial, lg_amplitude, lg_intensity, population_m0, population_m1,
+                     radial_integral)
 
 
 class TestEvolutionFactor:
@@ -26,98 +27,163 @@ class TestEvolutionFactor:
             vd.evolution_factor(-0.1, 1.0, 1.0)
 
 
+def lg_spec(m, p=0, **kw):
+    return vd.ModeSpec(kind=vd.ModeKind.LG, p=p, m=m, **kw)
+
+
+def closed(spec, t, r, theta=0.0, D=1.0):
+    return vd.lg_closed_form(spec, D, t, r, theta)
+
+
 class TestCoherenceClosedForm:
     def test_t_zero_matches_field(self, lg01):
         r = lg01.grid.radius()
         theta = lg01.grid.theta()
-        spec = vd.ModeSpec(kind=vd.ModeKind.LG, p=0, m=1, w0=1.0, P=1.0)
-        closed = vd.coherence_closed_form(r, theta, 0.0, spec, 1.0)
-        assert np.allclose(closed, lg01.values, rtol=0, atol=1e-14)
+        rho12, _, _ = closed(lg_spec(1, w0=1.0, P=1.0), 0.0, r, theta)
+        assert np.allclose(rho12, lg01.values, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("m,p", [(1, 1), (0, 2), (-2, 1)])
+    def test_t_zero_matches_field_with_radial_index(self, grid256, m, p):
+        spec = lg_spec(m, p, w0=0.9, P=1.3, amp=0.7 - 0.2j)
+        field = vd.lg_field(spec, grid256)
+        rho12, rho22, eff = closed(spec, 0.0, grid256.radius(), grid256.theta())
+        assert np.max(np.abs(rho12 - field.values)) <= 1e-14 * np.max(np.abs(field.values))
+        intensity = np.abs(field.values) ** 2
+        assert np.max(np.abs(rho22 - intensity)) <= 1e-13 * intensity.max()
+        assert eff == 1.0
 
     def test_vortex_center_never_fills(self):
-        spec = vd.ModeSpec(kind=vd.ModeKind.LG, p=0, m=1)
-        for t in (0.0, 0.1, 2.5):
-            assert vd.coherence_closed_form(0.0, 0.3, t, spec, 1.0) == 0.0
+        for spec in (lg_spec(1), lg_spec(1, 1), lg_spec(-2, 2)):
+            for t in (0.0, 0.1, 0.25, 2.5):
+                assert closed(spec, t, 0.0, 0.3)[0] == 0.0
 
     def test_gaussian_center_at_s_two(self):
         # (1/sqrt(s)) * A_0(0, sqrt(s) w0) with w0=1, P=pi/2 evaluates to 1/2
-        spec = vd.ModeSpec(kind=vd.ModeKind.LG, p=0, m=0, w0=1.0, P=math.pi / 2)
-        value = vd.coherence_closed_form(0.0, 0.0, 0.25, spec, 1.0)
+        value = closed(lg_spec(0, w0=1.0, P=math.pi / 2), 0.25, 0.0)[0]
         assert complex(value) == pytest.approx(0.5 + 0.0j, rel=1e-12)
 
-    def test_rejects_p_nonzero(self):
-        spec = vd.ModeSpec(kind=vd.ModeKind.LG, p=1, m=1)
-        with pytest.raises(ValueError):
-            vd.coherence_closed_form(1.0, 0.0, 0.1, spec, 1.0)
+    def test_p0_is_the_mode_at_the_grown_waist(self):
+        # amp / sqrt(s^(|m|+1)) * A(r; sqrt(s) w0) * e^{-i m theta}
+        r, theta = np.linspace(0.0, 6.0, 301), np.linspace(-3.0, 3.0, 301)
+        for m in (0, 1, -1, 2):
+            spec = lg_spec(m, w0=1.1, P=1.3, amp=0.7 - 0.2j)
+            for t in (0.05, 0.3025, 1.0):
+                s = vd.evolution_factor(t, 1.0, 1.1)
+                ref = (spec.amp * vd.lg_radial_amplitude(r, math.sqrt(s) * 1.1, 1.3, m)
+                       * np.exp(-1j * m * theta) / math.sqrt(s ** (abs(m) + 1)))
+                rho12 = closed(spec, t, r, theta)[0]
+                assert np.max(np.abs(rho12 - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("m,p", [(1, 1), (0, 2), (2, 1), (-1, 3)])
+    def test_matches_heat_kernel_quadrature(self, m, p):
+        # pointwise against an independent radial quadrature of the heat flow,
+        # through s = 2 (q = 0), where the scaled Laguerre argument is singular
+        spec = lg_spec(m, p, w0=1.0, P=1.0)
+        radii = np.linspace(0.0, 5.0, 11)
+        for t in (0.1, 0.25, 1.0):
+            rho12, rho22, _ = closed(spec, t, radii)
+            ref12 = [heat_flow_radial(lambda x: lg_amplitude(x, 1.0, 1.0, m, p), r, 1.0, t, m)
+                     for r in radii]
+            ref22 = [heat_flow_radial(lambda x: lg_intensity(x, 1.0, 1.0, m, p), r, 1.0, t)
+                     for r in radii]
+            assert np.max(np.abs(rho12 - ref12)) <= 1e-12 * np.max(np.abs(rho12))
+            assert np.max(np.abs(rho22 - ref22)) <= 1e-12 * np.max(rho22)
 
     @pytest.mark.parametrize("m", [0, 1, 2])
     def test_energy_ratio_equals_fidelity(self, m):
-        # the coherent-energy ratio of the closed form reproduces s^-(m+1)
+        # the coherent-energy ratio of the closed form reproduces its efficiency
         g = vd.make_grid(256, 8.0)
-        spec = vd.ModeSpec(kind=vd.ModeKind.LG, p=0, m=m, w0=1.0, P=1.0)
         r, theta = g.radius(), g.theta()
-        e0 = np.sum(np.abs(vd.coherence_closed_form(r, theta, 0.0, spec, 1.0)) ** 2)
-        for t in (0.1, 0.25):
-            et = np.sum(np.abs(vd.coherence_closed_form(r, theta, t, spec, 1.0)) ** 2)
-            assert et / e0 == pytest.approx(vd.fidelity_closed_form(m, t, 1.0, 1.0), rel=1e-6)
+        for p in (0, 1):
+            spec = lg_spec(m, p, w0=1.0, P=1.0)
+            e0 = np.sum(np.abs(closed(spec, 0.0, r, theta)[0]) ** 2)
+            for t in (0.1, 0.25):
+                rho12, _, eff = closed(spec, t, r, theta)
+                assert np.sum(np.abs(rho12) ** 2) / e0 == pytest.approx(eff, rel=1e-6)
+
+    def test_rejects_other_kinds(self):
+        with pytest.raises(ValueError):
+            closed(vd.ModeSpec(kind=vd.ModeKind.BLOCKED_GAUSSIAN, block_radius=0.5), 0.1, 1.0)
 
 
 class TestPopulations:
     def test_m1_reduces_to_initial_intensity(self):
         radii = np.linspace(0.0, 4.0, 50)
-        ours = vd.population_m1(radii, 0.0, 1.0, 1.0, 1.0)
+        ours = closed(lg_spec(1), 0.0, radii)[1]
         oracle = lg_intensity(radii, 1.0, 1.0, 1)
         assert np.allclose(ours, oracle, rtol=1e-10, atol=1e-300)
 
     def test_m1_center_at_peak_time(self):
-        assert vd.population_m1(0.0, 0.125, 1.0, math.pi, 1.0) == pytest.approx(0.5, rel=1e-12)
+        assert closed(lg_spec(1, P=math.pi), 0.125, 0.0)[1] == pytest.approx(0.5, rel=1e-12)
 
     @pytest.mark.parametrize("t", [0.0, 0.1, 1.0])
     def test_m1_conserves_total(self, t):
-        total = radial_integral(lambda r: vd.population_m1(r, t, 1.0, 1.0, 1.0))
+        total = radial_integral(lambda r: closed(lg_spec(1), t, r)[1])
         assert total == pytest.approx(1.0, rel=1e-9)
 
     def test_m0_center_value(self):
-        assert vd.population_m0(0.0, 0.0, 2.0, 3.0, 1.0) == pytest.approx(
-            2 * 3.0 / (math.pi * 4.0), rel=1e-12
-        )
+        value = closed(lg_spec(0, w0=2.0, P=3.0), 0.0, 0.0)[1]
+        assert value == pytest.approx(2 * 3.0 / (math.pi * 4.0), rel=1e-12)
 
     @pytest.mark.parametrize("t", [0.0, 0.3, 2.0])
     def test_m0_conserves_total(self, t):
-        total = radial_integral(lambda r: vd.population_m0(r, t, 1.0, 1.0, 1.0))
+        total = radial_integral(lambda r: closed(lg_spec(0), t, r)[1])
         assert total == pytest.approx(1.0, rel=1e-9)
 
+    @pytest.mark.parametrize("m,p", [(1, 1), (0, 2), (2, 1)])
+    def test_radial_index_conserves_total(self, m, p):
+        spec = lg_spec(m, p, P=1.3, amp=0.7 - 0.2j)
+        for t in (0.1, 0.25, 1.0):
+            total = radial_integral(lambda r: closed(spec, t, r)[1])
+            assert total == pytest.approx(abs(spec.amp) ** 2 * 1.3, rel=1e-9)
+
     def test_m0_vanishes_at_late_time(self):
-        assert vd.population_m0(1.0, 1e9, 1.0, 1.0, 1.0) < 1e-9
+        assert closed(lg_spec(0), 1e9, 1.0)[1] < 1e-9
 
     def test_m0_reduces_to_initial_intensity(self):
         radii = np.linspace(0.0, 4.0, 50)
-        ours = vd.population_m0(radii, 0.0, 1.0, 1.0, 1.0)
+        ours = closed(lg_spec(0), 0.0, radii)[1]
         oracle = lg_intensity(radii, 1.0, 1.0, 0)
         assert np.allclose(ours, oracle, rtol=1e-10)
+
+    @pytest.mark.parametrize("m,oracle", [(0, population_m0), (1, population_m1), (-1, population_m1)])
+    def test_p0_matches_hand_derived(self, m, oracle):
+        radii = np.linspace(0.0, 6.0, 301)
+        spec = lg_spec(m, w0=1.1, P=1.3, amp=0.7 - 0.2j)
+        for t in (0.0, 0.05, 0.3025, 1.0):
+            ours = closed(spec, t, radii, D=0.8)[1]
+            ref = abs(spec.amp) ** 2 * oracle(radii, t, 1.1, 1.3, 0.8)
+            assert np.max(np.abs(ours - ref)) <= 1e-13 * ref.max()
 
 
 class TestFidelity:
     def test_unity_at_t_zero(self):
         for m in range(4):
-            assert vd.fidelity_closed_form(m, 0.0, 1.0, 1.0) == 1.0
+            for p in range(3):
+                assert closed(lg_spec(m, p), 0.0, 0.0)[2] == 1.0
 
     def test_values_at_s_two(self):
-        assert vd.fidelity_closed_form(1, 0.25, 1.0, 1.0) == pytest.approx(0.25, rel=1e-12)
-        assert vd.fidelity_closed_form(0, 0.25, 1.0, 1.0) == pytest.approx(0.5, rel=1e-12)
+        assert closed(lg_spec(1), 0.25, 0.0)[2] == pytest.approx(0.25, rel=1e-12)
+        assert closed(lg_spec(0), 0.25, 0.0)[2] == pytest.approx(0.5, rel=1e-12)
+        # less phase gradient, more robust: a radial node costs coherence too
+        assert closed(lg_spec(1, 1), 0.25, 0.0)[2] == pytest.approx(0.1875, rel=1e-12)
+
+    def test_p0_power_law(self):
+        for m in (0, 1, -1, 2, -3):
+            for t in (0.05, 0.3, 2.0):
+                s = vd.evolution_factor(t, 0.7, 1.3)
+                eff = closed(lg_spec(m, w0=1.3), t, 0.0, D=0.7)[2]
+                assert eff == pytest.approx(s ** -(abs(m) + 1), rel=1e-14)
 
     def test_decreasing_in_m(self):
-        vals = [vd.fidelity_closed_form(m, 0.4, 1.0, 1.0) for m in range(5)]
+        vals = [closed(lg_spec(m), 0.4, 0.0)[2] for m in range(5)]
         assert np.all(np.diff(vals) < 0)
 
     def test_decreasing_in_time(self):
         ts = np.linspace(0.0, 2.0, 30)
-        vals = [vd.fidelity_closed_form(2, t, 1.0, 1.0) for t in ts]
-        assert np.all(np.diff(vals) < 0)
-
-    def test_rejects_negative_m(self):
-        with pytest.raises(ValueError):
-            vd.fidelity_closed_form(-1, 0.1, 1.0, 1.0)
+        for p in (0, 2):
+            vals = [closed(lg_spec(2, p), t, 0.0)[2] for t in ts]
+            assert np.all(np.diff(vals) < 0)
 
 
 class TestCoherenceFactor:
@@ -153,7 +219,7 @@ class TestCenterPopulationPeak:
         w0, D, P = 1.3, 0.6, 2.2
         t_star, peak = vd.center_population_peak_m1(w0, D, P)
         ts = np.linspace(1e-4, 10 * t_star, 40001)
-        vals = np.array([vd.population_m1(0.0, t, w0, P, D) for t in ts])
+        vals = np.array([population_m1(0.0, t, w0, P, D) for t in ts])
         best = ts[np.argmax(vals)]
         assert best == pytest.approx(t_star, rel=1e-3)
         assert np.max(vals) == pytest.approx(peak, rel=1e-6)
@@ -161,6 +227,14 @@ class TestCenterPopulationPeak:
         # single rise to the peak, single fall after it
         assert np.all(np.diff(vals[ts <= t_star]) > 0)
         assert np.all(np.diff(vals[ts >= t_star * (1 + 1e-6)]) < 0)
+
+    def test_matches_lg_closed_form(self):
+        w0, D, P = 1.3, 0.6, 2.2
+        t_star, peak = vd.center_population_peak_m1(w0, D, P)
+        spec = lg_spec(1, w0=w0, P=P)
+        assert closed(spec, t_star, 0.0, D=D)[1] == pytest.approx(peak, rel=1e-12)
+        for t in (0.99 * t_star, 1.01 * t_star, 0.1 * t_star, 10 * t_star):
+            assert closed(spec, t, 0.0, D=D)[1] < peak
 
     def test_doubling_d_halves_time_keeps_peak(self):
         t1, p1 = vd.center_population_peak_m1(1.0, 1.0, 1.0)

@@ -73,11 +73,11 @@ def scenario_configs(draw):
     cfl_safety = draw(_floats(0.0, 1.0, exclude_min=True))
     dt = draw(st.none() | _floats(0.0, 1.0, exclude_min=True))
     if scheme is vd.Scheme.FD_EXPLICIT and D > 0:
-        # a fraction of the stability bound; FD needs a step that does not
-        # underflow to 0, which a subnormal cfl_safety can make it do
+        # a fraction of the stability bound; FD needs a step at or above its
+        # floor, 1e-12 dx^2 / (4 D), which a tiny cfl_safety or fraction misses
         bound = vd.fd_max_dt(grid, D, cfl_safety)
         dt = None if dt is None else dt * bound
-        assume((bound if dt is None else dt) > 0)
+        assume((bound if dt is None else dt) >= vd.fd_max_dt(grid, D, 1e-12))
     return vd.ScenarioConfig(
         mode=mode, grid=grid, diffusion=vd.DiffusionParams(D=D, times=times),
         solver=vd.SolverConfig(scheme=scheme, dt=dt, cfl_safety=cfl_safety),
@@ -308,6 +308,18 @@ grid.extent = 8
         underflow = MINIMAL + "solver.scheme = fd\nsolver.cfl_safety = 5e-324\n"
         with pytest.raises(vd.ConfigError, match="maximum admissible dt is 0 "):
             vd.parse_config(underflow)
+
+    def test_fd_dt_below_floor(self):
+        # dx = 1/16: the floor 1e-12 dx^2 / (4 D) is 9.765625e-16, printed 9.76562e-16
+        tiny = MINIMAL + "solver.scheme = fd\nsolver.dt = 1e-30\n"
+        with pytest.raises(vd.ConfigError, match=r"^line 12: solver\.dt: .*minimum admissible dt is 9\.76562e-16 "):
+            vd.parse_config(tiny)
+        # the default dt is the bound, here below the floor: no dt line to point to
+        small_bound = MINIMAL + "solver.scheme = fd\nsolver.cfl_safety = 1e-13\n"
+        with pytest.raises(vd.ConfigError, match="minimum admissible dt is 9.76562e-16 ") as err:
+            vd.parse_config(small_bound)
+        assert err.value.line is None
+        assert str(err.value).startswith("solver.dt: ")
 
     def test_kernel_resolution_checked_at_every_nonzero_time(self):
         # dx = 1/16: the kernel needs 4 D t >= dx^2, t >= 1/1024, at every t > 0

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -12,6 +13,8 @@ import pytest
 import vortexdiff as vd
 from vortexdiff.cli import main
 from vortexdiff.grid import radial_mean
+
+from helpers import population_m0, population_m1
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
@@ -299,6 +302,12 @@ class TestCliSimulate:
         env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
         subprocess.run([sys.executable, "-c", probe], env=env, check=True)
 
+    def test_import_does_not_load_numpy_polynomial(self):
+        # lg_closed_form imports its quadrature when called; a CLI run never pays for it
+        probe = "import vortexdiff.cli, sys; assert 'numpy.polynomial' not in sys.modules"
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
+        subprocess.run([sys.executable, "-c", probe], env=env, check=True)
+
     def test_cli_reruns_byte_identical(self, tmp_path):
         cfg_file = tmp_path / "v.cfg"
         cfg_file.write_text(small_vortex_cfg(tmp_path / "out"))
@@ -475,6 +484,17 @@ out_dir = {tmp_path / "sweep"}
             row = [table[f"efficiency_m{m}"][i] for m in range(5)]
             assert np.all(np.diff(row) < 0)
 
+    def test_sweep_over_radial_index_matches_closed_form(self, tmp_path):
+        out = tmp_path / "sweep-p"
+        assert main(["--out-dir", str(out), "sweep", "--param", "p=0..2", str(SCENARIOS / "sweep.cfg")]) == 0
+        cfg = vd.parse_config((SCENARIOS / "sweep.cfg").read_text())
+        table = vd.read_table_csv(out / "sweep_fidelity.csv")
+        assert set(table) == {"s"} | {f"efficiency_p{p}" for p in range(3)}
+        for p in range(3):
+            spec = dataclasses.replace(cfg.mode, p=p)
+            oracle = [vd.lg_closed_form(spec, cfg.diffusion.D, t, 0.0)[2] for t in cfg.diffusion.times]
+            assert np.max(np.abs(table[f"efficiency_p{p}"] - oracle)) <= 1e-9
+
     def test_sweep_bad_param(self, tmp_path):
         cfg_file = tmp_path / "v.cfg"
         cfg_file.write_text(small_vortex_cfg(tmp_path / "out"))
@@ -532,8 +552,8 @@ class TestShippedScenarios:
         assert table["refill_ratio"][-1] > 0.5
 
     @pytest.mark.parametrize("name,m,population", [
-        ("vortex.cfg", 1, vd.population_m1),
-        ("gaussian.cfg", 0, vd.population_m0),
+        ("vortex.cfg", 1, population_m1),
+        ("gaussian.cfg", 0, population_m0),
     ])
     def test_profile_curves_match_closed_forms(self, tmp_path, name, m, population):
         # the emitted radial curves are the figure-style |rho12|, rho22, f;
@@ -545,9 +565,7 @@ class TestShippedScenarios:
         grid = cfg.grid
         spec = cfg.mode
         r, theta = grid.radius(), grid.theta()
-        coh_field = vd.ComplexField2D(
-            grid, vd.coherence_closed_form(r, theta, t, spec, cfg.diffusion.D)
-        )
+        coh_field = vd.ComplexField2D(grid, vd.lg_closed_form(spec, cfg.diffusion.D, t, r, theta)[0])
         coh_prof = vd.azimuthal_average(coh_field, cfg.nbins)
         pop_curve = radial_mean(population(r, t, spec.w0, spec.P, cfg.diffusion.D), grid, cfg.nbins)
 

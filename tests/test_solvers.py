@@ -49,7 +49,7 @@ class TestDiffuseSpectral:
         f = vd.lg_field(spec, g)
         t = 0.25
         evolved = vd.diffuse_spectral(f, 1.0, t)
-        ref = vd.coherence_closed_form(g.radius(), g.theta(), t, spec, 1.0)
+        ref = vd.lg_closed_form(spec, 1.0, t, g.radius(), g.theta())[0]
         assert rel_linf(evolved.values, ref) <= 1e-6
 
     def test_norm_strictly_decreasing_for_nonconstant(self, lg01):
@@ -69,6 +69,14 @@ class TestDiffuseFd:
             vd.diffuse_fd(lg01, 1.0, 0.1, fd_cfg(cfl=0.9, dt=2 * bound))
         assert err.value.max_dt == pytest.approx(bound)
         assert f"{bound:.6g}" in str(err.value)
+
+    def test_step_below_floor_is_hard_error(self, lg01):
+        # 1 + D dt lambda rounds to 1 for so small a step: FD would do nothing
+        floor = 1e-12 * lg01.grid.dx**2 / 4.0
+        with pytest.raises(vd.CflError, match=f"minimum admissible dt is {floor:.6g} ") as err:
+            vd.diffuse_fd(lg01, 1.0, 0.25, fd_cfg(dt=1e-30))
+        assert err.value.max_dt == pytest.approx(vd.fd_max_dt(lg01.grid, 1.0, 0.9))
+        assert vd.fd_timestep(lg01.grid, 1.0, fd_cfg(dt=floor)) == floor
 
     def test_halving_dx_quarters_error(self):
         spec = vd.ModeSpec(kind=vd.ModeKind.LG, p=0, m=1)
@@ -161,7 +169,7 @@ class TestDiffuseKernel:
         f = vd.lg_field(spec, g)
         t = 0.25
         out = vd.diffuse_kernel(f, 1.0, t)
-        ref = vd.coherence_closed_form(g.radius(), g.theta(), t, spec, 1.0)
+        ref = vd.lg_closed_form(spec, 1.0, t, g.radius(), g.theta())[0]
         assert rel_linf(out.values, ref) <= 1e-6
 
     def test_single_pixel_reproduces_kernel(self):
@@ -361,7 +369,8 @@ class TestEvolveSnapshot:
         snap = vd.initial_snapshot(lg00)
         t = 0.2
         out = vd.evolve_snapshot(snap, 1.0, t, spectral_cfg())
-        ref = vd.population_m0(lg00.grid.radius(), t, 1.0, 1.0, 1.0)
+        spec = vd.ModeSpec(kind=vd.ModeKind.LG, m=0)
+        ref = vd.lg_closed_form(spec, 1.0, t, lg00.grid.radius())[1]
         assert np.max(np.abs(out.rho22 - ref)) / ref.max() <= 1e-5
 
     def test_physicality_preserved(self, lg01):
@@ -379,15 +388,15 @@ class TestEvolveSnapshot:
         # [-8, 8) contains LG_0^1 only up to s = 2 (t = 0.25); beyond it the
         # spectral step must not wrap rho22, nor a field it produced itself.
         r, theta = grid256.radius(), grid256.theta()
+        spec = vd.ModeSpec(kind=vd.ModeKind.LG, m=1)
         snap = vd.initial_snapshot(lg01)
         for t in (1.0, 2.0):
             out = vd.evolve_snapshot(snap, 1.0, t, spectral_cfg())
-            assert rel_linf(out.rho22, vd.population_m1(r, t, 1.0, 1.0, 1.0)) <= 1e-5
+            assert rel_linf(out.rho22, vd.lg_closed_form(spec, 1.0, t, r)[1]) <= 1e-5
         half = vd.diffuse_spectral(lg01, 1.0, 0.5)
         assert half.free_space.w0_sq == pytest.approx(3.0)
         chained = vd.diffuse_spectral(half, 1.0, 0.5)
-        spec = vd.ModeSpec(kind=vd.ModeKind.LG, m=1)
-        ref = vd.coherence_closed_form(r, theta, 1.0, spec, 1.0)
+        ref = vd.lg_closed_form(spec, 1.0, 1.0, r, theta)[0]
         assert rel_linf(chained.values, ref) <= 1e-6
 
     def test_kernel_scheme_identity_at_t_zero(self, lg01):
