@@ -47,6 +47,14 @@ run_all() {  # run_all TREE OUT
           simulate "$cfg" > /dev/null
       done
     done
+    # no shipped scenario dumps a strictly positive rho22, which a snapshot
+    # keeps as given instead of clipping it; the plane wave's stays at |amp|^2
+    sed 's/^outputs .*/outputs = snapshots, fidelity_trace/' scenarios/plane_wave.cfg \
+      > "$2-cfg/plane_wave_snapshots.cfg"
+    for fmt in vxf csv; do
+      cli --out-dir "$2/simulate-$fmt-plane_wave_snapshots" --format "$fmt" \
+        simulate "$2-cfg/plane_wave_snapshots.cfg" > /dev/null
+    done
     cli --out-dir "$2/echo" echo scenarios/echo.cfg > /dev/null
     cli --out-dir "$2/sweep" sweep --param m=0..4 scenarios/sweep.cfg > /dev/null
     # no shipped scenario has p > 0; this sweep covers the Laguerre factor's bytes

@@ -24,11 +24,9 @@ from .analysis import (
     total_population,
 )
 from .analytic import (
-    CoherenceFactorParams,
     DiffusionParams,
     StateSnapshot,
     center_population_peak_m1,
-    coherence_factor,
     evolution_factor,
     initial_snapshot,
     lg_closed_form,

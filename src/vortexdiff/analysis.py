@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import CoherenceFactorParams, StateSnapshot, evolution_factor
+from .analytic import DEFAULT_ETA, StateSnapshot, check_eta, evolution_factor
 from .grid import ComplexField2D, GridSpec, RadialProfile
 
 
@@ -73,25 +73,29 @@ def reference_energy(coh_sq_0: np.ndarray) -> float:
     return ref
 
 
-def coherence_factor_values(coh_sq, rho11: float, rho22, eta: float) -> np.ndarray:
-    """f = (|rho12|^2 + eta) / (rho11 max(rho22, 0) + eta), clamped to [0, 1].
-
-    The array form of analytic.coherence_factor, applied pointwise by
-    coherence_factor_field and per radial bin to azimuthal averages.
+def coherence_factor_values(coh_sq, rho22, eta: float) -> np.ndarray:
+    """The coherence factor f = (|rho12|^2 + eta) / (max(rho22, 0) + eta),
+    clamped to [0, 1]: |rho12|^2 / (rho11 rho22) with rho11 = 1, the
+    strong-pump limit.  1 for a pure state, ~eta for a fully mixed one, and
+    eta > 0 makes an untouched region's 0/0 read 1.  The one formula for f,
+    applied pointwise by coherence_factor_field and per radial bin to
+    azimuthal averages.
     """
-    f = (coh_sq + eta) / (rho11 * np.maximum(rho22, 0.0) + eta)
+    f = (coh_sq + eta) / (np.maximum(rho22, 0.0) + eta)
     np.clip(f, 0.0, 1.0, out=f)
     return f
 
 
-def coherence_factor_field(s: StateSnapshot, params: CoherenceFactorParams) -> CoherenceFactorMap:
-    """Pointwise coherence factor (see coherence_factor_values) of one snapshot.
+def coherence_factor_field(s: StateSnapshot, eta: float = DEFAULT_ETA) -> CoherenceFactorMap:
+    """Pointwise coherence factor (see coherence_factor_values) of one
+    snapshot, with eta checked by analytic.check_eta.
 
     Also returns the rho22-weighted average, the natural summary for the
     retrieved light (regions the diffusion never reached keep f = 1 but carry
     vanishing weight).  Reads the snapshot's |rho12|^2, s.coh_sq.
     """
-    f = coherence_factor_values(s.coh_sq, s.rho11, s.rho22, params.eta)
+    check_eta(eta)
+    f = coherence_factor_values(s.coh_sq, s.rho22, eta)
     weight = float(np.sum(s.rho22))
     if weight > 0.0:
         weighted = float(np.sum(f * s.rho22) / weight)

@@ -1,5 +1,7 @@
-"""Closed-form ground truth for diffusing stored coherence.
+"""The strong-pump density matrix and the closed-form ground truth for it.
 
+A snapshot (StateSnapshot) holds rho12 and rho22 at one time; in the
+strong-pump limit rho11 = 1 everywhere and stays so, so it is not stored.
 Diffusion is the paraxial wave equation in imaginary time, so a stored
 LG_p^m stays Laguerre-Gaussian under rho_t = D lap(rho): one closed form,
 lg_closed_form, gives its coherence, its population and its retrieval
@@ -50,26 +52,22 @@ class DiffusionParams:
         object.__setattr__(self, "times", times)
 
 
-@dataclass(frozen=True)
-class CoherenceFactorParams:
-    """Regularizer eta for the coherence factor (infinitesimal, > 0)."""
-
-    eta: float = DEFAULT_ETA
-
-    def __post_init__(self):
-        if not (0 < self.eta <= 1e-8):
-            raise ValueError(f"eta must be in (0, 1e-8], got {self.eta}")
+def check_eta(eta: float) -> None:
+    """The coherence-factor regularizer rule: 0 < eta <= 1e-8 (infinitesimal)."""
+    if not (0 < eta <= 1e-8):
+        raise ValueError(f"eta must be in (0, 1e-8], got {eta}")
 
 
 @dataclass
 class StateSnapshot:
     """Density-matrix fields at one time: rho12 (complex), rho22 (real >= 0).
 
-    rho11 is spatially constant (strong-pump initial condition) and stays so
-    under diffusion, so it is carried as a scalar.  Construction is the one
-    physicality check, for initial and evolved snapshots alike: rho22 >= -tol
-    and |rho12|^2 <= rho11 * rho22 + tol, with tol = PHYSICALITY_TOL scaled
-    by the field peaks; rho22's residues within tol are clipped to 0.
+    The model is the strong-pump limit: rho11 = 1 everywhere, and diffusion
+    keeps it so.  Construction is the one physicality check, for initial and
+    evolved snapshots alike: rho22 and |rho12|^2 finite, rho22 >= -tol and
+    |rho12|^2 <= rho22 + tol, with tol = PHYSICALITY_TOL scaled by the field
+    peaks.  When rho22 has a value <= 0, the snapshot keeps a copy with
+    those residues clipped to +0; otherwise it keeps the array it was given.
 
     coh_sq is |rho12|^2 as the check computed it, kept so that the
     diagnostics read it instead of forming it again; it describes rho12 at
@@ -79,7 +77,6 @@ class StateSnapshot:
     time: float
     rho12: ComplexField2D
     rho22: np.ndarray
-    rho11: float = 1.0
     coh_sq: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -87,21 +84,26 @@ class StateSnapshot:
         n = self.rho12.grid.n
         if r22.shape != (n, n):
             raise ValueError(f"rho22 shape {r22.shape} does not match grid ({n}, {n})")
-        if not np.all(np.isfinite(r22)):
+        lo, hi = float(r22.min()), float(r22.max())  # NaN propagates, inf shows
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("rho22 contains non-finite values")
-        coh_sq = np.abs(self.rho12.values) ** 2
-        scale = max(1.0, float(r22.max(initial=0.0)), float(coh_sq.max(initial=0.0)))
-        tol = PHYSICALITY_TOL * scale
-        if float(r22.min()) < -tol:
-            raise ValueError(f"rho22 has negative values below tolerance (min {r22.min():.3e}, "
+        coh_sq = np.abs(self.rho12.values)
+        np.square(coh_sq, out=coh_sq)
+        coh_max = float(coh_sq.max())
+        if not math.isfinite(coh_max):
+            raise ValueError("|rho12|^2 overflows: rho12 is too large to square")
+        tol = PHYSICALITY_TOL * max(1.0, hi, coh_max)
+        if lo < -tol:
+            raise ValueError(f"rho22 has negative values below tolerance (min {lo:.3e}, "
                              f"tol {tol:.3e}); initial data too rough for the scheme and grid?")
-        clipped = np.maximum(r22, 0.0)
-        excess = float(np.max(coh_sq - self.rho11 * clipped))
+        if lo <= 0.0:
+            r22 = np.maximum(r22, 0.0)  # a copy: -0.0 becomes +0.0, the caller's array is kept
+        excess = float(np.max(coh_sq - r22))
         if excess > tol:
             raise ValueError(
                 f"snapshot violates |rho12|^2 <= rho11*rho22 by {excess:.3e} (tol {tol:.3e})"
             )
-        self.rho22, self.coh_sq = clipped, coh_sq
+        self.rho22, self.coh_sq = r22, coh_sq
 
     @property
     def grid(self):
@@ -109,7 +111,7 @@ class StateSnapshot:
 
 
 def initial_snapshot(rho12: ComplexField2D) -> StateSnapshot:
-    """Strong-pump initial condition: rho11 = 1, rho22 = |rho12|^2 at t = 0."""
+    """Strong-pump initial condition: rho22 = |rho12|^2 at t = 0."""
     return StateSnapshot(time=0.0, rho12=rho12.copy(), rho22=np.abs(rho12.values) ** 2)
 
 
@@ -159,23 +161,6 @@ def lg_closed_form(spec: ModeSpec, D: float, t: float, r, theta=0.0):
         return float(np.dot(weights, (nodes / a) ** am * _scaled_laguerre(p, am, nodes / a) ** 2)) / a
 
     return rho12, rho22, energy(s) / energy(1.0)
-
-
-def coherence_factor(coh_sq: float, pbb: float, pcc: float, eta: float) -> float:
-    """Local purity diagnostic f = (|rho_bc|^2 + eta) / (rho_bb rho_cc + eta).
-
-    1 for a pure state, ~0 for a completely mixed one; eta > 0 defines the
-    undisturbed-region limit 0/0 = 1.  Values are clamped to [0, 1] after a
-    small physicality allowance.
-    """
-    if coh_sq < 0 or pbb < 0 or pcc < 0:
-        raise ValueError("coherence factor inputs must be nonnegative")
-    if not (eta > 0):
-        raise ValueError(f"eta must be positive, got {eta}")
-    f = (coh_sq + eta) / (pbb * pcc + eta)
-    if f > 1.0 + PHYSICALITY_TOL:
-        raise ValueError(f"coherence factor {f} exceeds 1 beyond physicality tolerance")
-    return min(max(f, 0.0), 1.0)
 
 
 def center_population_peak_m1(w0: float, D: float, P: float) -> tuple[float, float]:

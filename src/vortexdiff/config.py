@@ -34,7 +34,7 @@ import typing
 from dataclasses import dataclass, field
 
 from .analysis import check_fit_times, check_hole_geometry
-from .analytic import DEFAULT_ETA, CoherenceFactorParams, DiffusionParams, evolution_factor
+from .analytic import DEFAULT_ETA, DiffusionParams, check_eta, evolution_factor
 from .grid import GridSpec, check_nbins
 from .modes import (ModeKind, ModeSpec, check_block_radius, check_contained, check_plane_wave_k,
                     lg_required_extent)
@@ -230,8 +230,9 @@ def validate_scenario(cfg: ScenarioConfig) -> None:
 
     Each physical rule is asked of its one owner (README, "Invariants"); its
     error becomes a ConfigError naming the key: grid.extent (containment at
-    the latest time), mode.block_radius, mode.k, solver.dt, diffusion.times
-    (kernel resolution), eta or nbins; parse_config adds the key's line.  An
+    the latest time), mode.block_radius, mode.k, solver.dt (or
+    solver.cfl_safety when dt is unset), diffusion.times (kernel
+    resolution), eta or nbins; parse_config adds the key's line.  An
     empty diffusion.times fails with the message parse_config gives it, and
     a fit output whose trace cannot be fitted fails naming that output.
     """
@@ -258,7 +259,8 @@ def validate_scenario(cfg: ScenarioConfig) -> None:
             check_plane_wave_k(mode.k, grid)
 
     if cfg.solver.scheme is Scheme.FD_EXPLICIT and diffusion.D > 0:
-        with _key("solver.dt"):
+        # an unset dt is derived from cfl_safety, so that is the value to change
+        with _key("solver.cfl_safety" if cfg.solver.dt is None else "solver.dt"):
             fd_timestep(grid, diffusion.D, cfg.solver)
 
     if cfg.solver.scheme is Scheme.KERNEL:
@@ -266,7 +268,7 @@ def validate_scenario(cfg: ScenarioConfig) -> None:
             check_kernel_resolution(grid, diffusion.D, diffusion.times)
 
     with _key("eta"):
-        CoherenceFactorParams(eta=cfg.eta)
+        check_eta(cfg.eta)
 
     with _key("nbins"):
         check_nbins(cfg.nbins)

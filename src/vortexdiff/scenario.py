@@ -43,7 +43,7 @@ from .analysis import (
     reference_energy,
     total_population,
 )
-from .analytic import CoherenceFactorParams, StateSnapshot, evolution_factor, initial_snapshot
+from .analytic import StateSnapshot, evolution_factor, initial_snapshot
 from .config import OutputKind, ScenarioConfig, render_config, validate_scenario
 from .fieldio import write_field, write_field_csv, write_table_csv
 from .grid import RadialProfile, azimuthal_average, radial_mean
@@ -87,7 +87,7 @@ class SnapshotDiagnostics:
 
     def __init__(self, cfg: ScenarioConfig, reference: float, snap: StateSnapshot):
         self.cfg, self.reference, self.snap = cfg, reference, snap
-        self.time, self.rho11 = snap.time, snap.rho11
+        self.time = snap.time
 
     def release(self) -> None:
         """Drop the snapshot and its full-grid arrays."""
@@ -106,7 +106,7 @@ class SnapshotDiagnostics:
     @cached_property
     def cfactor(self) -> tuple[float, float]:
         """rho22-weighted average and centre sample of the coherence-factor map."""
-        cmap = coherence_factor_field(self.snap, CoherenceFactorParams(eta=self.cfg.eta))
+        cmap = coherence_factor_field(self.snap, self.cfg.eta)
         i0 = self.cfg.grid.origin_index
         return cmap.weighted_average, float(cmap.values[i0, i0])
 
@@ -172,7 +172,7 @@ def _cfactor_tables(cfg, diags):
     profiles = [(f"cfactor_{i:03d}.csv", "coherence factor profile", d.time,
                  {"r": d.profile.radii,
                   "coherence_factor": coherence_factor_values(
-                      d.profile.mean_intensity, d.rho11, d.rho22_radial, cfg.eta)})
+                      d.profile.mean_intensity, d.rho22_radial, cfg.eta)})
                 for i, d in enumerate(diags)]
     summary = {"t": cfg.diffusion.times, "weighted_average": [d.cfactor[0] for d in diags]}
     return profiles + [("cfactor_summary.csv", "rho22-weighted coherence factor", None, summary)]

@@ -441,8 +441,8 @@ def evolve_snapshots(s: StateSnapshot, D: float, times, cfg: SolverConfig) -> It
     configured scheme, yielding one evolved snapshot per time, lazily.
 
     rho12 diffuses as a complex field, rho22 as a real field with rho12's
-    boundary, both in one _classical_stream; rho11 is homogeneous and
-    diffusion-invariant.  Each result passes the one physicality check, the
+    boundary, both in one _classical_stream (rho11 = 1 is homogeneous, so
+    diffusion leaves it as it is).  Each result passes the one physicality check, the
     StateSnapshot constructor, which rejects data too rough for the scheme
     and grid and clips rounding residues.  Every time gets the bytes of a
     step from s to that time alone.  Nothing is computed until a snapshot
@@ -457,7 +457,7 @@ def evolve_snapshots(s: StateSnapshot, D: float, times, cfg: SolverConfig) -> It
     for t in times:
         rho12, rho22 = next(fields)
         snap = StateSnapshot(s.time + t, ComplexField2D(s.grid, rho12, _diffused_boundary(s.rho12, D, t)),
-                             rho22, s.rho11)
+                             rho22)
         del rho12, rho22
         yield snap
         del snap

@@ -167,7 +167,7 @@ def test_criterion_06_center_diagnostics():
         out = vd.evolve_snapshot(snap0, 1.0, t, vd.SolverConfig())
         rho22_center.append(vd.center_intensity(out))
         rho12_center.append(abs(out.rho12.values[i0, i0]))
-        cf = vd.coherence_factor_field(out, vd.CoherenceFactorParams(eta=eta))
+        cf = vd.coherence_factor_field(out, eta)
         f_center.append(float(cf.values[i0, i0]))
 
     t_star, peak = vd.center_population_peak_m1(1.0, 1.0, P)
@@ -175,7 +175,7 @@ def test_criterion_06_center_diagnostics():
     peak_at_tstar = abs(times[argmax] - t_star) <= 0.026  # one time-sample
     peak_value_ok = abs(rho22_center[argmax] - peak) / peak <= 1e-3
     pinned = max(rho12_center) <= 1e-10
-    cf0 = vd.coherence_factor_field(snap0, vd.CoherenceFactorParams(eta=eta))
+    cf0 = vd.coherence_factor_field(snap0, eta)
     pure_at_zero = abs(cf0.values[i0, i0] - 1.0) <= 1e-12
     incoherent_after = max(f_center) <= 2 * eta
     ok = peak_at_tstar and peak_value_ok and pinned and pure_at_zero and incoherent_after

@@ -55,22 +55,22 @@ class TestCoherenceFactorField:
         snap0 = vd.initial_snapshot(vd.lg_field(vd.ModeSpec(kind=vd.ModeKind.LG, m=1), g))
         snap = vd.evolve_snapshot(snap0, 1.0, 0.1, vd.SolverConfig())
         eta = 1e-10
-        cf = vd.coherence_factor_field(snap, vd.CoherenceFactorParams(eta=eta))
+        cf = vd.coherence_factor_field(snap, eta)
         coh_sq = np.abs(snap.rho12.values) ** 2
-        expected = vd.coherence_factor_values(coh_sq, snap.rho11, snap.rho22, eta)
+        expected = vd.coherence_factor_values(coh_sq, snap.rho22, eta)
         assert np.array_equal(cf.values, expected)
         i, j = 20, 37
-        scalar = vd.coherence_factor(float(coh_sq[i, j]), snap.rho11, float(snap.rho22[i, j]), eta)
-        assert expected[i, j] == pytest.approx(scalar, rel=1e-15)
+        direct = min((coh_sq[i, j] + eta) / (snap.rho22[i, j] + eta), 1.0)
+        assert expected[i, j] == pytest.approx(direct, rel=1e-15)
 
     def test_array_formula_clamps_negative_rho22(self):
-        f = vd.coherence_factor_values(np.array([0.0, 0.5]), 1.0, np.array([-1e-20, 0.25]), 1e-12)
+        f = vd.coherence_factor_values(np.array([0.0, 0.5]), np.array([-1e-20, 0.25]), 1e-12)
         assert f[0] == 1.0  # eta / eta
         assert f[1] == 1.0  # 0.5 / 0.25 clamped
 
     def test_pure_initial_state_is_unity(self, lg01):
         snap = vd.initial_snapshot(lg01)
-        cf = vd.coherence_factor_field(snap, vd.CoherenceFactorParams())
+        cf = vd.coherence_factor_field(snap)
         assert np.all(np.abs(cf.values - 1.0) <= 1e-9)
         assert cf.weighted_average == pytest.approx(1.0, abs=1e-9)
 
@@ -82,20 +82,20 @@ class TestCoherenceFactorField:
         i0 = g.origin_index
         for t in (0.05, 0.125, 0.25):
             out = vd.evolve_snapshot(snap, 1.0, t, vd.SolverConfig())
-            cf = vd.coherence_factor_field(out, vd.CoherenceFactorParams(eta=eta))
+            cf = vd.coherence_factor_field(out, eta)
             assert cf.values[i0, i0] <= 2 * eta
 
     def test_untouched_region_stays_pure_with_tiny_weight(self, lg01):
         out = vd.evolve_snapshot(vd.initial_snapshot(lg01), 1.0, 0.1, vd.SolverConfig())
         # eta well above the FFT noise floor (~1e-17) so 0/0 resolves cleanly
-        cf = vd.coherence_factor_field(out, vd.CoherenceFactorParams(eta=1e-8))
+        cf = vd.coherence_factor_field(out, 1e-8)
         far = out.grid.radius() > 6.0
         assert np.all(np.abs(cf.values[far] - 1.0) <= 1e-7)
         assert np.sum(out.rho22[far]) / np.sum(out.rho22) < 1e-8
 
     def test_values_stay_in_unit_interval(self, lg11):
         out = vd.evolve_snapshot(vd.initial_snapshot(lg11), 1.0, 0.2, vd.SolverConfig())
-        cf = vd.coherence_factor_field(out, vd.CoherenceFactorParams())
+        cf = vd.coherence_factor_field(out)
         assert cf.values.min() >= 0.0
         assert cf.values.max() <= 1.0
 
@@ -104,7 +104,7 @@ class TestCoherenceFactorField:
         snap = vd.initial_snapshot(lg01)
         for t, s in ((0.125, 1.5), (0.25, 2.0), (0.5, 3.0)):
             out = vd.evolve_snapshot(snap, 1.0, t, vd.SolverConfig())
-            cf = vd.coherence_factor_field(out, vd.CoherenceFactorParams())
+            cf = vd.coherence_factor_field(out)
             assert cf.weighted_average == pytest.approx(s**-2, rel=1e-4)
 
 

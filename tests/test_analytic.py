@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import vortexdiff as vd
+from vortexdiff.analytic import DEFAULT_ETA, check_eta
 from helpers import (heat_flow_radial, lg_amplitude, lg_intensity, population_m0, population_m1,
                      radial_integral)
 
@@ -187,26 +188,21 @@ class TestFidelity:
 
 
 class TestCoherenceFactor:
+    # the one formula for f, coherence_factor_values, on 1-element arrays
+    @staticmethod
+    def f(coh_sq, rho22, eta=1e-12):
+        return vd.coherence_factor_values(np.array([coh_sq]), np.array([rho22]), eta)[0]
+
     def test_pure_state(self):
-        assert vd.coherence_factor(0.35, 0.5, 0.7, 1e-12) == pytest.approx(1.0, rel=1e-9)
+        assert self.f(0.35, 0.35) == pytest.approx(1.0, rel=1e-9)
 
     def test_fully_mixed(self):
         eta = 1e-12
-        assert vd.coherence_factor(0.0, 1.0, 1.0, eta) == pytest.approx(eta / (1 + eta), rel=1e-6)
+        assert self.f(0.0, 1.0, eta) == pytest.approx(eta / (1 + eta), rel=1e-6)
 
     def test_zero_over_zero_is_one(self):
         # undisturbed region: no population and no coherence stays pure
-        assert vd.coherence_factor(0.0, 0.0, 0.0, 1e-12) == 1.0
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            vd.coherence_factor(-0.1, 1.0, 1.0, 1e-12)
-        with pytest.raises(ValueError):
-            vd.coherence_factor(0.1, -1.0, 1.0, 1e-12)
-
-    def test_rejects_unphysical_excess(self):
-        with pytest.raises(ValueError):
-            vd.coherence_factor(2.0, 1.0, 1.0, 1e-12)
+        assert self.f(0.0, 0.0) == 1.0
 
 
 class TestCenterPopulationPeak:
@@ -251,7 +247,6 @@ class TestStateSnapshot:
     def test_initial_snapshot_is_physical(self, lg01):
         snap = vd.initial_snapshot(lg01)
         assert snap.time == 0.0
-        assert snap.rho11 == 1.0
         assert np.all(snap.rho22 >= 0)
         assert np.allclose(snap.rho22, np.abs(snap.rho12.values) ** 2)
 
@@ -265,6 +260,36 @@ class TestStateSnapshot:
         rho22[10, 10] = -0.5
         with pytest.raises(ValueError):
             vd.StateSnapshot(time=0.0, rho12=lg01, rho22=rho22)
+
+    def test_rejects_non_finite_population(self, lg01):
+        rho22 = np.abs(lg01.values) ** 2
+        rho22[10, 10] = np.nan
+        with pytest.raises(ValueError, match="rho22 contains non-finite values"):
+            vd.StateSnapshot(time=0.0, rho12=lg01, rho22=rho22)
+        rho22[10, 10] = -np.inf
+        with pytest.raises(ValueError, match="rho22 contains non-finite values"):
+            vd.StateSnapshot(time=0.0, rho12=lg01, rho22=rho22)
+
+    def test_rejects_coherence_whose_square_overflows(self):
+        # |rho12|^2 = 1e400 is inf; an inf tolerance would let every comparison pass
+        rho12 = vd.ComplexField2D(vd.GridSpec(8, 1.0), np.full((8, 8), 1e200 + 0j))
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="rho12"):
+            vd.StateSnapshot(0.0, rho12, np.ones((8, 8)))
+
+    def test_clips_residues_into_a_copy(self, lg01):
+        rho22 = np.abs(lg01.values) ** 2
+        rho22[0, 0], rho22[0, 1] = -1e-12, -0.0  # within tolerance
+        given = rho22.copy()
+        snap = vd.StateSnapshot(time=0.0, rho12=lg01, rho22=rho22)
+        assert np.array_equal(rho22, given) and np.signbit(rho22[0, 1])  # the caller's array is kept
+        assert snap.rho22 is not rho22
+        assert np.array_equal(snap.rho22, np.maximum(given, 0.0))
+        assert not np.any(np.signbit(snap.rho22))
+
+    def test_positive_population_passes_through(self, lg01):
+        rho22 = np.abs(lg01.values) ** 2 + 1e-3
+        snap = vd.StateSnapshot(time=0.0, rho12=lg01, rho22=rho22)
+        assert np.array_equal(snap.rho22, rho22)
 
 
 class TestDiffusionParams:
@@ -283,9 +308,10 @@ class TestDiffusionParams:
 
 class TestCoherenceFactorParams:
     def test_default_eta(self):
-        assert vd.CoherenceFactorParams().eta == 1e-12
+        assert DEFAULT_ETA == 1e-12
+        check_eta(DEFAULT_ETA)
 
     @pytest.mark.parametrize("eta", [0.0, -1e-12, 1e-7])
     def test_rejects_out_of_range(self, eta):
-        with pytest.raises(ValueError):
-            vd.CoherenceFactorParams(eta=eta)
+        with pytest.raises(ValueError, match=r"^eta must be in \(0, 1e-8\], got "):
+            check_eta(eta)

@@ -380,10 +380,6 @@ class TestEvolveSnapshot:
         assert np.all(coh_sq <= out.rho22 + 1e-9)
         assert np.all(out.rho22 >= 0)
 
-    def test_rho11_stays_unity(self, lg01):
-        out = vd.evolve_snapshot(vd.initial_snapshot(lg01), 1.0, 0.1, spectral_cfg())
-        assert out.rho11 == 1.0
-
     def test_free_space_past_containment(self, lg01, grid256):
         # [-8, 8) contains LG_0^1 only up to s = 2 (t = 0.25); beyond it the
         # spectral step must not wrap rho22, nor a field it produced itself.
