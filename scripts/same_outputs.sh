@@ -55,6 +55,14 @@ run_all() {  # run_all TREE OUT
       cli --out-dir "$2/simulate-$fmt-plane_wave_snapshots" --format "$fmt" \
         simulate "$2-cfg/plane_wave_snapshots.cfg" > /dev/null
     done
+    # dumps of the fields no shipped run writes: the blocked Gaussian, an
+    # LG_1^1, and a kernel run whose dx^2 = (2/15)^2 is not a power of two
+    sed 's/^outputs .*/&, snapshots/' scenarios/blocked.cfg > "$2-cfg/blocked_snapshots.cfg"
+    sed 's/^mode.p .*/mode.p = 1/' scenarios/vortex.cfg > "$2-cfg/vortex_p1.cfg"
+    sed 's/^grid.n .*/grid.n = 240/' "$2-cfg/kernel.cfg" > "$2-cfg/kernel_n240.cfg"
+    for cfg in blocked_snapshots vortex_p1 kernel_n240; do
+      cli --out-dir "$2/simulate-vxf-$cfg" --format vxf simulate "$2-cfg/$cfg.cfg" > /dev/null
+    done
     cli --out-dir "$2/echo" echo scenarios/echo.cfg > /dev/null
     cli --out-dir "$2/sweep" sweep --param m=0..4 scenarios/sweep.cfg > /dev/null
     # no shipped scenario has p > 0; this sweep covers the Laguerre factor's bytes

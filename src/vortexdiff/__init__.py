@@ -46,11 +46,10 @@ from .modes import (
     ContainmentError,
     ModeKind,
     ModeSpec,
-    assoc_laguerre,
     blocked_gaussian,
     build_mode,
+    lg_amplitude,
     lg_field,
-    lg_radial_amplitude,
     lg_required_extent,
     plane_wave,
 )

@@ -5,8 +5,9 @@ strong-pump limit rho11 = 1 everywhere and stays so, so it is not stored.
 Diffusion is the paraxial wave equation in imaginary time, so a stored
 LG_p^m stays Laguerre-Gaussian under rho_t = D lap(rho): one closed form,
 lg_closed_form, gives its coherence, its population and its retrieval
-efficiency at every time, for every (p, m).  It is the oracle against which
-the numerical propagators are validated.
+efficiency at every time, for every (p, m); its coherence is the stored
+mode's formula, modes.lg_amplitude, at s = 1 + 4 D t / w0^2 instead of 1.
+It is the oracle against which the numerical propagators are validated.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import ComplexField2D
-from .modes import ModeKind, ModeSpec, _scaled_laguerre
+from .modes import ModeKind, ModeSpec, _scaled_laguerre, lg_amplitude
 
 #: Default regularizer for the coherence factor; only role is to define the
 #: undisturbed-region limit 0/0 = 1.
@@ -127,11 +128,10 @@ def lg_closed_form(spec: ModeSpec, D: float, t: float, r, theta=0.0):
     """(rho12, rho22, efficiency) of a stored LG_p^m diffused for time t.
 
     rho12 at (r, theta) carries amp and P as lg_field does, and rho22 at r
-    carries |amp|^2.  In units of w0, with s = 1 + 4 D t / w0^2 and
-    q = (2 - s) / s, rho12 is lg_field's normalization times s^-(|m|+1)
-    q^p L_p^|m|(2 u^2 / (s^2 q)) (sqrt(2) u)^|m| e^{-u^2 / s} e^{-i m theta},
-    finite at s = 2.  rho22 at t = 0 is a sum of L_j(4 u^2) e^{-2 u^2},
-    j <= |m| + 2p, each diffusing by that form as LG_j^0 at waist
+    carries |amp|^2.  With s = 1 + 4 D t / w0^2, rho12 is amp
+    lg_amplitude(spec, s, r) e^{-i m theta}, the stored mode at s instead of
+    1.  In units u = r / w0, rho22 at t = 0 is a sum of L_j(4 u^2) e^{-2 u^2},
+    j <= |m| + 2p, each diffusing by that formula as LG_j^0 at waist
     w0 / sqrt(2).  The efficiency is the integral of v^|m| L_p^|m|(v)^2
     e^{-s v} over its value at s = 1 (s^-(|m|+1) for p = 0).  Gauss-Laguerre
     quadrature evaluates both integrals exactly.
@@ -145,9 +145,7 @@ def lg_closed_form(spec: ModeSpec, D: float, t: float, r, theta=0.0):
     u_sq = (np.asarray(r, dtype=np.float64) / spec.w0) ** 2
     scale = math.sqrt(2.0 * spec.P / math.pi * math.factorial(p) / math.factorial(p + am)) / spec.w0
 
-    rho12 = (spec.amp * scale * _scaled_laguerre(p, am, 2.0 * u_sq / s**2, (2.0 - s) / s)
-             * (2.0 * u_sq) ** (am / 2) * np.exp(-u_sq / s - 1j * spec.m * np.asarray(theta))
-             / s ** (am + 1))
+    rho12 = spec.amp * lg_amplitude(spec, s, r) * np.exp(-1j * spec.m * np.asarray(theta))
 
     nodes, weights = laggauss(am + 2 * p + 1)  # project the stored rho22 onto L_j(4 u^2)
     stored = weights * (nodes / 2.0) ** am * _scaled_laguerre(p, am, nodes / 2.0) ** 2

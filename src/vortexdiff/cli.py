@@ -87,11 +87,17 @@ def _parse_sweep(spec: str) -> tuple[str, list[int]]:
 
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args.config, args.strict)
+    if cfg.mode.kind is not ModeKind.LG:
+        raise ConfigError("sweep needs an lg scenario")
     name, values = _parse_sweep(args.param)
     svals = [evolution_factor(t, cfg.diffusion.D, cfg.mode.w0) for t in cfg.diffusion.times]
     columns = {"s": svals}
     for value in values:
-        sub = dataclasses.replace(cfg, mode=dataclasses.replace(cfg.mode, **{name: value}))
+        try:
+            mode = dataclasses.replace(cfg.mode, **{name: value})
+        except ValueError as exc:
+            raise ConfigError(f"--param {name}={value}: {exc}") from exc
+        sub = dataclasses.replace(cfg, mode=mode)
         validate_scenario(sub)
         columns[f"efficiency_{name}{value}"] = [d.efficiency for d in stream_diagnostics(sub)]
     print("s      " + "  ".join(f"{k:>16s}" for k in columns if k != "s"))

@@ -36,8 +36,7 @@ from dataclasses import dataclass, field
 from .analysis import check_fit_times, check_hole_geometry
 from .analytic import DEFAULT_ETA, DiffusionParams, check_eta, evolution_factor
 from .grid import GridSpec, check_nbins
-from .modes import (ModeKind, ModeSpec, check_block_radius, check_contained, check_plane_wave_k,
-                    lg_required_extent)
+from .modes import ModeKind, ModeSpec, check_block_radius, check_contained, check_plane_wave_k
 from .solvers import (QuantumParams, Scheme, SolverConfig, check_kernel_resolution,
                       fd_timestep)
 
@@ -208,7 +207,9 @@ def parse_config(text: str, strict: bool = True) -> ScenarioConfig:
     except ConfigError as exc:
         if exc.key not in entries:
             raise
-        raise ConfigError(str(exc), entries[exc.key][1]) from exc
+        error = ConfigError(str(exc), entries[exc.key][1])
+        error.key = exc.key
+        raise error from exc
     return cfg
 
 

@@ -175,33 +175,22 @@ def _binned(idx: np.ndarray, weights, nbins: int) -> np.ndarray:
 
 
 def radial_mean(values: np.ndarray, grid: GridSpec, nbins: int) -> np.ndarray:
-    """Azimuthal mean of a real field per occupied bin, on the bins of azimuthal_average.
-
-    One real bincount.  Each sum is scaled by its reciprocal count, which
-    gives the bytes of the shipped rho22 columns; a true division
-    sums / counts differs from that by one ulp in about a quarter of the bins.
-    """
+    """Azimuthal mean of a real field per occupied bin of radial_bins: one
+    weighted bincount, sums / counts.  The one radial reduction."""
     idx, counts = radial_bins(grid, nbins)
-    sums = _binned(idx, values.ravel(), nbins)
     occupied = counts > 0
-    return sums[occupied] * (1.0 / counts[occupied])
+    return _binned(idx, values.ravel(), nbins)[occupied] / counts[occupied]
 
 
 def azimuthal_average(f: ComplexField2D, nbins: int, intensity: np.ndarray | None = None) -> RadialProfile:
     """Mean of |f|^2 over azimuth in radial bins of width extent/nbins.
 
     Bin b collects samples with r in [b*dr, (b+1)*dr); samples at r >= extent
-    (grid corners) fall outside the last bin and are dropped.  One weighted
-    bincount; intensity is |f|^2 when the caller has it already.
+    (grid corners) fall outside the last bin and are dropped.  The mean is
+    radial_mean of intensity, which is |f|^2 when the caller has it already.
     """
-    idx, counts = radial_bins(f.grid, nbins)
-    dr = f.grid.extent / nbins
     if intensity is None:
         intensity = np.abs(f.values) ** 2
-    sums = _binned(idx, intensity.ravel(), nbins)
-    occupied = counts > 0
-    return RadialProfile(
-        radii=(np.arange(nbins)[occupied] + 0.5) * dr,
-        mean_intensity=sums[occupied] / counts[occupied],
-        bin_width=dr,
-    )
+    mean = radial_mean(intensity, f.grid, nbins)  # asks check_nbins first
+    occupied, dr = radial_bins(f.grid, nbins)[1] > 0, f.grid.extent / nbins
+    return RadialProfile((np.arange(nbins)[occupied] + 0.5) * dr, mean, dr)

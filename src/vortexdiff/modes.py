@@ -1,6 +1,7 @@
 """Initial stored-coherence fields: LG modes, plane waves, blocked Gaussian.
 
-The Laguerre-Gaussian radial amplitude used throughout is
+The Laguerre-Gaussian radial amplitude used throughout is lg_amplitude at
+evolution factor s; the stored mode is its s = 1 case,
 
     A(r; w0, P, m, p) = (1/w0) * sqrt(2 P / pi) * sqrt(p! / (p+|m|)!)
                         * (sqrt(2) r / w0)^|m| * L_p^{|m|}(2 r^2 / w0^2)
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -110,25 +111,18 @@ def _scaled_laguerre(p: int, alpha: int, x, q: float = 1.0):
     return cur
 
 
-def assoc_laguerre(p: int, alpha: int, x):
-    """Generalized Laguerre polynomial L_p^alpha(x), for scalar or ndarray x."""
-    if not isinstance(p, (int, np.integer)) or p < 0:
-        raise ValueError(f"degree p must be a nonnegative integer, got {p!r}")
-    if not isinstance(alpha, (int, np.integer)) or alpha < 0:
-        raise ValueError(f"order alpha must be a nonnegative integer, got {alpha!r}")
-    value = _scaled_laguerre(p, alpha, np.asarray(x, dtype=np.float64))
-    return value if value.ndim else float(value)
-
-
-def lg_radial_amplitude(r, w0: float, P: float, m: int, p: int = 0):
-    """Radial amplitude A(r) of LG_p^m, normalized to total intensity P."""
+def lg_amplitude(spec: ModeSpec, s: float, r):
+    """Radial amplitude of LG_p^m at evolution factor s = 1 + 4 D t / w0^2:
+    A's normalization times s^-(|m|+1) q^p L_p^|m|(2 u^2 / (s^2 q))
+    (sqrt(2) u)^|m| e^{-u^2 / s}, with u = r / w0 and q = (2 - s) / s, finite
+    at s = 2.  At s = 1 every s term is an exact 1, so it is A itself."""
     r = np.asarray(r, dtype=np.float64)
-    am = abs(m)
-    norm = math.sqrt(math.factorial(p) / math.factorial(p + am))
-    rad = (np.sqrt(2.0) * r / w0) ** am * np.exp(-(r**2) / w0**2)
-    if p > 0:
-        rad = rad * assoc_laguerre(p, am, 2.0 * r**2 / w0**2)
-    return (1.0 / w0) * math.sqrt(2.0 * P / math.pi) * norm * rad
+    am, w0 = abs(spec.m), spec.w0
+    norm = math.sqrt(math.factorial(spec.p) / math.factorial(spec.p + am))
+    rad = (np.sqrt(2.0) * r / w0) ** am * np.exp(-(r**2) / (w0**2 * s))
+    if spec.p > 0:
+        rad = rad * _scaled_laguerre(spec.p, am, 2.0 * r**2 / w0**2 / s**2, (2.0 - s) / s)
+    return (1.0 / w0) * math.sqrt(2.0 * spec.P / math.pi) * norm * rad / s ** (am + 1)
 
 
 def lg_field(spec: ModeSpec, grid: GridSpec) -> ComplexField2D:
@@ -141,10 +135,8 @@ def lg_field(spec: ModeSpec, grid: GridSpec) -> ComplexField2D:
     if spec.kind is not ModeKind.LG:
         raise ValueError(f"lg_field needs kind=LG, got {spec.kind}")
     check_contained(grid.extent, spec.w0, spec.m, spec.p)
-    r = grid.radius()
-    theta = grid.theta()
-    amplitude = lg_radial_amplitude(r, spec.w0, spec.P, spec.m, spec.p)
-    values = spec.amp * amplitude * np.exp(-1j * spec.m * theta)
+    r, theta = grid.radius(), grid.theta()
+    values = spec.amp * lg_amplitude(spec, 1.0, r) * np.exp(-1j * spec.m * theta)
     return ComplexField2D(grid, values, FreeSpace(spec.w0**2, 1 + abs(spec.m) + spec.p))
 
 
@@ -158,7 +150,7 @@ def blocked_gaussian(spec: ModeSpec, grid: GridSpec) -> ComplexField2D:
     check_block_radius(spec.block_radius, grid)
     check_contained(grid.extent, spec.w0, 0, 0)
     r = grid.radius()
-    values = spec.amp * lg_radial_amplitude(r, spec.w0, spec.P, 0, 0).astype(np.complex128)
+    values = spec.amp * lg_amplitude(replace(spec, p=0, m=0), 1.0, r).astype(np.complex128)
     values[r < spec.block_radius] = 0.0
     return ComplexField2D(grid, values, FreeSpace(spec.w0**2, 1))
 

@@ -18,7 +18,7 @@ Three independent classical schemes on the same grid:
   discretization and step count as a march, evaluated exactly.
 * KERNEL: discrete convolution with the sampled heat kernel
   G = e^{-|r|^2 / 4 D t} / (4 pi D t), truncated where G < 1e-16 G(0): the
-  spectral step again with the multiplier fft2(G) dx^2 on a zero-padded
+  spectral step again with the multiplier fft2(G dx^2) on a zero-padded
   side, a linear convolution, so this scheme is free-space for every field.
 
 The three classical steps and the quantum step are one loop,
@@ -31,11 +31,12 @@ the complex passes in place, with the bytes of ifft2 / irfft2.  Its memory
 rule: a field's padded spectrum is held only while the next time uses the
 same side; otherwise each field is transformed lazily, multiplied in place
 and dropped.  _classical_stream is the one scheme dispatch: the schemes
-differ only in plan and multiplier.  The spectral and quantum multipliers
-are separable, outer products of 1-D factors.  evolve_snapshots (a lazy
-generator that keeps no snapshot it has yielded) and the one-field steps
-diffuse_spectral, diffuse_kernel and diffuse_fd all call it;
-evolve_quantum is the loop's periodic one-time case.
+differ only in plan and multiplier, which holds every weight.  The
+spectral and quantum multipliers are separable, outer products of 1-D
+factors.  evolve_snapshots (a lazy generator that keeps no snapshot it has
+yielded) calls it, and so does _diffuse_one, the one-field step that
+diffuse_spectral, diffuse_kernel and diffuse_fd each are; evolve_quantum
+is the loop's periodic one-time case.
 
 Every classical step returns a field with its input's boundary; a free-space
 record grows to the diffused waist w0^2 + 4 D t, so chained steps pad enough.
@@ -52,7 +53,6 @@ exposed only as a conditioning report, never performed.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
@@ -114,14 +114,10 @@ class QuantumParams:
     beta: float = 1.0
 
 
-@functools.lru_cache(maxsize=4)
 def _wavenumbers(n: int, dx: float) -> np.ndarray:
     """Angular wavenumbers 2 pi fftfreq(n, dx) of one axis of an n x n FFT
-    grid, read-only and cached: a stream of times, or an echo, asks for the
-    same side again and again.  Every multiplier is built from them."""
-    k = 2.0 * np.pi * np.fft.fftfreq(n, d=dx)
-    k.flags.writeable = False
-    return k
+    grid.  Every multiplier is built from them."""
+    return 2.0 * np.pi * np.fft.fftfreq(n, d=dx)
 
 
 def _outer(axis_factor: np.ndarray) -> np.ndarray:
@@ -183,14 +179,14 @@ def _inverse_fft2(product: np.ndarray, side: int, real: bool) -> np.ndarray:
 
 
 def _fourier_stream(grid: GridSpec, fields: list[np.ndarray], times: list[float], plan,
-                    multiplier, scale: float = 1.0) -> Iterator[list[np.ndarray]]:
+                    multiplier) -> Iterator[list[np.ndarray]]:
     """The one Fourier-multiplier loop, one list of results per time,
     yielded as it is computed.  plan(t) gives (side, offset), or None for
     the identity (copies).  Each array in fields goes to the spectrum at
     that side, times multiplier(t, side), back, and its n x n window at
-    offset, times scale.  A complex field goes fft2 and the per-axis
-    in-place inverse; a real field goes rfft2, times the multiplier's
-    first side // 2 + 1 columns, and the per-axis irfft2, and stays real.
+    offset.  A complex field goes fft2 and the per-axis in-place inverse;
+    a real field goes rfft2, times the multiplier's first side // 2 + 1
+    columns, and the per-axis irfft2, and stays real.
     That is exact because every multiplier applied to a real field is the
     spectrum of a real kernel.  A field's padded spectrum is held only while
     the next time uses the same side: such a time transforms every field up
@@ -227,8 +223,6 @@ def _fourier_stream(grid: GridSpec, fields: list[np.ndarray], times: list[float]
             # the window is copied out, so no result keeps a padded array alive
             out.append(np.ascontiguousarray(_inverse_fft2(product, side, real)[window, window]))
             del product
-            if scale != 1.0:
-                out[-1] *= scale
         if not keep:
             held = []
         del factor
@@ -303,7 +297,6 @@ def _classical_stream(cfg: SolverConfig, grid: GridSpec, free_space: FreeSpace |
     here, before any transform.
     """
     check_diffusion(D, times)
-    scale = 1.0
     if cfg.scheme is Scheme.SPECTRAL:
         def step(t):
             return _free_space_size(grid, free_space, D, t), 0
@@ -331,13 +324,19 @@ def _classical_stream(cfg: SolverConfig, grid: GridSpec, free_space: FreeSpace |
             half = _kernel_cut(grid, D, t)[1]
             return _fft_size(grid.n + half), half
 
-        def factor(t, side):
-            return np.fft.fft2(heat_kernel_patch(grid, D, t), s=(side, side))
-        scale = grid.dx**2
+        def factor(t, side):  # the convolution weights G dx^2
+            return np.fft.fft2(heat_kernel_patch(grid, D, t) * grid.dx**2, s=(side, side))
     else:
         raise ValueError(f"unknown scheme {cfg.scheme!r}")
     return _fourier_stream(grid, fields, times, lambda t: None if t == 0 or D == 0 else step(t),
-                           factor, scale)
+                           factor)
+
+
+def _diffuse_one(f: ComplexField2D, D: float, t: float, cfg: SolverConfig) -> ComplexField2D:
+    """The one-field classical step: f diffused for time t under cfg.scheme,
+    with its boundary grown to match."""
+    ((out,),) = _classical_stream(cfg, f.grid, f.free_space, [f.values], D, [t])
+    return ComplexField2D(f.grid, out, _diffused_boundary(f, D, t))
 
 
 def diffuse_spectral(f: ComplexField2D, D: float, t: float) -> ComplexField2D:
@@ -348,9 +347,7 @@ def diffuse_spectral(f: ComplexField2D, D: float, t: float) -> ComplexField2D:
     and cropped: a linear convolution with the heat kernel instead of a
     periodic one.
     """
-    ((out,),) = _classical_stream(SolverConfig(Scheme.SPECTRAL), f.grid, f.free_space,
-                                  [f.values], D, [t])
-    return ComplexField2D(f.grid, out, _diffused_boundary(f, D, t))
+    return _diffuse_one(f, D, t, SolverConfig(Scheme.SPECTRAL))
 
 
 def diffuse_fd(f: ComplexField2D, D: float, t: float, cfg: SolverConfig) -> ComplexField2D:
@@ -366,9 +363,7 @@ def diffuse_fd(f: ComplexField2D, D: float, t: float, cfg: SolverConfig) -> Comp
     transform pair.  A dt above the stability bound is a hard error naming
     the maximum admissible value.
     """
-    ((u,),) = _classical_stream(replace(cfg, scheme=Scheme.FD_EXPLICIT), f.grid, f.free_space,
-                                [f.values], D, [t])
-    return ComplexField2D(f.grid, u, _diffused_boundary(f, D, t))
+    return _diffuse_one(f, D, t, replace(cfg, scheme=Scheme.FD_EXPLICIT))
 
 
 def diffuse_kernel(f: ComplexField2D, D: float, t: float) -> ComplexField2D:
@@ -381,9 +376,7 @@ def diffuse_kernel(f: ComplexField2D, D: float, t: float) -> ComplexField2D:
     as are steps too short for the grid to resolve the kernel."""
     if not (t > 0):
         raise ValueError("kernel propagator needs t > 0 (t = 0 is the identity)")
-    ((out,),) = _classical_stream(SolverConfig(Scheme.KERNEL), f.grid, f.free_space,
-                                  [f.values], D, [t])
-    return ComplexField2D(f.grid, out, _diffused_boundary(f, D, t))
+    return _diffuse_one(f, D, t, SolverConfig(Scheme.KERNEL))
 
 
 def evolve_quantum(f: ComplexField2D, q: QuantumParams, t: float) -> ComplexField2D:

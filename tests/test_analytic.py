@@ -70,7 +70,7 @@ class TestCoherenceClosedForm:
             spec = lg_spec(m, w0=1.1, P=1.3, amp=0.7 - 0.2j)
             for t in (0.05, 0.3025, 1.0):
                 s = vd.evolution_factor(t, 1.0, 1.1)
-                ref = (spec.amp * vd.lg_radial_amplitude(r, math.sqrt(s) * 1.1, 1.3, m)
+                ref = (spec.amp * lg_amplitude(r, math.sqrt(s) * 1.1, 1.3, m)
                        * np.exp(-1j * m * theta) / math.sqrt(s ** (abs(m) + 1)))
                 rho12 = closed(spec, t, r, theta)[0]
                 assert np.max(np.abs(rho12 - ref)) <= 1e-13 * np.max(np.abs(ref))

@@ -8,7 +8,8 @@ from hypothesis import assume, given, settings, strategies as st
 import vortexdiff as vd
 from vortexdiff.analysis import check_fit_times
 from vortexdiff.cli import main
-from vortexdiff.config import OutputKind, lg_required_extent
+from vortexdiff.config import OutputKind
+from vortexdiff.modes import lg_required_extent
 
 MINIMAL = """
 mode.kind = lg
@@ -197,13 +198,26 @@ class TestParsing:
          MINIMAL.replace("[0, 0.25]", "[0, 0.0005, 0.25]") + "solver.scheme = kernel\n", 8),
         ("eta", "eta = 1.0" + MINIMAL, 1),
         ("nbins", MINIMAL + "nbins = 3\n", 11),
+        ("solver.cfl_safety", MINIMAL + "solver.scheme = fd\nsolver.cfl_safety = 1e-13\n", 12),
     ])
     def test_keyed_validation_error_names_its_line(self, key, text, line):
         # the key opens the message once, as its prefix or as the rule's own subject
         with pytest.raises(vd.ConfigError, match=rf"^line {line}: {re.escape(key)}:? ") as err:
             vd.parse_config(text)
-        assert err.value.line == line
+        assert (err.value.line, err.value.key) == (line, key)
         assert str(err.value).count(key) == 1
+
+    @pytest.mark.parametrize("text,fragment", [
+        (MINIMAL + " = 1\n", "line 11: empty key"),
+        (MINIMAL + "nbins =\n", "line 11: empty value for key 'nbins'"),
+        (MINIMAL.replace("[0, 0.25]", "[]"), "line 8: diffusion.times needs at least one value"),
+        (MINIMAL + "solver.scheme = foo\n",
+         "line 11: solver.scheme must be one of ['fd', 'kernel', 'spectral'], got 'foo'"),
+    ])
+    def test_malformed_line_is_rejected_with_its_line(self, text, fragment):
+        with pytest.raises(vd.ConfigError) as err:
+            vd.parse_config(text)
+        assert fragment in str(err.value)
 
     def test_outputs_parsing(self):
         cfg = vd.parse_config(MINIMAL + "outputs = snapshots, nodes, fidelity_trace\n")

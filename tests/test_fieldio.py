@@ -227,6 +227,31 @@ class TestCsv:
         vd.write_table_csv(path, {"v": v})
         assert np.array_equal(vd.read_table_csv(path)["v"], v)
 
+    @pytest.mark.parametrize("text,code,fragment", [
+        ("", FieldFormatError.TRUNCATED, "empty CSV table"),
+        ("# a comment only\n\n", FieldFormatError.TRUNCATED, "empty CSV table"),
+        ("t,value\n0,1\n0.1\n", FieldFormatError.SIZE_MISMATCH, "CSV row has 1 fields, expected 2"),
+    ])
+    def test_malformed_table_is_rejected(self, tmp_path, text, code, fragment):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        with pytest.raises(FieldFormatError, match=fragment) as err:
+            vd.read_table_csv(path)
+        assert err.value.code == code
+
+    def test_unequal_columns_are_not_written(self, tmp_path):
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValueError, match="all columns must have equal length"):
+            vd.write_table_csv(path, {"t": [0.0, 0.1], "value": [1.0]})
+        assert not path.exists()
+
+    def test_header_only_table_reads_as_empty_columns(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("# trace\nt,value\n")
+        table = vd.read_table_csv(path)
+        assert list(table) == ["t", "value"]
+        assert all(column.shape == (0,) for column in table.values())
+
     def test_write_is_deterministic(self, tmp_path, small_grid):
         values = random_complex(16, seed=9)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -124,7 +124,7 @@ class TestAzimuthalAverage:
             assert np.array_equal(prof.radii, radii)
             assert np.array_equal(prof.mean_intensity, sums[1] / counts[occupied])
         assert np.array_equal(radial_mean(np.ascontiguousarray(lg01.values.real), g, nbins),
-                              sums[0] * (1.0 / counts[occupied]))
+                              sums[0] / counts[occupied])
 
 
 class TestComplexField2D:

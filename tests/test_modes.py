@@ -4,35 +4,34 @@ import numpy as np
 import pytest
 
 import vortexdiff as vd
-from helpers import laguerre_series, lg_intensity, radial_integral
+from vortexdiff.modes import _scaled_laguerre
+from helpers import laguerre_series, lg_amplitude, lg_intensity, radial_integral
 
 
 class TestAssocLaguerre:
+    """At q = 1 the package's one Laguerre recurrence, modes._scaled_laguerre,
+    is the associated Laguerre polynomial L_p^alpha itself."""
+
     @pytest.mark.parametrize("alpha,x", [(0, 0.0), (3, 1.5), (6, 19.0)])
     def test_degree_zero_is_one(self, alpha, x):
-        assert vd.assoc_laguerre(0, alpha, x) == 1.0
+        assert _scaled_laguerre(0, alpha, np.asarray(x)) == 1.0
 
     def test_degree_one(self):
-        assert vd.assoc_laguerre(1, 2, 3.0) == pytest.approx(0.0, abs=1e-14)
+        assert _scaled_laguerre(1, 2, np.asarray(3.0)) == pytest.approx(0.0, abs=1e-14)
 
     def test_degree_two_value(self):
         # L_2(x) = (x^2 - 4x + 2)/2, series oracle agrees
         assert laguerre_series(2, 0, 2.0) == pytest.approx(-1.0, rel=1e-14)
-        assert vd.assoc_laguerre(2, 0, 2.0) == pytest.approx(-1.0, rel=1e-12)
+        assert _scaled_laguerre(2, 0, np.asarray(2.0)) == pytest.approx(-1.0, rel=1e-12)
 
     def test_matches_series_oracle(self):
         xs = np.linspace(0.0, 20.0, 21)
         for p in range(7):
             for alpha in range(7):
-                ours = vd.assoc_laguerre(p, alpha, xs)
+                ours = _scaled_laguerre(p, alpha, xs)
                 oracle = np.array([laguerre_series(p, alpha, x) for x in xs])
                 scale = np.maximum(np.abs(oracle), 1.0)
-                assert np.all(np.abs(np.asarray(ours) - oracle) / scale <= 1e-10), (p, alpha)
-
-    @pytest.mark.parametrize("p,alpha", [(-1, 0), (0, -1), (2.5, 0), (0, 1.5)])
-    def test_rejects_bad_indices(self, p, alpha):
-        with pytest.raises(ValueError):
-            vd.assoc_laguerre(p, alpha, 1.0)
+                assert np.all(np.abs(ours - oracle) / scale <= 1e-10), (p, alpha)
 
 
 class TestLgField:
@@ -42,6 +41,14 @@ class TestLgField:
         f = vd.lg_field(spec, g)
         i0 = g.origin_index
         assert f.values[i0, i0] == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("p,m", [(0, 0), (0, -2), (1, 1), (2, 0), (3, 2)])
+    def test_amplitude_at_s_one_is_the_stored_mode(self, p, m):
+        # the one LG formula at s = 1, against the definition rebuilt term by term
+        spec = vd.ModeSpec(kind=vd.ModeKind.LG, p=p, m=m, w0=1.1, P=0.7)
+        r = np.linspace(0.0, 6.0, 61)
+        ref = np.array([lg_amplitude(x, 1.1, 0.7, m, p) for x in r])
+        assert np.max(np.abs(vd.lg_amplitude(spec, 1.0, r) - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_vortex_origin_is_zero(self, lg01):
         i0 = lg01.grid.origin_index

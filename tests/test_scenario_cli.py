@@ -500,6 +500,45 @@ out_dir = {tmp_path / "sweep"}
         cfg_file.write_text(small_vortex_cfg(tmp_path / "out"))
         assert main(["sweep", "--param", "w0=0..2", str(cfg_file)]) == 2
 
+    def test_sweep_rejects_an_index_the_mode_rejects(self, tmp_path, capsys):
+        argv = ["--out-dir", str(tmp_path), "sweep", "--param", "p=-1..0", str(SCENARIOS / "sweep.cfg")]
+        assert main(argv) == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "ConfigError"
+        assert record["message"].startswith("--param p=-1: radial index p must be")
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("scenario", ["plane_wave.cfg", "blocked.cfg"])
+    def test_sweep_needs_an_lg_scenario(self, tmp_path, capsys, scenario):
+        # m and p do not shape these modes: a sweep would print identical columns
+        argv = ["--out-dir", str(tmp_path), "sweep", "--param", "m=0..2", str(SCENARIOS / scenario)]
+        assert main(argv) == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert (record["error"], record["message"]) == ("ConfigError", "sweep needs an lg scenario")
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv,fragment", [
+        (["sweep", "--param", "m0..2", "{cfg}"], "--param needs name=a..b, got 'm0..2'"),
+        (["sweep", "--param", "m=0-2", "{cfg}"], "sweep range needs a..b, got '0-2'"),
+        (["sweep", "--param", "m=a..2", "{cfg}"], "sweep bounds must be integers, got 'a..2'"),
+        (["sweep", "--param", "m=2..0", "{cfg}"], "empty sweep range '2..0'"),
+        (["fit", "{t_only}"], "trace has no value column"),
+        (["fit", "--value-column", "eff", "{trace}"], "trace has no column 'eff'"),
+        (["--threads", "x", "simulate", "{cfg}"], "argument --threads: invalid int value: 'x'"),
+    ])
+    def test_malformed_argument_is_a_usage_error(self, tmp_path, capsys, argv, fragment):
+        files = {"cfg": tmp_path / "v.cfg", "t_only": tmp_path / "t.csv", "trace": tmp_path / "trace.csv"}
+        files["cfg"].write_text(small_vortex_cfg(tmp_path / "out"))
+        vd.write_table_csv(files["t_only"], {"t": [0.0, 0.1]})
+        vd.write_table_csv(files["trace"], {"t": [0.0, 0.1], "efficiency": [1.0, 0.9]})
+        try:
+            code = main([arg.format(**files) for arg in argv])
+        except SystemExit as exc:  # argparse rejects a bad option before main's handlers
+            code = exc.code
+        assert code == 2
+        assert fragment in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_fit_on_fit_table_is_format_error(self, tmp_path, capsys):
         # fit.csv carries model-name labels; fit reads numeric traces only
         manifest = vd.run_scenario(vd.parse_config(small_vortex_cfg(tmp_path / "run")), fmt="vxf")
