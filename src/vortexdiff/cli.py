@@ -207,8 +207,19 @@ def _positive_int(text: str) -> int:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose rejections, like every other failure, end
+    with the JSON error line; its subcommand parsers are _Parsers too."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        _emit_error(argparse.ArgumentError(None, message), EXIT_CONFIG)
+        self.exit(EXIT_CONFIG)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="vortexdiff",
         description="Thermal-diffusion decoherence of stored optical modes "
                     "(natural units: w0 = 1, D = 1; time scale w0^2/D).",
@@ -217,7 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("csv", "vxf", "both"), default="csv",
                         help="field dump format (default csv)")
     parser.add_argument("--threads", type=_positive_int, default=1, metavar="N",
-                        help="accepted for compatibility (N >= 1); every run is serial")
+                        help="accepted for compatibility (N >= 1) and ignored: a run evolves "
+                             "and reduces on one thread, and a VXF run writes its dumps on one more")
     parser.add_argument("--strict", action=argparse.BooleanOptionalAction, default=True,
                         help="reject unknown config keys (default on; --no-strict downgrades "
                              "them to warnings)")

@@ -230,7 +230,8 @@ def validate_scenario(cfg: ScenarioConfig) -> None:
     """Semantic checks shared by parse_config and programmatic construction.
 
     Each physical rule is asked of its one owner (README, "Invariants"); its
-    error becomes a ConfigError naming the key: grid.extent (containment at
+    error becomes a ConfigError naming the key: mode.p or mode.m (nonzero
+    off an lg mode, which would ignore it), grid.extent (containment at
     the latest time), mode.block_radius, mode.k, solver.dt (or
     solver.cfl_safety when dt is unset), diffusion.times (kernel
     resolution), eta or nbins; parse_config adds the key's line.  An
@@ -241,10 +242,16 @@ def validate_scenario(cfg: ScenarioConfig) -> None:
     if not diffusion.times:
         raise ConfigError("diffusion.times needs at least one value")
 
+    if mode.kind is not ModeKind.LG:
+        for name in ("p", "m"):
+            with _key(f"mode.{name}"):
+                if value := getattr(mode, name):
+                    raise ValueError(f"mode.{name} applies to lg modes only, got {value} "
+                                     f"on a {mode.kind.value} mode")
+
     if mode.kind in (ModeKind.LG, ModeKind.BLOCKED_GAUSSIAN):
-        lg = mode.kind is ModeKind.LG
         with _key("grid.extent"):
-            check_contained(grid.extent, mode.w0, mode.m if lg else 0, mode.p if lg else 0,
+            check_contained(grid.extent, mode.w0, mode.m, mode.p,
                             evolution_factor(diffusion.times[-1], diffusion.D, mode.w0))
 
     if mode.kind is ModeKind.BLOCKED_GAUSSIAN:

@@ -60,20 +60,18 @@ class FieldDump:
 
 
 def write_field(path, values: np.ndarray, grid: GridSpec, time: float) -> None:
-    """Write a VXF1 dump; kind is inferred from the value dtype."""
+    """Write a VXF1 dump; kind is inferred from the value dtype.  The payload
+    is written from the contiguous little-endian array itself, through a
+    byte view: an array already in that layout is not copied."""
     values = np.asarray(values)
     if values.shape != (grid.n, grid.n):
         raise ValueError(f"values shape {values.shape} does not match grid n={grid.n}")
-    if np.iscomplexobj(values):
-        kind = KIND_COMPLEX
-        payload = np.ascontiguousarray(values, dtype="<c16").tobytes()
-    else:
-        kind = KIND_REAL
-        payload = np.ascontiguousarray(values, dtype="<f8").tobytes()
+    kind = KIND_COMPLEX if np.iscomplexobj(values) else KIND_REAL
+    payload = np.ascontiguousarray(values, dtype="<c16" if kind == KIND_COMPLEX else "<f8")
     header = _HEADER.pack(MAGIC, VERSION, grid.n, grid.extent, time, kind)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(payload)
+        fh.write(memoryview(payload).cast("B"))
 
 
 def read_field(path) -> FieldDump:

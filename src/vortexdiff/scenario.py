@@ -9,15 +9,26 @@ formed (StateSnapshot.coh_sq), and the efficiency's t = 0 reference is
 computed once per run.
 run_scenario writes each snapshot's field dumps and computes the reductions
 its tables read as the snapshot arrives; the stream then releases the
-snapshot before the next time is evolved, so one evolved snapshot is alive
-at a time.  Each table OutputKind is one function from those reductions to
-its table's columns; every CSV file, table or field dump, is written by
-fieldio.write_table_csv, every VXF dump by write_field.
+snapshot before the next time is evolved.  Each table OutputKind is one
+function from those reductions to its table's columns; every CSV file, table
+or field dump, is written by fieldio.write_table_csv, every VXF dump by
+write_field.
 
-manifest.json lists each output file with its SHA-256 checksum, hashed in
-fixed-size chunks read back from disk.  It is removed before the first file
-is written and rewritten last, so a failed run leaves none.  The run is
-serial and every step is a pure computation, so identical configs produce
+Evolution, reductions and CSV writes run on the calling thread, in order.
+A run that dumps VXF fields starts one writer thread: it is handed each
+snapshot's rho12 and rho22 arrays, never the snapshot, and writes and hashes
+them while the next snapshot evolves.  The calling thread waits for snapshot
+i's write before it hands over snapshot i + 1, so one evolved snapshot is
+alive at a time, plus the previous snapshot's two dump arrays while their
+write is pending.  A write's exception re-raises at the next hand-off or at
+the final join, and the thread is always joined.
+
+manifest.json lists each output file with its SHA-256 checksum, hashed by
+_sha256 in fixed-size chunks read back from disk: a VXF dump on the writer
+thread right after it is written, every other file on the calling thread
+once the tables are written.  It is removed before the first file is
+written and rewritten last, so a failed run leaves none.  Every step is a
+pure computation and each file has one writer, so identical configs produce
 byte-identical outputs.
 """
 
@@ -231,20 +242,6 @@ _TABLES = {
 }
 
 
-def _write_fields(out: Path, cfg: ScenarioConfig, fmt: str, i: int, snap: StateSnapshot) -> list[Path]:
-    """Dump rho12 and rho22 of the i-th snapshot; returns the paths written."""
-    written = []
-    for name, values in ((f"rho12_{i:03d}", snap.rho12.values), (f"rho22_{i:03d}", snap.rho22)):
-        if fmt in ("vxf", "both"):
-            write_field(out / f"{name}.vxf", values, cfg.grid, snap.time)
-            written.append(out / f"{name}.vxf")
-        if fmt in ("csv", "both"):
-            write_field_csv(out / f"{name}.csv", values, cfg.grid,
-                            _config_header(cfg, f"field {name}", snap.time))
-            written.append(out / f"{name}.csv")
-    return written
-
-
 _HASH_CHUNK = 1 << 20
 
 
@@ -261,11 +258,35 @@ def _sha256(path: Path) -> tuple[str, int]:
     return digest.hexdigest(), size
 
 
+def _write_csv_fields(out: Path, cfg: ScenarioConfig, fields: dict, time: float) -> list[Path]:
+    """Dump each named field of one snapshot as CSV; returns the paths written.
+    A function, so that no loop variable keeps an array alive into the next
+    evolution."""
+    for name, values in fields.items():
+        write_field_csv(out / f"{name}.csv", values, cfg.grid,
+                        _config_header(cfg, f"field {name}", time))
+    return [out / f"{name}.csv" for name in fields]
+
+
+def _write_and_hash(dumps: list[tuple[Path, np.ndarray]], grid, time: float) -> dict:
+    """Write each (path, values) VXF dump of one snapshot, then hash the
+    file; {path: (sha256, bytes)}.  Runs on the writer thread, which drops
+    each array as soon as it is written and never sees the snapshot."""
+    digests = {}
+    while dumps:
+        path, values = dumps.pop(0)
+        write_field(path, values, grid, time)
+        del values
+        digests[path] = _sha256(path)
+    return digests
+
+
 def run_scenario(cfg: ScenarioConfig, fmt: str = "csv", out_dir: str | Path | None = None) -> Manifest:
     """Run one scenario and write the requested outputs plus manifest.json.
 
-    The config is validated before the output directory is touched.  The run
-    is one serial stream that holds one evolved snapshot at a time.
+    The config is validated before the output directory is touched.  The
+    stream runs on the calling thread; VXF dumps go to one writer thread
+    (the module docstring states its memory bound and error rule).
     """
     if fmt not in ("csv", "vxf", "both"):
         raise ValueError(f"format must be csv, vxf or both, got {fmt!r}")
@@ -278,14 +299,41 @@ def run_scenario(cfg: ScenarioConfig, fmt: str = "csv", out_dir: str | Path | No
 
     reads = dict.fromkeys(name for kind, (names, _) in _TABLES.items() if kind in cfg.outputs
                           for name in names)
-    written: list[Path] = []
+    snapshots = OutputKind.SNAPSHOTS in cfg.outputs
+    digests: dict[Path, tuple[str, int]] = {}  # path -> (sha256, bytes)
+    written: list[Path] = []  # hashed on this thread once the tables are written
     diags = []
-    for i, d in enumerate(stream_diagnostics(cfg)):
-        if OutputKind.SNAPSHOTS in cfg.outputs:
-            written += _write_fields(out, cfg, fmt, i, d.snap)
-        for name in reads:
-            getattr(d, name)
-        diags.append(d)
+    writer = pending = None
+    if snapshots and fmt != "csv":
+        from concurrent.futures import ThreadPoolExecutor  # loaded only by a run that dumps VXF
+        writer = ThreadPoolExecutor(max_workers=1)
+    try:
+        for i, d in enumerate(stream_diagnostics(cfg)):
+            if snapshots:
+                fields = {f"rho12_{i:03d}": d.snap.rho12.values, f"rho22_{i:03d}": d.snap.rho22}
+                if writer is not None:
+                    if pending is not None:
+                        digests.update(pending.result())
+                    pending = writer.submit(_write_and_hash, [(out / f"{name}.vxf", values)
+                                                              for name, values in fields.items()],
+                                            cfg.grid, d.time)
+                if fmt != "vxf":
+                    written += _write_csv_fields(out, cfg, fields, d.time)
+                del fields
+            for name in reads:
+                getattr(d, name)
+            diags.append(d)
+        if pending is not None:
+            digests.update(pending.result())
+    except Exception:
+        # serially, a failed write of snapshot i would have stopped the run
+        # before anything this thread did after handing it over
+        if pending is not None and pending.exception() is not None:
+            raise pending.exception()
+        raise
+    finally:
+        if writer is not None:
+            writer.shutdown()
 
     for kind, (_, tables) in _TABLES.items():
         if kind in cfg.outputs:
@@ -293,8 +341,10 @@ def run_scenario(cfg: ScenarioConfig, fmt: str = "csv", out_dir: str | Path | No
                 write_table_csv(out / name, columns, _config_header(cfg, title, time))
                 written.append(out / name)
 
-    for path in sorted(written):
-        manifest.entries.append(ManifestEntry(path.name, *_sha256(path)))
+    for path in written:
+        digests[path] = _sha256(path)
+    for path in sorted(digests):
+        manifest.entries.append(ManifestEntry(path.name, *digests[path]))
     payload = {
         "generator": "vortexdiff",
         "config": render_config(cfg).strip().splitlines(),

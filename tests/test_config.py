@@ -24,6 +24,11 @@ grid.extent = 8
 """
 
 
+def off_lg(kind):
+    """MINIMAL as a mode of another kind, whose lg indices p and m are zero."""
+    return MINIMAL.replace("= lg", f"= {kind}").replace("mode.m = 1", "mode.m = 0")
+
+
 def _floats(lo, hi, **kw):
     return st.floats(lo, hi, allow_nan=False, allow_infinity=False, **kw)
 
@@ -33,12 +38,14 @@ def scenario_configs(draw):
     """Valid ScenarioConfigs over every mode kind, scheme, output set and time list.
 
     A mode field its kind does not use (k off plane waves, block_radius off
-    blocked Gaussians) is drawn too, zero or not: render_config must keep it."""
+    blocked Gaussians) is drawn too, zero or not: render_config must keep it.
+    The indices p and m are drawn for lg modes only; validation rejects a
+    nonzero one on any other kind."""
     kind = draw(st.sampled_from(list(vd.ModeKind)))
     n = 2 * draw(st.integers(4, 256))
     w0, D = draw(_floats(0.1, 4.0)), draw(_floats(0.0, 10.0))
     times = tuple(sorted(draw(st.lists(_floats(0.0, 5.0), min_size=1, max_size=8, unique=True))))
-    p, m = draw(st.integers(0, 4)), draw(st.integers(-5, 5))
+    p, m = (draw(st.integers(0, 4)), draw(st.integers(-5, 5))) if kind is vd.ModeKind.LG else (0, 0)
     allowed = [o for o in OutputKind
                if o is not OutputKind.HOLE_REFILL or kind is vd.ModeKind.BLOCKED_GAUSSIAN]
     try:
@@ -52,9 +59,8 @@ def scenario_configs(draw):
         k = draw(st.integers(-n // 2, n // 2)) * math.pi / extent
     else:
         k = draw(st.just(0.0) | _floats(-10.0, 10.0))
-        lg = kind is vd.ModeKind.LG
         s_max = vd.evolution_factor(times[-1], D, w0)
-        required = lg_required_extent(w0, m if lg else 0, p if lg else 0, s_max)
+        required = lg_required_extent(w0, m, p, s_max)
         extent = required * draw(_floats(1.0, 4.0))
     grid = vd.make_grid(n, extent)
     if OutputKind.HOLE_REFILL in outputs:
@@ -190,9 +196,8 @@ class TestParsing:
 
     @pytest.mark.parametrize("key,text,line", [
         ("grid.extent", MINIMAL.replace("grid.extent = 8", "grid.extent = 7"), 10),
-        ("mode.block_radius",
-         MINIMAL.replace("= lg", "= blocked_gaussian") + "mode.block_radius = 8\n", 11),
-        ("mode.k", MINIMAL.replace("= lg", "= plane_wave") + "mode.k = 1.0\n", 11),
+        ("mode.block_radius", off_lg("blocked_gaussian") + "mode.block_radius = 8\n", 11),
+        ("mode.k", off_lg("plane_wave") + "mode.k = 1.0\n", 11),
         ("solver.dt", MINIMAL + "solver.scheme = fd\nsolver.dt = 1.0\n", 12),
         ("diffusion.times",
          MINIMAL.replace("[0, 0.25]", "[0, 0.0005, 0.25]") + "solver.scheme = kernel\n", 8),
@@ -206,6 +211,18 @@ class TestParsing:
             vd.parse_config(text)
         assert (err.value.line, err.value.key) == (line, key)
         assert str(err.value).count(key) == 1
+
+    @pytest.mark.parametrize("kind,extra", [("blocked_gaussian", "mode.block_radius = 1.0\n"),
+                                            ("plane_wave", "")])
+    @pytest.mark.parametrize("key,value,line", [("mode.p", 2, 3), ("mode.m", 3, 4), ("mode.m", -1, 4)])
+    def test_mode_index_off_lg_is_rejected(self, kind, extra, key, value, line):
+        # the mode would ignore the index, so a typo in it could not show
+        base = off_lg(kind) + extra
+        assert vd.parse_config(base).mode.kind.value == kind  # zero indices are accepted
+        with pytest.raises(vd.ConfigError) as err:
+            vd.parse_config(base.replace(f"{key} = 0", f"{key} = {value}"))
+        assert str(err.value) == f"line {line}: {key} applies to lg modes only, got {value} on a {kind} mode"
+        assert (err.value.line, err.value.key) == (line, key)
 
     @pytest.mark.parametrize("text,fragment", [
         (MINIMAL + " = 1\n", "line 11: empty key"),
@@ -278,7 +295,7 @@ diffusion.times = [0, 0.25]
         with pytest.raises(vd.ConfigError, match="hole_refill"):
             vd.parse_config(MINIMAL + "outputs = hole_refill\n")
         # the blocked mode's hole geometry, checked at parse time (extent 8, dx = 1/16)
-        blocked = MINIMAL.replace("mode.kind = lg", "mode.kind = blocked_gaussian")
+        blocked = off_lg("blocked_gaussian")
         for radius, outputs, message in [
             (8.0, "fidelity_trace", "smaller than grid extent"),
             (4.5, "hole_refill", "annulus extends past the grid"),

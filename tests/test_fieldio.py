@@ -46,6 +46,23 @@ class TestVxfRoundTrip:
         vd.write_field(p2, dump.values, dump.grid, dump.time)
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("layout", ["transposed", "big_endian"])
+    @pytest.mark.parametrize("is_complex", [True, False])
+    def test_any_layout_round_trips_bit_exact(self, tmp_path, small_grid, layout, is_complex):
+        # the payload is written from a contiguous little-endian view of the
+        # values: a strided or big-endian input is converted, never misread
+        values = random_complex(16, seed=7)
+        values = values if is_complex else values.real.copy()
+        given = values.T if layout == "transposed" else values.astype(values.dtype.newbyteorder(">"))
+        assert not given.flags.c_contiguous or given.dtype.byteorder == ">"
+        path = tmp_path / "f.vxf"
+        vd.write_field(path, given, small_grid, time=0.25)
+        dump = vd.read_field(path)
+        assert np.array_equal(dump.values, given)
+        assert dump.kind == (0 if is_complex else 1)
+        little = given.astype("<c16" if is_complex else "<f8")
+        assert path.read_bytes()[_HEADER.size:] == little.tobytes()
+
     def test_payload_size_arithmetic(self, tmp_path):
         g = vd.make_grid(256, 8.0)
         path = tmp_path / "big.vxf"

@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import hashlib
 import json
 import math
@@ -155,39 +156,71 @@ out_dir = {tmp_path / "blocked"}
 
     @pytest.mark.parametrize("scheme", ["spectral", "kernel", "fd"])
     def test_run_holds_one_evolved_snapshot_at_a_time(self, tmp_path, monkeypatch, scheme):
+        # While snapshot k evolves and is built, no earlier snapshot object is
+        # alive.  A csv run, or one without dumps, holds none of an earlier
+        # snapshot's arrays either.  A VXF run may hold the previous
+        # snapshot's rho12 and rho22 while the writer thread writes them, and
+        # nothing from two snapshots back.  Each VXF write of snapshot k waits
+        # (up to a timeout) until snapshot k + 1 is built, so the overlap
+        # happens on every run, whatever the thread timing.
+        import threading
         import weakref
 
+        import vortexdiff.scenario as scenario
         import vortexdiff.solvers as solvers
 
-        alive = []  # weak references to each evolved snapshot and its arrays
-        seen = {"snapshots": 0, "older_alive": 0}
+        times = [0, 0.03, 0.06, 0.09, 0.12, 0.15, 0.2, 0.25]
+        alive = []  # (weak reference, snapshot index, which object)
+        seen = {"snapshots": 0, "held": set(), "overlapped": 0}
+        built = threading.Condition()
 
-        def live():
-            alive[:] = [ref for ref in alive if ref() is not None]
-            return len(alive)
+        def probe():
+            # what is alive of each earlier snapshot, by how many snapshots back
+            k = seen["snapshots"]
+            alive[:] = [item for item in alive if item[0]() is not None]
+            seen["held"] |= {(k - i, what) for _, i, what in alive}
 
         def tracked(*args, **kwargs):
-            # no earlier snapshot, nor any of its arrays, survives to the next one
-            seen["older_alive"] = max(seen["older_alive"], live())
+            probe()
             snap = vd.StateSnapshot(*args, **kwargs)
-            alive.extend(weakref.ref(x) for x in (snap, snap.rho12.values, snap.rho22))
-            seen["snapshots"] += 1
+            with built:
+                k = seen["snapshots"]
+                alive.extend((weakref.ref(x), k, what) for x, what in (
+                    (snap, "snapshot"), (snap.rho12.values, "rho12"), (snap.rho22, "rho22")))
+                seen["snapshots"] += 1
+                built.notify_all()
             return snap
 
-        ifft2 = np.fft.ifft2
+        ifft = np.fft.ifft
 
-        def probed_ifft2(*args, **kwargs):
-            # nor while the next time's transforms run
-            seen["older_alive"] = max(seen["older_alive"], live())
-            return ifft2(*args, **kwargs)
+        def probed_ifft(*args, **kwargs):
+            probe()  # and while the next time's transforms run
+            return ifft(*args, **kwargs)
+
+        write_field = scenario.write_field
+
+        def held_back_write_field(path, values, grid, time):
+            k = int(path.stem[-3:])
+            if path.stem.startswith("rho12") and k + 1 < len(times):
+                with built:
+                    seen["overlapped"] += built.wait_for(lambda: seen["snapshots"] > k + 1, timeout=10)
+            write_field(path, values, grid, time)
 
         monkeypatch.setattr(solvers, "StateSnapshot", tracked)
-        monkeypatch.setattr(np.fft, "ifft2", probed_ifft2)
-        times = "[0, 0.03, 0.06, 0.09, 0.12, 0.15, 0.2, 0.25]"
+        monkeypatch.setattr(np.fft, "ifft", probed_ifft)
+        monkeypatch.setattr(scenario, "write_field", held_back_write_field)
         text = small_vortex_cfg(tmp_path / "run", f"solver.scheme = {scheme}\n").replace(
-            "grid.n = 64", "grid.n = 128").replace("[0, 0.05, 0.1, 0.15, 0.25]", times)
-        vd.run_scenario(vd.parse_config(text), fmt="vxf")
-        assert seen == {"snapshots": 8, "older_alive": 0}
+            "grid.n = 64", "grid.n = 128").replace("[0, 0.05, 0.1, 0.15, 0.25]", str(times))
+        for run, fmt in (("vxf", "vxf"), ("csv", "csv"), ("no_snapshots", "vxf")):
+            seen.update(snapshots=0, held=set(), overlapped=0)
+            cfg_text = text.replace("snapshots, ", "") if run == "no_snapshots" else text
+            vd.run_scenario(vd.parse_config(cfg_text), fmt=fmt, out_dir=tmp_path / run)
+            assert seen["snapshots"] == len(times), run
+            if run == "vxf":
+                assert seen["overlapped"] == len(times) - 1
+                assert seen["held"] == {(1, "rho12"), (1, "rho22")}
+            else:
+                assert seen["held"] == set(), run
 
     def test_failed_run_leaves_no_stale_manifest(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -209,6 +242,77 @@ out_dir = {tmp_path / "blocked"}
         message = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["message"]
         assert "rho22 has negative values" in message and "min -7.662e-06" in message
         assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("case", ["at_hand_off", "at_final_join", "before_a_later_error"])
+    def test_failed_vxf_write_exits_as_a_serial_run(self, tmp_path, monkeypatch, capsys, case):
+        # the writer thread's OSError re-raises at the next hand-off, or at the
+        # join after the last snapshot, with its own type and message; it also
+        # wins over a later failure of the main thread, as it would serially
+        import threading
+
+        import vortexdiff.scenario as scenario
+
+        fail_at = 10 if case == "at_final_join" else 2  # 5 times, two dumps each
+        write_field, calls = scenario.write_field, []
+
+        def failing_write_field(path, values, grid, time):
+            calls.append(path.name)
+            if len(calls) == fail_at:
+                raise OSError(errno.ENOSPC, "No space left on device", str(path))
+            write_field(path, values, grid, time)
+
+        def failing_map(*args, **kwargs):
+            raise ValueError("a later failure of the main thread")
+
+        monkeypatch.setattr(scenario, "write_field", failing_write_field)
+        if case == "before_a_later_error":
+            monkeypatch.setattr(scenario, "coherence_factor_field", failing_map)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "manifest.json").write_text('{"files": []}\n')
+        cfg_file = tmp_path / "v.cfg"
+        cfg_file.write_text(small_vortex_cfg(out))
+        threads = threading.active_count()
+        assert main(["--format", "vxf", "simulate", str(cfg_file)]) == 4
+        failed = out / calls[-1]
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record == {"error": "OSError", "exit_code": 4,
+                          "message": f"[Errno {errno.ENOSPC}] No space left on device: '{failed}'"}
+        assert failed.name == ("rho22_004.vxf" if case == "at_final_join" else "rho22_000.vxf")
+        assert not (out / "manifest.json").exists()
+        assert threading.active_count() == threads
+
+    def test_only_a_run_that_dumps_vxf_starts_a_thread(self, tmp_path, monkeypatch):
+        import threading
+
+        started, start = [], threading.Thread.start
+
+        def counted_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted_start)
+        text = small_vortex_cfg(tmp_path / "unused")
+        no_snapshots = text.replace("snapshots, ", "")
+        for run, fmt, cfg_text, threads in [("csv", "csv", text, 0),
+                                            ("vxf_without_snapshots", "vxf", no_snapshots, 0),
+                                            ("both_without_snapshots", "both", no_snapshots, 0),
+                                            ("vxf", "vxf", text, 1), ("both", "both", text, 1)]:
+            started.clear()
+            vd.run_scenario(vd.parse_config(cfg_text), fmt=fmt, out_dir=tmp_path / run)
+            assert len(started) == threads, run
+            assert not any(thread.is_alive() for thread in started), run
+
+    def test_both_formats_manifest_matches_every_file_on_disk(self, tmp_path):
+        # VXF dumps are hashed on the writer thread, everything else here
+        manifest = vd.run_scenario(vd.parse_config(small_vortex_cfg(tmp_path / "run")), fmt="both")
+        on_disk = sorted(p.name for p in manifest.out_dir.iterdir() if p.name != "manifest.json")
+        listed = json.loads(manifest.manifest_path.read_text())["files"]
+        assert [entry["path"] for entry in listed] == on_disk
+        assert sum(name.endswith(".vxf") for name in on_disk) == 10
+        for entry in listed:
+            blob = (manifest.out_dir / entry["path"]).read_bytes()
+            assert (entry["sha256"], entry["bytes"]) == (hashlib.sha256(blob).hexdigest(), len(blob))
 
     def test_bad_format_rejected(self, tmp_path):
         cfg = vd.parse_config(small_vortex_cfg(tmp_path / "run"))
@@ -305,6 +409,12 @@ class TestCliSimulate:
     def test_import_does_not_load_numpy_polynomial(self):
         # lg_closed_form imports its quadrature when called; a CLI run never pays for it
         probe = "import vortexdiff.cli, sys; assert 'numpy.polynomial' not in sys.modules"
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
+        subprocess.run([sys.executable, "-c", probe], env=env, check=True)
+
+    def test_import_does_not_load_an_executor(self):
+        # only a run that dumps VXF fields imports the writer's executor
+        probe = "import vortexdiff.cli, sys; assert 'concurrent.futures' not in sys.modules"
         env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
         subprocess.run([sys.executable, "-c", probe], env=env, check=True)
 
@@ -525,6 +635,8 @@ out_dir = {tmp_path / "sweep"}
         (["fit", "{t_only}"], "trace has no value column"),
         (["fit", "--value-column", "eff", "{trace}"], "trace has no column 'eff'"),
         (["--threads", "x", "simulate", "{cfg}"], "argument --threads: invalid int value: 'x'"),
+        ([], "the following arguments are required: command"),
+        (["simulate"], "the following arguments are required: config"),
     ])
     def test_malformed_argument_is_a_usage_error(self, tmp_path, capsys, argv, fragment):
         files = {"cfg": tmp_path / "v.cfg", "t_only": tmp_path / "t.csv", "trace": tmp_path / "trace.csv"}
@@ -536,7 +648,9 @@ out_dir = {tmp_path / "sweep"}
         except SystemExit as exc:  # argparse rejects a bad option before main's handlers
             code = exc.code
         assert code == 2
-        assert fragment in capsys.readouterr().err
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["exit_code"] == 2
+        assert fragment in record["message"]
         assert not (tmp_path / "out").exists()
 
     def test_fit_on_fit_table_is_format_error(self, tmp_path, capsys):
