@@ -37,6 +37,7 @@ from .grid import (
     ComplexField2D,
     FreeSpace,
     GridSpec,
+    ParameterError,
     RadialProfile,
     azimuthal_average,
     l2_norm_sq,

@@ -81,7 +81,10 @@ def coherence_factor_values(coh_sq, rho22, eta: float) -> np.ndarray:
     applied pointwise by coherence_factor_field and per radial bin to
     azimuthal averages.
     """
-    f = (coh_sq + eta) / (np.maximum(rho22, 0.0) + eta)
+    den = np.maximum(rho22, 0.0)
+    den += eta
+    f = coh_sq + eta
+    f /= den
     np.clip(f, 0.0, 1.0, out=f)
     return f
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 from .analysis import check_fit_times, check_hole_geometry
 from .analytic import DEFAULT_ETA, DiffusionParams, check_eta, evolution_factor
-from .grid import GridSpec, check_nbins
+from .grid import GridSpec, ParameterError, check_nbins
 from .modes import ModeKind, ModeSpec, check_block_radius, check_contained, check_plane_wave_k
 from .solvers import (QuantumParams, Scheme, SolverConfig, check_kernel_resolution,
                       fd_timestep)
@@ -197,12 +197,14 @@ def parse_config(text: str, strict: bool = True) -> ScenarioConfig:
 
     top = sections.pop("", {})
     try:
-        parts = {section: _SECTIONS[section](**fields) for section, fields in sections.items()}
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    cfg = ScenarioConfig(**parts, **top, warnings=tuple(warnings))
-    try:
+        parts = {}
+        for section, fields in sections.items():
+            try:
+                parts[section] = _SECTIONS[section](**fields)
+            except ParameterError as exc:
+                with _key(f"{section}.{exc.name}"):  # the key that sets the field
+                    raise
+        cfg = ScenarioConfig(**parts, **top, warnings=tuple(warnings))
         validate_scenario(cfg)
     except ConfigError as exc:
         if exc.key not in entries:

@@ -15,6 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 
 
+class ParameterError(ValueError):
+    """A broken rule of a parameter dataclass.  name is the field the rule is
+    about, so that a config error can name the key that sets it."""
+
+    def __init__(self, name: str, message: str):
+        super().__init__(message)
+        self.name = name
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform square grid covering [-extent, extent) with n samples per axis.
@@ -28,14 +37,14 @@ class GridSpec:
 
     def __post_init__(self):
         if not isinstance(self.n, (int, np.integer)):
-            raise ValueError(f"grid n must be an integer, got {self.n!r}")
+            raise ParameterError("n", f"grid n must be an integer, got {self.n!r}")
         if self.n < 8:
-            raise ValueError(f"grid n must be >= 8, got {self.n}")
+            raise ParameterError("n", f"grid n must be >= 8, got {self.n}")
         if self.n % 2 != 0:
-            raise ValueError(f"grid n must be even, got {self.n}")
+            raise ParameterError("n", f"grid n must be even, got {self.n}")
         if not (0 < self.dx < np.inf):
-            raise ValueError(f"grid spacing dx = 2 extent / n must be positive and finite, "
-                             f"got extent {self.extent} with n {self.n}")
+            raise ParameterError("extent", f"grid spacing dx = 2 extent / n must be positive "
+                                           f"and finite, got extent {self.extent} with n {self.n}")
 
     @property
     def dx(self) -> float:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import ComplexField2D, FreeSpace, GridSpec
+from .grid import ComplexField2D, FreeSpace, GridSpec, ParameterError
 
 
 class ModeKind(enum.Enum):
@@ -58,17 +58,19 @@ class ModeSpec:
 
     def __post_init__(self):
         if not (self.w0 > 0):
-            raise ValueError(f"waist w0 must be positive, got {self.w0}")
+            raise ParameterError("w0", f"waist w0 must be positive, got {self.w0}")
         if not (self.P > 0):
-            raise ValueError(f"total intensity P must be positive, got {self.P}")
+            raise ParameterError("P", f"total intensity P must be positive, got {self.P}")
         if self.amp == 0:
-            raise ValueError(f"amplitude amp must be nonzero, got {self.amp}")
+            raise ParameterError("amp", f"amplitude amp must be nonzero, got {self.amp}")
         if not isinstance(self.p, (int, np.integer)) or self.p < 0:
-            raise ValueError(f"radial index p must be a nonnegative integer, got {self.p!r}")
+            raise ParameterError("p", f"radial index p must be a nonnegative integer, "
+                                      f"got {self.p!r}")
         if not isinstance(self.m, (int, np.integer)):
-            raise ValueError(f"winding number m must be an integer, got {self.m!r}")
+            raise ParameterError("m", f"winding number m must be an integer, got {self.m!r}")
         if self.block_radius < 0:
-            raise ValueError(f"block_radius must be nonnegative, got {self.block_radius}")
+            raise ParameterError("block_radius",
+                                 f"block_radius must be nonnegative, got {self.block_radius}")
 
 
 def lg_required_extent(w0: float, m: int, p: int, s_max: float) -> float:

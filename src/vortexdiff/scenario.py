@@ -6,7 +6,9 @@ reduction (radial profiles, coherence-factor summary, efficiency, ...) at
 most once and keeps only reduced numbers, never a full-grid map.  The
 reductions that read |rho12|^2 share the one array the physicality check
 formed (StateSnapshot.coh_sq), and the efficiency's t = 0 reference is
-computed once per run.
+computed once per run.  The stream keeps of the stored snapshot only what
+the evolution still reads: its fields go once the held spectra serve every
+later time (solvers' memory rule), and it keeps nothing it has yielded.
 run_scenario writes each snapshot's field dumps and computes the reductions
 its tables read as the snapshot arrives; the stream then releases the
 snapshot before the next time is evolved.  Each table OutputKind is one
@@ -151,8 +153,9 @@ def stream_diagnostics(cfg: ScenarioConfig) -> Iterator[SnapshotDiagnostics]:
     """
     snap0 = initial_snapshot(build_mode(cfg.mode, cfg.grid))
     reference = reference_energy(snap0.coh_sq)
-    snap0.coh_sq = None  # the stream keeps snap0's fields for the whole run, not this map
-    for snap in evolve_snapshots(snap0, cfg.diffusion.D, cfg.diffusion.times, cfg.solver):
+    snaps = evolve_snapshots(snap0, cfg.diffusion.D, cfg.diffusion.times, cfg.solver)
+    del snap0  # the stream keeps the stored fields only while a later time reads them
+    for snap in snaps:
         d = SnapshotDiagnostics(cfg, reference, snap)
         del snap
         yield d

@@ -30,13 +30,15 @@ multiplier, and comes back real.  Every inverse runs one axis at a time,
 the complex passes in place, with the bytes of ifft2 / irfft2.  Its memory
 rule: a field's padded spectrum is held only while the next time uses the
 same side; otherwise each field is transformed lazily, multiplied in place
-and dropped.  _classical_stream is the one scheme dispatch: the schemes
-differ only in plan and multiplier, which holds every weight.  The
-spectral and quantum multipliers are separable, outer products of 1-D
-factors.  evolve_snapshots (a lazy generator that keeps no snapshot it has
-yielded) calls it, and so does _diffuse_one, the one-field step that
-diffuse_spectral, diffuse_kernel and diffuse_fd each are; evolve_quantum
-is the loop's periodic one-time case.
+and dropped.  The stored fields go once the held spectra serve every later
+time, and the stream keeps nothing it has yielded.  _classical_stream is
+the one scheme dispatch: the schemes differ only in plan and multiplier,
+which holds every weight.  The spectral and quantum multipliers are
+separable, outer products of 1-D factors.  evolve_snapshots (a lazy
+generator that keeps of its input snapshot only time, grid and boundary,
+and no snapshot it has yielded) calls it, and so does _diffuse_one, the
+one-field step that diffuse_spectral, diffuse_kernel and diffuse_fd each
+are; evolve_quantum is the loop's periodic one-time case.
 
 Every classical step returns a field with its input's boundary; a free-space
 record grows to the diffused waist w0^2 + 4 D t, so chained steps pad enough.
@@ -61,7 +63,7 @@ import numpy as np
 import numpy.fft  # noqa: F401  numpy 2 imports numpy.fft lazily; load it with the package
 
 from .analytic import StateSnapshot, check_diffusion
-from .grid import ComplexField2D, FreeSpace, GridSpec
+from .grid import ComplexField2D, FreeSpace, GridSpec, ParameterError
 from .modes import ContainmentError, check_contained
 
 
@@ -102,9 +104,10 @@ class SolverConfig:
 
     def __post_init__(self):
         if not (0 < self.cfl_safety <= 1):
-            raise ValueError(f"cfl_safety must be in (0, 1], got {self.cfl_safety}")
+            raise ParameterError("cfl_safety",
+                                 f"cfl_safety must be in (0, 1], got {self.cfl_safety}")
         if self.dt is not None and not (self.dt > 0):
-            raise ValueError(f"dt must be positive, got {self.dt}")
+            raise ParameterError("dt", f"dt must be positive, got {self.dt}")
 
 
 @dataclass(frozen=True)
@@ -131,9 +134,9 @@ def max_wavenumber(grid: GridSpec) -> float:
     return math.pi / grid.dx
 
 
-def _diffused_boundary(f: ComplexField2D, D: float, t: float):
-    """f's boundary after diffusing for time t: the waist grows, periodic stays periodic."""
-    return None if f.free_space is None else f.free_space.diffused(D, t)
+def _diffused_boundary(fs: FreeSpace | None, D: float, t: float) -> FreeSpace | None:
+    """Boundary fs after diffusing for time t: the waist grows, periodic stays periodic."""
+    return None if fs is None else fs.diffused(D, t)
 
 
 def _fft_size(n_min: int) -> int:
@@ -191,8 +194,12 @@ def _fourier_stream(grid: GridSpec, fields: list[np.ndarray], times: list[float]
     spectrum of a real kernel.  A field's padded spectrum is held only while
     the next time uses the same side: such a time transforms every field up
     front, any other transforms each field lazily, multiplies it in place
-    and drops it.  Results are the bytes of a separate forward transform,
-    multiply and inverse per field and time."""
+    and drops it.  Once the held spectra serve every later time, the stream
+    drops fields, which a caller that keeps no other reference to them
+    frees.  The multiplier is dropped before each yield.  The suspended
+    stream still refers to the list it yielded, so a caller empties it once
+    it has taken the arrays.  Results are the bytes of a separate forward
+    transform, multiply and inverse per field and time."""
     def spectrum(v: np.ndarray, side: int) -> np.ndarray:
         if np.iscomplexobj(v):
             return np.fft.fft2(v, s=(side, side))
@@ -200,6 +207,7 @@ def _fourier_stream(grid: GridSpec, fields: list[np.ndarray], times: list[float]
 
     steps = [plan(t) for t in times]
     sides = [None if step is None else step[0] for step in steps]
+    reals = [not np.iscomplexobj(v) for v in fields]
     held = []  # this side's spectra, kept while the next time uses the same side
     for i, (t, step) in enumerate(zip(times, steps)):
         if step is None:
@@ -209,17 +217,19 @@ def _fourier_stream(grid: GridSpec, fields: list[np.ndarray], times: list[float]
         keep = sides[i + 1:i + 2] == [side]
         if keep and not held:
             held = [spectrum(v, side) for v in fields]
+            if all(later == side for later in sides[i + 1:]):
+                fields = None  # every later time reads the held spectra
         factor = multiplier(t, side)
         window = slice(offset, offset + grid.n)
         out = []
-        for j, v in enumerate(fields):
-            real = not np.iscomplexobj(v)
+        for j, real in enumerate(reals):
             mul = factor[:, :side // 2 + 1] if real else factor
             if held:
                 product = held[j] * mul
             else:
-                product = spectrum(v, side)
+                product = spectrum(fields[j], side)
                 product *= mul
+            del mul
             # the window is copied out, so no result keeps a padded array alive
             out.append(np.ascontiguousarray(_inverse_fft2(product, side, real)[window, window]))
             del product
@@ -336,7 +346,7 @@ def _diffuse_one(f: ComplexField2D, D: float, t: float, cfg: SolverConfig) -> Co
     """The one-field classical step: f diffused for time t under cfg.scheme,
     with its boundary grown to match."""
     ((out,),) = _classical_stream(cfg, f.grid, f.free_space, [f.values], D, [t])
-    return ComplexField2D(f.grid, out, _diffused_boundary(f, D, t))
+    return ComplexField2D(f.grid, out, _diffused_boundary(f.free_space, D, t))
 
 
 def diffuse_spectral(f: ComplexField2D, D: float, t: float) -> ComplexField2D:
@@ -439,19 +449,25 @@ def evolve_snapshots(s: StateSnapshot, D: float, times, cfg: SolverConfig) -> It
     StateSnapshot constructor, which rejects data too rough for the scheme
     and grid and clips rounding residues.  Every time gets the bytes of a
     step from s to that time alone.  Nothing is computed until a snapshot
-    is asked for, and the generator keeps no reference to a snapshot it has
-    yielded, so a caller that reduces each snapshot and lets it go holds one
-    at a time.
+    is asked for.  Once the stream is built the generator keeps only s's
+    time, grid and boundary, so s's fields go as soon as the stream's held
+    spectra serve every later time, if the caller drops s too.  It keeps no
+    reference to a snapshot, or to an array, it has yielded, so a caller
+    that reduces each snapshot and lets it go holds one at a time.
     """
     times = list(times)
-    fields = _classical_stream(cfg, s.grid, s.rho12.free_space, [s.rho12.values, s.rho22], D, times)
+    time0, grid, boundary = s.time, s.grid, s.rho12.free_space
+    fields = _classical_stream(cfg, grid, boundary, [s.rho12.values, s.rho22], D, times)
+    del s
     # next() rather than zip: zip keeps its last tuple, and with it the
     # previous time's arrays, alive while the next time is computed
     for t in times:
-        rho12, rho22 = next(fields)
-        snap = StateSnapshot(s.time + t, ComplexField2D(s.grid, rho12, _diffused_boundary(s.rho12, D, t)),
-                             rho22)
-        del rho12, rho22
+        out = next(fields)
+        rho12, rho22 = out
+        out.clear()  # the suspended stream refers to this list; the unclipped rho22 goes with it
+        rho12 = ComplexField2D(grid, rho12, _diffused_boundary(boundary, D, t))
+        snap = StateSnapshot(time0 + t, rho12, rho22)
+        del out, rho12, rho22
         yield snap
         del snap
 

@@ -212,6 +212,34 @@ class TestParsing:
         assert (err.value.line, err.value.key) == (line, key)
         assert str(err.value).count(key) == 1
 
+    @pytest.mark.parametrize("key,value,line", [
+        # one config per rule of a section dataclass, each breaking only that rule
+        ("mode.w0", "-1", 5),
+        ("mode.P", "0", 6),
+        ("mode.amp", "0", 11),
+        ("mode.p", "-1", 3),
+        ("mode.block_radius", "-1", 11),
+        ("grid.n", "6", 9),
+        ("grid.n", "255", 9),
+        ("grid.extent", "0", 10),
+        ("grid.extent", "1e308", 10),  # 2 extent / n overflows
+        ("diffusion.D", "-1", 7),
+        ("diffusion.times", "[-0.1, 0.25]", 8),
+        ("diffusion.times", "[0.25, 0.1]", 8),
+        ("diffusion.times", "[0.25, 0.25]", 8),
+        ("solver.cfl_safety", "2", 11),
+        ("solver.cfl_safety", "0", 11),
+        ("solver.dt", "0", 11),
+        ("solver.dt", "-1", 11),
+    ])
+    def test_section_rule_names_its_key_and_line(self, key, value, line):
+        text = re.sub(rf"(?m)^{re.escape(key)} = .*$", f"{key} = {value}", MINIMAL)
+        if text == MINIMAL:  # a key MINIMAL leaves at its default
+            text += f"{key} = {value}\n"
+        with pytest.raises(vd.ConfigError, match=rf"^line {line}: {re.escape(key)}: ") as err:
+            vd.parse_config(text)
+        assert (err.value.line, err.value.key) == (line, key)
+
     @pytest.mark.parametrize("kind,extra", [("blocked_gaussian", "mode.block_radius = 1.0\n"),
                                             ("plane_wave", "")])
     @pytest.mark.parametrize("key,value,line", [("mode.p", 2, 3), ("mode.m", 3, 4), ("mode.m", -1, 4)])
@@ -267,7 +295,8 @@ class TestParsing:
         assert not out.exists()
 
     def test_zero_amplitude_rejected(self):
-        with pytest.raises(vd.ConfigError, match="^amplitude amp must be nonzero, got 0j$"):
+        with pytest.raises(vd.ConfigError,
+                           match="^line 11: mode.amp: amplitude amp must be nonzero, got 0j$"):
             vd.parse_config(MINIMAL + "mode.amp = 0\n")
 
     def test_grid_spacing_must_be_finite(self):

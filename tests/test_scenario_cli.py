@@ -222,6 +222,110 @@ out_dir = {tmp_path / "blocked"}
             else:
                 assert seen["held"] == set(), run
 
+    @pytest.mark.parametrize("scheme", ["spectral", "fd", "kernel"])
+    def test_stream_holds_only_what_it_still_needs(self, tmp_path, monkeypatch, scheme):
+        # The stored fields go once the held spectra serve every later time:
+        # from the first transformed snapshot on for spectral and FD, whose
+        # every nonzero time has the grid's side.  The kernel pads each time
+        # to a side of its own (here 80, 80, 90, 90) and transforms the
+        # stored fields lazily until only one side is left.  While the
+        # consumer reduces a snapshot, the stream holds no multiplier and no
+        # unclipped rho22.
+        import weakref
+
+        import vortexdiff.scenario as scenario
+        import vortexdiff.solvers as solvers
+
+        stored, raw, factors, sides = [], [], [], []
+        initial_snapshot, fourier_stream = scenario.initial_snapshot, solvers._fourier_stream
+
+        def tracked_initial(rho12):
+            snap = initial_snapshot(rho12)
+            stored.extend(weakref.ref(a) for a in (snap.rho12.values, snap.rho22))
+            return snap
+
+        def tracked_snapshot(time, rho12, rho22):
+            snap = vd.StateSnapshot(time, rho12, rho22)
+            if snap.rho22 is not rho22:  # clipped into a copy
+                raw.append(weakref.ref(rho22))
+            return snap
+
+        def tracked_stream(grid, fields, times, plan, multiplier):
+            sides.extend(None if plan(t) is None else plan(t)[0] for t in times)
+
+            def tracked_multiplier(t, side):
+                factor = multiplier(t, side)
+                factors.append(weakref.ref(factor))
+                return factor
+            return fourier_stream(grid, fields, times, plan, tracked_multiplier)
+
+        monkeypatch.setattr(scenario, "initial_snapshot", tracked_initial)
+        monkeypatch.setattr(solvers, "StateSnapshot", tracked_snapshot)
+        monkeypatch.setattr(solvers, "_fourier_stream", tracked_stream)
+        cfg = vd.parse_config(small_vortex_cfg(tmp_path / "run", f"solver.scheme = {scheme}\n"))
+        for k, d in enumerate(scenario.stream_diagnostics(cfg)):
+            # the first time from which one side serves the rest of the run
+            last_side = min(i for i in range(len(sides)) if len(set(sides[i:])) == 1)
+            assert [ref() is not None for ref in stored] == [k < last_side] * 2, k
+            assert [ref() for ref in raw] == [None] * len(raw), k
+            assert [ref() for ref in factors] == [None] * len(factors), k
+            d.profile, d.rho22_radial, d.cfactor, d.efficiency, d.population, d.center
+        assert last_side == (3 if scheme == "kernel" else 1)
+        assert len(raw) == len(cfg.diffusion.times)  # every rho22 was clipped, so checked here
+        assert len(factors) == len(cfg.diffusion.times) - 1
+
+    @pytest.mark.parametrize("run", ["csv", "no_snapshots"])
+    @pytest.mark.parametrize("scheme", ["spectral", "fd"])
+    def test_run_peak_memory(self, tmp_path, scheme, run):
+        # Neither run starts a writer thread.  The first time builds the held
+        # spectra (rho12's and rho22's half), which serve the second too, so
+        # the stored fields go.  A snapshot (rho12, rho22, |rho12|^2), its
+        # reductions' maps and, in a csv run, a field dump's coordinate
+        # columns come and go beside them: 4.5 complex n^2 arrays, 5.0 with
+        # the dump.  Holding the stored fields, the multiplier or the
+        # unclipped rho22 as well read 7.0 to 7.6.
+        import tracemalloc
+
+        n = 256
+        text = small_vortex_cfg(tmp_path / "run", f"solver.scheme = {scheme}\n").replace(
+            "grid.n = 64", f"grid.n = {n}").replace(
+            "[0, 0.05, 0.1, 0.15, 0.25]", "[0.1, 0.25]").replace(", fit", "")
+        if run == "no_snapshots":
+            text = text.replace("snapshots, ", "")
+        cfg = vd.parse_config(text)
+        tracemalloc.start()
+        try:
+            vd.run_scenario(cfg, fmt="csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.5 * 16 * n**2
+
+    def test_one_abs_per_evolved_snapshot(self, tmp_path, monkeypatch):
+        # |rho12| is formed once per snapshot, by the physicality check, and
+        # every reduction reads its square; the stored state takes two, its
+        # rho22 and its own check
+        import vortexdiff.scenario as scenario
+
+        cfg = vd.parse_config(small_vortex_cfg(tmp_path / "run"))
+        n, calls, at_stored = cfg.grid.n, [0], []
+        absolute, initial_snapshot = np.abs, scenario.initial_snapshot
+
+        def counted_abs(x, *args, **kwargs):
+            calls[0] += np.shape(x) == (n, n)
+            return absolute(x, *args, **kwargs)
+
+        def marked_initial(rho12):
+            snap = initial_snapshot(rho12)
+            at_stored.append(calls[0])
+            return snap
+
+        monkeypatch.setattr(np, "abs", counted_abs)
+        monkeypatch.setattr(scenario, "initial_snapshot", marked_initial)
+        vd.run_scenario(cfg, fmt="both")
+        assert at_stored == [2]
+        assert calls[0] - at_stored[0] == len(cfg.diffusion.times)
+
     def test_failed_run_leaves_no_stale_manifest(self, tmp_path, capsys):
         out = tmp_path / "out"
         out.mkdir()
