@@ -10,9 +10,10 @@
 # table and dump is byte-identical.  Otherwise it lists the files that
 # differ (`diff -rq`), then explains the numeric change: the worst relative
 # L-infinity per output kind (tables by column, VXF and CSV dumps by field,
-# the time index folded into NNN), against the base's peak, with the run
-# where it occurs; and the exit status is nonzero.  Needs only Python with
-# numpy.
+# the time index folded into NNN), against the base's peak, beside the worst
+# absolute gap, so a large relative change of a near-zero output reads as
+# what it is, with the run where the relative worst occurs; and the exit
+# status is nonzero.  Needs only Python with numpy.
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -74,7 +75,7 @@ run_all() {  # run_all TREE OUT
   )
 }
 
-explain() {  # explain BASE HEAD: worst relative L-infinity per output kind
+explain() {  # explain BASE HEAD: worst relative and absolute gaps per output kind
   python - "$1" "$2" << 'PY'
 import re
 import struct
@@ -117,7 +118,7 @@ def fields(path):
     return cols
 
 
-worst = {}  # kind -> (relative L-infinity, base peak, run)
+worst = {}  # kind -> (relative L-infinity, base peak, run, absolute L-infinity)
 for b in sorted(p for p in base.rglob("*") if p.is_file()):
     rel = b.relative_to(base)
     h = head / rel
@@ -127,20 +128,22 @@ for b in sorted(p for p in base.rglob("*") if p.is_file()):
     old, new = fields(b), fields(h)
     if old is None or new is None or old.keys() != new.keys() or any(
             old[k].shape != new[k].shape for k in old):
-        worst.setdefault(stem, (np.inf, np.nan, str(rel.parent)))  # text, or a changed layout
+        worst.setdefault(stem, (np.inf, np.nan, str(rel.parent), np.nan))  # text, or a changed layout
         continue
     for k in old:
         peak = np.max(np.abs(old[k]), initial=0.0)
         gap = np.max(np.abs(new[k] - old[k]), initial=0.0)
         change = gap / peak if peak > 0 else (0.0 if gap == 0 else np.inf)
         kind = f"{stem}:{k}" if k else stem
-        if change >= worst.get(kind, (-1.0,))[0]:
-            worst[kind] = (change, peak, str(rel.parent))
+        rel_worst, rel_peak, rel_run, abs_worst = worst.get(kind, (-1.0, np.nan, "", 0.0))
+        if change >= rel_worst:
+            rel_worst, rel_peak, rel_run = change, peak, str(rel.parent)
+        worst[kind] = (rel_worst, rel_peak, rel_run, max(gap, abs_worst))
 
-print(f"{'output kind':<48} {'worst rel. Linf':>15} {'base peak':>10}  run")
-for kind, (change, peak, run) in sorted(worst.items()):
+print(f"{'output kind':<48} {'worst rel. Linf':>15} {'worst abs.':>10} {'base peak':>10}  run")
+for kind, (change, peak, run, gap) in sorted(worst.items()):
     shown = "text" if np.isnan(peak) else f"{change:.3g}"
-    print(f"{kind:<48} {shown:>15} {peak:>10.3g}  {run}")
+    print(f"{kind:<48} {shown:>15} {gap:>10.3g} {peak:>10.3g}  {run}")
 PY
 }
 

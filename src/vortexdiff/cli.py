@@ -8,7 +8,8 @@ Subcommands:
     compare-blocked <config>  blocked-Gaussian vs vortex hole refill vs time
     echo <config>             quantum echo round trip + classical conditioning
 
-Exit codes: 0 success, 2 config error, 3 numeric/solver error, 4 I/O error.
+Exit codes: 0 success, 2 config error, 3 numeric/solver error (out of memory
+included), 4 I/O error.
 Errors are also emitted to stderr as a single machine-readable JSON line.
 """
 
@@ -279,7 +280,7 @@ def main(argv=None) -> int:
     except (FieldFormatError, OSError) as exc:
         _emit_error(exc, EXIT_IO)
         return EXIT_IO
-    except (CflError, IrreversibleEvolutionError, FloatingPointError, ValueError) as exc:
+    except (CflError, IrreversibleEvolutionError, FloatingPointError, ValueError, MemoryError) as exc:
         _emit_error(exc, EXIT_NUMERIC)
         return EXIT_NUMERIC
 

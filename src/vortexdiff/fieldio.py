@@ -12,15 +12,16 @@ VXF1 layout (little-endian throughout):
     29      ...   payload, row-major f64: (re, im) pairs for kind 0,
                   singles for kind 1; length n*n*(2 or 1)*8 bytes
 
-read(write(f)) is bit-identical.  One writer, write_table_csv, writes every
-CSV file, field dumps (x, y, re, im or x, y, value) included: labels verbatim,
-numbers at 17 significant digits, enough to round-trip f64.
+read(write(f)) is bit-identical.  One writer streams the rows of every CSV
+file, tables and field dumps (x, y, re, im or x, y, value) alike: labels
+verbatim, numbers at 17 significant digits, enough to round-trip f64.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from itertools import chain, cycle, repeat
 
 import numpy as np
 
@@ -117,34 +118,41 @@ def read_field(path) -> FieldDump:
 
 def write_field_csv(path, values: np.ndarray, grid: GridSpec, header_lines=()) -> None:
     """CSV dump with columns x,y,re,im (complex) or x,y,value (real), row-major:
-    a table whose coordinates are formatted once and passed as label columns."""
+    rows streamed to the one writer, each coordinate formatted once."""
     values = np.asarray(values)
     if values.shape != (grid.n, grid.n):
         raise ValueError(f"values shape {values.shape} does not match grid n={grid.n}")
     coords = [format(c, ".17g") for c in grid.coords().tolist()]
-    columns = {"x": [c for c in coords for _ in coords], "y": coords * grid.n}
+    xs = chain.from_iterable(repeat(c, grid.n) for c in coords)
     if np.iscomplexobj(values):  # flat iterators: the values are not copied
-        columns.update(re=values.real.flat, im=values.imag.flat)
+        names, cols = ("x", "y", "re", "im"), (values.real.flat, values.imag.flat)
     else:
-        columns["value"] = values.flat
-    write_table_csv(path, columns, header_lines)
+        names, cols = ("x", "y", "value"), (values.flat,)
+    _write_rows(path, names, zip(xs, cycle(coords), *cols), "%s,%s" + ",%.17g" * len(cols),
+                header_lines)
 
 
 def write_table_csv(path, columns: dict, header_lines=()) -> None:
-    """The one CSV writer: `# ` header lines, column names, then the rows,
-    streamed.  A label column (its first cell a str, such as a model name) is
-    written verbatim, any other column at 17 significant digits."""
+    """A table of equal-length columns: a label column (its first cell a
+    str, such as a model name) is written verbatim, any other column at 17
+    significant digits."""
     cols = list(columns.values())
     length = len(cols[0]) if cols else 0
     if any(len(c) != length for c in cols):
         raise ValueError("all columns must have equal length")
     template = ",".join("%s" if length and isinstance(c[0], str) else "%.17g" for c in cols)
+    _write_rows(path, columns, zip(*cols), template, header_lines)
+
+
+def _write_rows(path, names, rows, template: str, header_lines) -> None:
+    """The one CSV writer: `# ` header lines, column names, then each row
+    formatted by template, streamed."""
     template += "\n"
     with open(path, "w", newline="\n") as fh:
         for line in header_lines:
             fh.write(f"# {line}\n")
-        fh.write(",".join(columns) + "\n")
-        for row in zip(*cols):
+        fh.write(",".join(names) + "\n")
+        for row in rows:
             fh.write(template % row)
 
 

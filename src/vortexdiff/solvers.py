@@ -17,28 +17,33 @@ Three independent classical schemes on the same grid:
   (1 + D dt lambda)^N (1 + D r lambda) on the grid's own side: the same
   discretization and step count as a march, evaluated exactly.
 * KERNEL: discrete convolution with the sampled heat kernel
-  G = e^{-|r|^2 / 4 D t} / (4 pi D t), truncated where G < 1e-16 G(0): the
-  spectral step again with the multiplier fft2(G dx^2) on a zero-padded
-  side, a linear convolution, so this scheme is free-space for every field.
+  G = e^{-|r|^2 / 4 D t} / (4 pi D t), truncated per axis where its 1-D
+  factor drops below 1e-16 of its center value: the spectral step again,
+  on a side zero-padded by the kernel's half-width, with the weights
+  G dx^2 = g(x) g(y) centred at index 0 of each axis, so that the
+  multiplier is real and separable, the outer product of the 1-D factor
+  fft(g).  The convolution is linear, so this scheme is free-space for
+  every field.
 
 The three classical steps and the quantum step are one loop,
-_fourier_stream: per time a plan gives the FFT side and crop offset (or the
-identity) and a multiplier, built once for all fields; each field goes to
-its spectrum at that side, is multiplied, goes back and is cropped.  A
-complex field uses fft2; a real one (rho22) uses rfft2 and half the
-multiplier, and comes back real.  Every inverse runs one axis at a time,
-the complex passes in place, with the bytes of ifft2 / irfft2.  Its memory
-rule: a field's padded spectrum is held only while the next time uses the
-same side; otherwise each field is transformed lazily, multiplied in place
-and dropped.  The stored fields go once the held spectra serve every later
-time, and the stream keeps nothing it has yielded.  _classical_stream is
-the one scheme dispatch: the schemes differ only in plan and multiplier,
-which holds every weight.  The spectral and quantum multipliers are
-separable, outer products of 1-D factors.  evolve_snapshots (a lazy
-generator that keeps of its input snapshot only time, grid and boundary,
-and no snapshot it has yielded) calls it, and so does _diffuse_one, the
-one-field step that diffuse_spectral, diffuse_kernel and diffuse_fd each
-are; evolve_quantum is the loop's periodic one-time case.
+_fourier_stream: per time a plan gives the FFT side (or the identity) and
+a multiplier, built once for all fields; each field goes to its spectrum
+at that side, is multiplied, goes back and keeps its n x n window at the
+origin.  A complex field uses fft2; a real one (rho22) uses rfft2 and half
+the multiplier, and comes back real.  Every inverse runs one axis at a
+time, the complex passes in place, with the bytes of ifft2 / irfft2.  Its
+one memory rule: a field's spectrum at a side is formed once, held while
+the next time reads that side, and multiplied in place by its last reader;
+a field is dropped once its spectrum serves every later time.  No
+generator here keeps what it yielded: each list of results, and each
+snapshot, is yielded as a temporary.  _classical_stream is the one scheme
+dispatch: the schemes differ only in plan and multiplier, which holds
+every weight.  The spectral, kernel and quantum multipliers are separable,
+outer products of 1-D factors.  evolve_snapshots (a lazy generator that
+keeps of its input snapshot only time, grid and boundary) calls it, and so
+does _diffuse_one, the one-field step that diffuse_spectral,
+diffuse_kernel and diffuse_fd each are; evolve_quantum is the loop's
+periodic one-time case.
 
 Every classical step returns a field with its input's boundary; a free-space
 record grows to the diffused waist w0^2 + 4 D t, so chained steps pad enough.
@@ -184,76 +189,58 @@ def _inverse_fft2(product: np.ndarray, side: int, real: bool) -> np.ndarray:
 def _fourier_stream(grid: GridSpec, fields: list[np.ndarray], times: list[float], plan,
                     multiplier) -> Iterator[list[np.ndarray]]:
     """The one Fourier-multiplier loop, one list of results per time,
-    yielded as it is computed.  plan(t) gives (side, offset), or None for
-    the identity (copies).  Each array in fields goes to the spectrum at
-    that side, times multiplier(t, side), back, and its n x n window at
-    offset.  A complex field goes fft2 and the per-axis in-place inverse;
-    a real field goes rfft2, times the multiplier's first side // 2 + 1
-    columns, and the per-axis irfft2, and stays real.
-    That is exact because every multiplier applied to a real field is the
-    spectrum of a real kernel.  A field's padded spectrum is held only while
-    the next time uses the same side: such a time transforms every field up
-    front, any other transforms each field lazily, multiplies it in place
-    and drops it.  Once the held spectra serve every later time, the stream
-    drops fields, which a caller that keeps no other reference to them
-    frees.  The multiplier is dropped before each yield.  The suspended
-    stream still refers to the list it yielded, so a caller empties it once
-    it has taken the arrays.  Results are the bytes of a separate forward
-    transform, multiply and inverse per field and time."""
+    yielded as it is computed.  plan(t) gives the FFT side, or None for the
+    identity (copies).  Each array in fields goes to its spectrum at that
+    side, times multiplier(t, side), back, and its n x n window at the
+    origin.  A complex field goes fft2 and the per-axis in-place inverse; a
+    real field goes rfft2, times the multiplier's first side // 2 + 1
+    columns, and the per-axis irfft2, and stays real.  That is exact
+    because every multiplier applied to a real field is the spectrum of a
+    real kernel.  The one rule: a field's spectrum at a side is formed
+    once, held while the next time reads that side, and multiplied in place
+    by its last reader.  A field is dropped once its spectrum serves every
+    later time, which a caller that keeps no other reference to it frees.
+    Each time's multiplier is built after its first spectrum and dropped
+    before the yield.  Each list is yielded as a temporary, so the
+    suspended stream keeps nothing it has yielded.  Results are the bytes
+    of a separate forward transform, multiply and inverse per field and
+    time."""
     def spectrum(v: np.ndarray, side: int) -> np.ndarray:
         if np.iscomplexobj(v):
             return np.fft.fft2(v, s=(side, side))
         return np.fft.rfft2(v, s=(side, side))
 
-    steps = [plan(t) for t in times]
-    sides = [None if step is None else step[0] for step in steps]
+    sides = [plan(t) for t in times]
+    fields = list(fields)
     reals = [not np.iscomplexobj(v) for v in fields]
-    held = []  # this side's spectra, kept while the next time uses the same side
-    for i, (t, step) in enumerate(zip(times, steps)):
-        if step is None:
-            yield [v.copy() for v in fields]
-            continue
-        side, offset = step
+    held = [None] * len(fields)  # each field's spectrum, while the next time reads its side
+
+    def step(i: int, t: float, side: int) -> list[np.ndarray]:
         keep = sides[i + 1:i + 2] == [side]
-        if keep and not held:
-            held = [spectrum(v, side) for v in fields]
-            if all(later == side for later in sides[i + 1:]):
-                fields = None  # every later time reads the held spectra
-        factor = multiplier(t, side)
-        window = slice(offset, offset + grid.n)
-        out = []
+        out, factor = [], None
         for j, real in enumerate(reals):
+            product = spectrum(fields[j], side) if held[j] is None else held[j]
+            if set(sides[i:]) == {side}:
+                fields[j] = None  # its spectrum serves every later time
+            if factor is None:  # built before the first spectrum, it raised peak RSS 14% at n = 1024
+                factor = multiplier(t, side)
             mul = factor[:, :side // 2 + 1] if real else factor
-            if held:
-                product = held[j] * mul
+            if keep:
+                held[j], product = product, product * mul
             else:
-                product = spectrum(fields[j], side)
+                held[j] = None
                 product *= mul
-            del mul
             # the window is copied out, so no result keeps a padded array alive
-            out.append(np.ascontiguousarray(_inverse_fft2(product, side, real)[window, window]))
+            out.append(np.ascontiguousarray(_inverse_fft2(product, side, real)[:grid.n, :grid.n]))
             del product
-        if not keep:
-            held = []
-        del factor
-        yield out
-        del out  # the caller holds this time's results; drop them before the next time
+        return out
 
-
-def heat_kernel_patch(grid: GridSpec, D: float, t: float) -> np.ndarray:
-    """Sampled free-space heat kernel on a square patch, zero beyond the
-    radius where G drops below 1e-16 of its center value."""
-    r_cut, half = _kernel_cut(grid, D, t)
-    offsets = grid.dx * np.arange(-half, half + 1)
-    ox, oy = np.meshgrid(offsets, offsets, indexing="ij")
-    r_sq = ox**2 + oy**2
-    kernel = np.exp(-r_sq / (4.0 * D * t)) / (4.0 * np.pi * D * t)
-    kernel[r_sq > r_cut**2] = 0.0
-    return kernel
+    for i, (t, side) in enumerate(zip(times, sides)):
+        yield [v.copy() for v in fields] if side is None else step(i, t, side)
 
 
 def _kernel_cut(grid: GridSpec, D: float, t: float) -> tuple[float, int]:
-    """Cut radius of the truncated heat kernel and the patch's half-width in samples."""
+    """Cut radius of the truncated heat kernel and its half-width in samples."""
     r_cut = math.sqrt(4.0 * D * t * math.log(1e16))
     return r_cut, max(1, int(math.ceil(r_cut / grid.dx)))
 
@@ -301,7 +288,7 @@ def _classical_stream(cfg: SolverConfig, grid: GridSpec, free_space: FreeSpace |
     list of results per time, yielded lazily; every result keeps its
     field's dtype, so a real field stays real.  Every scheme runs through
     _fourier_stream and differs only in plan and multiplier: spectral pads a
-    free-space field as containment asks, kernel pads by the patch's
+    free-space field as containment asks, kernel pads by the kernel's
     half-width, FD stays periodic on the grid's own side.  t = 0 and D = 0
     are the identity.  An FD dt above the stability bound raises CflError
     here, before any transform.
@@ -309,7 +296,7 @@ def _classical_stream(cfg: SolverConfig, grid: GridSpec, free_space: FreeSpace |
     check_diffusion(D, times)
     if cfg.scheme is Scheme.SPECTRAL:
         def step(t):
-            return _free_space_size(grid, free_space, D, t), 0
+            return _free_space_size(grid, free_space, D, t)
 
         def factor(t, side):
             return _outer(np.exp(-D * _wavenumbers(side, grid.dx) ** 2 * t))
@@ -317,7 +304,7 @@ def _classical_stream(cfg: SolverConfig, grid: GridSpec, free_space: FreeSpace |
         dt = fd_timestep(grid, D, cfg) if D > 0 else None
 
         def step(t):  # periodic for every field: no padding
-            return grid.n, 0
+            return grid.n
 
         def factor(t, side):  # N full steps, then one over the remainder
             axis = (2.0 * np.cos(_wavenumbers(side, grid.dx) * grid.dx) - 2.0) / grid.dx**2
@@ -329,13 +316,16 @@ def _classical_stream(cfg: SolverConfig, grid: GridSpec, free_space: FreeSpace |
                 out *= 1.0 + D * remainder * lam
             return out
     elif cfg.scheme is Scheme.KERNEL:
-        def step(t):  # pad by the patch's half-width, keep the window at that offset
+        def step(t):  # pad by the kernel's half-width: the wrap lands outside the window
             check_kernel_resolution(grid, D, (t,))
-            half = _kernel_cut(grid, D, t)[1]
-            return _fft_size(grid.n + half), half
+            return _fft_size(grid.n + _kernel_cut(grid, D, t)[1])
 
-        def factor(t, side):  # the convolution weights G dx^2
-            return np.fft.fft2(heat_kernel_patch(grid, D, t) * grid.dx**2, s=(side, side))
+        def factor(t, side):  # the weights G dx^2 = g(x) g(y), centred at index 0
+            r_cut = _kernel_cut(grid, D, t)[0]
+            offset = grid.dx * np.minimum(np.arange(side), side - np.arange(side))
+            weights = grid.dx * np.exp(-offset**2 / (4.0 * D * t)) / math.sqrt(4.0 * np.pi * D * t)
+            weights[offset > r_cut] = 0.0
+            return _outer(np.fft.fft(weights).real)
     else:
         raise ValueError(f"unknown scheme {cfg.scheme!r}")
     return _fourier_stream(grid, fields, times, lambda t: None if t == 0 or D == 0 else step(t),
@@ -378,10 +368,10 @@ def diffuse_fd(f: ComplexField2D, D: float, t: float, cfg: SolverConfig) -> Comp
 
 def diffuse_kernel(f: ComplexField2D, D: float, t: float) -> ComplexField2D:
     """Green-function propagation: discrete convolution with the sampled
-    heat kernel times dx^2.  The convolution is linear: field and K x K
-    kernel patch (K odd) are zero-padded to at least n + (K - 1) / 2 and the
-    centred n x n window, starting at (K - 1) / 2, is kept; the circular
-    wrap of that transform lands only outside the window.  t = 0 is
+    heat kernel times dx^2.  The convolution is linear: the field is
+    zero-padded by the kernel's half-width K, the kernel is centred at index
+    0 of the padded axes, and the n x n window at the origin is kept; the
+    circular wrap of that transform lands only outside the window.  t = 0 is
     rejected (the kernel degenerates to a delta; use the identity instead),
     as are steps too short for the grid to resolve the kernel."""
     if not (t > 0):
@@ -396,7 +386,7 @@ def evolve_quantum(f: ComplexField2D, q: QuantumParams, t: float) -> ComplexFiel
     boundary record passes through unchanged.
     """
     ((out,),) = _fourier_stream(
-        f.grid, [f.values], [t], lambda _: (f.grid.n, 0),
+        f.grid, [f.values], [t], lambda _: f.grid.n,
         lambda t, side: _outer(np.exp(-1j * q.beta * _wavenumbers(side, f.grid.dx) ** 2 * t)))
     return ComplexField2D(f.grid, out, f.free_space)
 
@@ -450,26 +440,25 @@ def evolve_snapshots(s: StateSnapshot, D: float, times, cfg: SolverConfig) -> It
     and grid and clips rounding residues.  Every time gets the bytes of a
     step from s to that time alone.  Nothing is computed until a snapshot
     is asked for.  Once the stream is built the generator keeps only s's
-    time, grid and boundary, so s's fields go as soon as the stream's held
-    spectra serve every later time, if the caller drops s too.  It keeps no
-    reference to a snapshot, or to an array, it has yielded, so a caller
-    that reduces each snapshot and lets it go holds one at a time.
+    time, grid and boundary, so each of s's fields goes as soon as its
+    spectrum serves every later time, if the caller drops s too.  Each
+    snapshot is yielded as a temporary, and neither this generator nor the
+    stream keeps a snapshot or an array it has yielded, so a caller that
+    reduces each snapshot and lets it go holds one at a time.
     """
     times = list(times)
     time0, grid, boundary = s.time, s.grid, s.rho12.free_space
     fields = _classical_stream(cfg, grid, boundary, [s.rho12.values, s.rho22], D, times)
     del s
-    # next() rather than zip: zip keeps its last tuple, and with it the
-    # previous time's arrays, alive while the next time is computed
-    for t in times:
-        out = next(fields)
-        rho12, rho22 = out
-        out.clear()  # the suspended stream refers to this list; the unclipped rho22 goes with it
+
+    def snapshot(t: float, rho12: np.ndarray, rho22: np.ndarray) -> StateSnapshot:
         rho12 = ComplexField2D(grid, rho12, _diffused_boundary(boundary, D, t))
-        snap = StateSnapshot(time0 + t, rho12, rho22)
-        del out, rho12, rho22
-        yield snap
-        del snap
+        return StateSnapshot(time0 + t, rho12, rho22)
+
+    # next() rather than zip, which keeps its last tuple alive while the
+    # next time is computed; each snapshot is yielded as a temporary
+    for t in times:
+        yield snapshot(t, *next(fields))
 
 
 def evolve_snapshot(s: StateSnapshot, D: float, t: float, cfg: SolverConfig) -> StateSnapshot:

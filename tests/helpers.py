@@ -4,8 +4,10 @@ These deliberately avoid the package's own code paths: the Laguerre oracle
 is an explicit series sum, radial integrals go through adaptive quadrature,
 closed-form field values are rebuilt from first principles where needed
 (the p = 0 populations are hand-derived), heat flow of a radial profile is a
-quadrature against the heat kernel's angular average, and the
-finite-difference scheme is marched step by step on the grid.
+quadrature against the heat kernel's angular average, the kernel scheme's
+convolution is summed term by term against a sampled disk of the heat
+kernel, and the finite-difference scheme is marched step by step on the
+grid.
 """
 
 import math
@@ -97,3 +99,34 @@ def fd_march(values: np.ndarray, dx: float, D: float, dt: float, t: float) -> np
     if remainder > 1e-12 * dt:
         u = u + D * remainder * laplacian(u)
     return u
+
+
+def heat_kernel_patch(dx: float, D: float, t: float) -> np.ndarray:
+    """Sampled free-space heat kernel on a (2 half + 1)^2 patch, half the
+    samples out to the radius where G drops below 1e-16 of its center value,
+    and zero beyond that radius."""
+    r_cut = math.sqrt(4.0 * D * t * math.log(1e16))
+    half = max(1, math.ceil(r_cut / dx))
+    offsets = dx * np.arange(-half, half + 1)
+    r_sq = offsets[:, None] ** 2 + offsets[None, :] ** 2
+    kernel = np.exp(-r_sq / (4.0 * D * t)) / (4.0 * np.pi * D * t)
+    kernel[r_sq > r_cut**2] = 0.0
+    return kernel
+
+
+def kernel_convolution_sum(values: np.ndarray, dx: float, D: float, t: float) -> np.ndarray:
+    """The "same" window of the linear convolution of values with the heat
+    kernel patch times dx^2, one output sample at a time with no transform:
+    out[i, j] = dx^2 sum_ab values[a, b] G(i - a, j - b)."""
+    kernel = heat_kernel_patch(dx, D, t)
+    half = (kernel.shape[0] - 1) // 2
+    n = values.shape[0]
+    idx = np.arange(n)
+    out = np.empty(values.shape, dtype=np.result_type(values, kernel))
+    for i in range(n):
+        for j in range(n):
+            du, dv = i - idx, j - idx  # offsets from every source sample
+            inside_u, inside_v = np.abs(du) <= half, np.abs(dv) <= half
+            weights = kernel[np.ix_(half + du[inside_u], half + dv[inside_v])]
+            out[i, j] = np.sum(values[np.ix_(inside_u, inside_v)] * weights)
+    return out * dx**2

@@ -224,12 +224,12 @@ out_dir = {tmp_path / "blocked"}
 
     @pytest.mark.parametrize("scheme", ["spectral", "fd", "kernel"])
     def test_stream_holds_only_what_it_still_needs(self, tmp_path, monkeypatch, scheme):
-        # The stored fields go once the held spectra serve every later time:
+        # A stored field goes once its spectrum serves every later time:
         # from the first transformed snapshot on for spectral and FD, whose
         # every nonzero time has the grid's side.  The kernel pads each time
-        # to a side of its own (here 80, 80, 90, 90) and transforms the
-        # stored fields lazily until only one side is left.  While the
-        # consumer reduces a snapshot, the stream holds no multiplier and no
+        # by its own half-width (here to sides 80, 80, 90, 90), so the stored
+        # fields stay until only one side is left.  While the consumer
+        # reduces a snapshot, the stream holds no multiplier and no
         # unclipped rho22.
         import weakref
 
@@ -251,7 +251,7 @@ out_dir = {tmp_path / "blocked"}
             return snap
 
         def tracked_stream(grid, fields, times, plan, multiplier):
-            sides.extend(None if plan(t) is None else plan(t)[0] for t in times)
+            sides.extend(plan(t) for t in times)
 
             def tracked_multiplier(t, side):
                 factor = multiplier(t, side)
@@ -279,10 +279,10 @@ out_dir = {tmp_path / "blocked"}
     def test_run_peak_memory(self, tmp_path, scheme, run):
         # Neither run starts a writer thread.  The first time builds the held
         # spectra (rho12's and rho22's half), which serve the second too, so
-        # the stored fields go.  A snapshot (rho12, rho22, |rho12|^2), its
-        # reductions' maps and, in a csv run, a field dump's coordinate
-        # columns come and go beside them: 4.5 complex n^2 arrays, 5.0 with
-        # the dump.  Holding the stored fields, the multiplier or the
+        # the stored fields go.  A snapshot (rho12, rho22, |rho12|^2) and its
+        # reductions' maps come and go beside them: 4.5 to 5.0 complex n^2
+        # arrays.  A csv field dump streams its rows, so it adds no n^2
+        # label columns.  Holding the stored fields, the multiplier or the
         # unclipped rho22 as well read 7.0 to 7.6.
         import tracemalloc
 
@@ -772,6 +772,22 @@ out_dir = {tmp_path / "sweep"}
         assert main(["fit", str(trace)]) == 3
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert record["exit_code"] == 3
+
+    def test_out_of_memory_is_a_numeric_error(self, tmp_path, monkeypatch, capsys):
+        # a grid too large for the machine validates, then fails to
+        # allocate; that is reported as one JSON line with exit 3, no traceback
+        import vortexdiff.scenario as scenario
+
+        def exhausted(spec, grid):
+            raise MemoryError("Unable to allocate 1.46 PiB for an array")
+        monkeypatch.setattr(scenario, "build_mode", exhausted)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(small_vortex_cfg(tmp_path / "run"))
+        assert main(["simulate", str(cfg)]) == 3
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record == {"error": "MemoryError", "exit_code": 3,
+                          "message": "Unable to allocate 1.46 PiB for an array"}
+        assert not (tmp_path / "run" / "manifest.json").exists()
 
     def test_fd_scheme_scenario_end_to_end(self, tmp_path):
         def cfg_text(scheme, out):

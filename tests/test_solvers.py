@@ -1,14 +1,15 @@
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 import vortexdiff as vd
-from vortexdiff.solvers import heat_kernel_patch
+import vortexdiff.solvers as solvers
 from vortexdiff.solvers import (_classical_stream, _fft_size, _free_space_size, _inverse_fft2, _outer,
                                 _wavenumbers)
-from helpers import fd_march, free_gaussian_dispersed
+from helpers import fd_march, free_gaussian_dispersed, heat_kernel_patch, kernel_convolution_sum
 
 
 def rel_linf(a, b):
@@ -195,26 +196,43 @@ class TestDiffuseKernel:
 
     def test_matches_direct_convolution_sum(self):
         # the "same" window of the linear convolution, summed term by term
-        # with no transform: a wrong crop offset or a pad too small to hold
-        # the window shifts or wraps this asymmetric, edge-heavy field
+        # with no transform: a wrong window or a pad too small to hold it
+        # shifts or wraps this asymmetric, edge-heavy field.  At t = 0.2
+        # the kernel's half-width exceeds n, so its weights sit at both ends
+        # of each padded axis and offsets of n or more must wrap outside
+        # the window
         g = vd.make_grid(16, 2.0)
-        t = 1.05 * g.dx**2 / 4.0
         x = np.arange(16)
         vals = np.exp(-((x[:, None] - 11.0) ** 2 + (x[None, :] - 4.0) ** 2) / 20.0)
         vals = vals * np.exp(0.7j * x[:, None]) + 0.3 + 0.1j * x[None, :]
-        kernel = heat_kernel_patch(g, 1.0, t)
-        half = (kernel.shape[0] - 1) // 2
-        expected = np.zeros((16, 16), dtype=complex)
-        for i in range(16):
-            for j in range(16):
-                for u in range(kernel.shape[0]):
-                    for v in range(kernel.shape[1]):
-                        a, b = i + half - u, j + half - v
-                        if 0 <= a < 16 and 0 <= b < 16:
-                            expected[i, j] += vals[a, b] * kernel[u, v]
-        expected *= g.dx**2
-        out = vd.diffuse_kernel(vd.ComplexField2D(g, vals), 1.0, t)
-        assert rel_linf(out.values, expected) <= 1e-13
+        assert (heat_kernel_patch(g.dx, 1.0, 0.2).shape[0] - 1) // 2 >= g.n
+        for t in (1.05 * g.dx**2 / 4.0, 0.2):
+            out = vd.diffuse_kernel(vd.ComplexField2D(g, vals), 1.0, t)
+            assert rel_linf(out.values, kernel_convolution_sum(vals, g.dx, 1.0, t)) <= 1e-13
+
+    def test_multiplier_is_real_and_separable(self, monkeypatch):
+        # the weights G dx^2 = g(x) g(y), centred at index 0 of each padded
+        # axis: their spectrum is real, the outer product of one 1-D factor,
+        # and within rounding that of the sampled disk of the heat kernel
+        captured = {}
+
+        def capture(grid, fields, times, plan, multiplier):
+            captured.update(plan=plan, multiplier=multiplier)
+            return iter(())
+        monkeypatch.setattr(solvers, "_fourier_stream", capture)
+        g, t = vd.make_grid(64, 8.0), 0.25
+        _classical_stream(vd.SolverConfig(scheme=vd.Scheme.KERNEL), g, None, [np.zeros((64, 64))], 1.0, [t])
+        side = captured["plan"](t)
+        factor = captured["multiplier"](t, side)
+        assert factor.dtype == np.float64 and factor.shape == (side, side)
+        axis = factor[0] / math.sqrt(factor[0, 0])  # factor[0, 0] is the axis factor's [0] squared
+        assert np.max(np.abs(factor - _outer(axis))) <= 1e-15
+        patch = heat_kernel_patch(g.dx, 1.0, t) * g.dx**2
+        half = (patch.shape[0] - 1) // 2
+        centred = np.zeros((side, side))
+        centred[:2 * half + 1, :2 * half + 1] = patch
+        centred = np.roll(centred, (-half, -half), axis=(0, 1))
+        assert np.max(np.abs(factor - np.fft.fft2(centred))) <= 1e-14
 
     def test_total_mass_preserved(self, lg00):
         before = np.sum(lg00.values) * lg00.grid.dx**2
@@ -499,18 +517,18 @@ class TestSnapshotStream:
 
     @staticmethod
     def _kernel_side(g: vd.GridSpec, t: float) -> int:
-        return _fft_size(g.n + (heat_kernel_patch(g, 1.0, t).shape[0] - 1) // 2)
+        return _fft_size(g.n + (heat_kernel_patch(g.dx, 1.0, t).shape[0] - 1) // 2)
 
     def test_kernel_stream_matches_per_field_steps(self):
         # the first three nonzero times share one padded side, with a
-        # different crop offset each, so the stream holds their spectra;
-        # the last has a side of its own and is transformed lazily
+        # different kernel width each, so the stream holds their spectra;
+        # the last has a side of its own and forms its spectra afresh
         g = vd.make_grid(64, 8.0)
         f = vd.lg_field(vd.ModeSpec(kind=vd.ModeKind.LG, m=1), g)
         snap = vd.initial_snapshot(f)
         times = [0.0, 0.05, 0.06, 0.08, 0.25]
         assert [self._kernel_side(g, t) for t in times[1:]] == [80, 80, 80, 90]
-        assert len({heat_kernel_patch(g, 1.0, t).shape for t in times[1:4]}) == 3
+        assert len({heat_kernel_patch(g.dx, 1.0, t).shape for t in times[1:4]}) == 3
         cfg = vd.SolverConfig(scheme=vd.Scheme.KERNEL)
         for t, out in zip(times, vd.evolve_snapshots(snap, 1.0, times, cfg)):
             if t == 0:
@@ -530,16 +548,35 @@ class TestSnapshotStream:
         finally:
             tracemalloc.stop()
 
-    # In the kernel and padded spectral cases each time is on its own
-    # padded side, so every field is transformed lazily and the padded
-    # arrays alive at once are the multiplier and one spectrum: the inverse
-    # runs in place and rho22's half spectrum and real inverse are half a
-    # padded array each.  Holding both fields' spectra, ifft2's two
-    # working arrays, or a multiplier past its time would break the bound.
-    # FD times all share the grid's side, so both spectra are held, beside
-    # a real multiplier and one product.  A snapshot is complex rho12, real
-    # rho22 and real |rho12|^2; the caller here keeps the stored snapshot,
-    # so its fields stay alive (and untraced) for the whole stream.
+    # The stream's one rule: a field's spectrum at a side is formed once,
+    # held while the next time reads that side, and multiplied in place by
+    # its last reader; each time's multiplier is built after its first
+    # spectrum.  In the kernel and padded spectral cases each time is on its
+    # own padded side, so the padded arrays alive at once are the multiplier
+    # and one spectrum: the inverse runs in place, rho22's half spectrum and
+    # real inverse are half a padded array each, and the kernel's multiplier
+    # is real.  Holding both fields' spectra, ifft2's two working arrays, or
+    # a multiplier past its time would break the bound.  FD times all share
+    # the grid's side, so both spectra are held, beside a real multiplier
+    # and one product.  A snapshot is complex rho12, real rho22 and real
+    # |rho12|^2; the caller here keeps the stored snapshot, so its fields
+    # stay alive (and untraced) for the whole stream.  No generator keeps
+    # what it yielded: a list or snapshot the caller drops is freed before
+    # the next time is computed.
+
+    @pytest.mark.parametrize("scheme", list(vd.Scheme))
+    def test_no_stream_keeps_what_it_yielded(self, lg01, scheme):
+        # times 0 (copies), 0.1 (spectra held for the next time) and 0.2
+        snap = vd.initial_snapshot(lg01)
+        cfg = vd.SolverConfig(scheme=scheme)
+        times = [0.0, 0.1, 0.2]
+        stream = _classical_stream(cfg, lg01.grid, lg01.free_space, [lg01.values, snap.rho22], 1.0, times)
+        snaps = vd.evolve_snapshots(snap, 1.0, times, cfg)
+        for _ in times:
+            arrays = [weakref.ref(a) for a in next(stream)]
+            snapshot = weakref.ref(next(snaps))
+            assert [ref() for ref in arrays] == [None, None]
+            assert snapshot() is None
 
     def test_kernel_stream_peak_memory(self):
         g = vd.make_grid(64, 8.0)
