@@ -12,9 +12,9 @@ later time (solvers' memory rule), and it keeps nothing it has yielded.
 run_scenario writes each snapshot's field dumps and computes the reductions
 its tables read as the snapshot arrives; the stream then releases the
 snapshot before the next time is evolved.  Each table OutputKind is one
-function from those reductions to its table's columns; every CSV file, table
-or field dump, is written by fieldio.write_table_csv, every VXF dump by
-write_field.
+function from those reductions to its table's columns; every CSV file is
+written by fieldio's one CSV writer (write_table_csv for a table,
+write_field_csv for a field dump), every VXF dump by write_field.
 
 Evolution, reductions and CSV writes run on the calling thread, in order.
 A run that dumps VXF fields starts one writer thread: it is handed each
@@ -25,10 +25,10 @@ alive at a time, plus the previous snapshot's two dump arrays while their
 write is pending.  A write's exception re-raises at the next hand-off or at
 the final join, and the thread is always joined.
 
-manifest.json lists each output file with its SHA-256 checksum, hashed by
-_sha256 in fixed-size chunks read back from disk: a VXF dump on the writer
-thread right after it is written, every other file on the calling thread
-once the tables are written.  It is removed before the first file is
+manifest.json lists each output file with its SHA-256 checksum and size.
+A CSV file is hashed by its writer as its bytes are written; a VXF dump is
+read back from disk by _sha256, in fixed-size chunks, on the writer thread
+right after it is written.  It is removed before the first file is
 written and rewritten last, so a failed run leaves none.  Every step is a
 pure computation and each file has one writer, so identical configs produce
 byte-identical outputs.
@@ -261,16 +261,6 @@ def _sha256(path: Path) -> tuple[str, int]:
     return digest.hexdigest(), size
 
 
-def _write_csv_fields(out: Path, cfg: ScenarioConfig, fields: dict, time: float) -> list[Path]:
-    """Dump each named field of one snapshot as CSV; returns the paths written.
-    A function, so that no loop variable keeps an array alive into the next
-    evolution."""
-    for name, values in fields.items():
-        write_field_csv(out / f"{name}.csv", values, cfg.grid,
-                        _config_header(cfg, f"field {name}", time))
-    return [out / f"{name}.csv" for name in fields]
-
-
 def _write_and_hash(dumps: list[tuple[Path, np.ndarray]], grid, time: float) -> dict:
     """Write each (path, values) VXF dump of one snapshot, then hash the
     file; {path: (sha256, bytes)}.  Runs on the writer thread, which drops
@@ -304,7 +294,6 @@ def run_scenario(cfg: ScenarioConfig, fmt: str = "csv", out_dir: str | Path | No
                           for name in names)
     snapshots = OutputKind.SNAPSHOTS in cfg.outputs
     digests: dict[Path, tuple[str, int]] = {}  # path -> (sha256, bytes)
-    written: list[Path] = []  # hashed on this thread once the tables are written
     diags = []
     writer = pending = None
     if snapshots and fmt != "csv":
@@ -320,8 +309,10 @@ def run_scenario(cfg: ScenarioConfig, fmt: str = "csv", out_dir: str | Path | No
                     pending = writer.submit(_write_and_hash, [(out / f"{name}.vxf", values)
                                                               for name, values in fields.items()],
                                             cfg.grid, d.time)
-                if fmt != "vxf":
-                    written += _write_csv_fields(out, cfg, fields, d.time)
+                if fmt != "vxf":  # no comprehension variable keeps an array into the next evolution
+                    digests.update({out / f"{name}.csv": write_field_csv(
+                        out / f"{name}.csv", values, cfg.grid, _config_header(cfg, f"field {name}", d.time))
+                        for name, values in fields.items()})
                 del fields
             for name in reads:
                 getattr(d, name)
@@ -341,11 +332,9 @@ def run_scenario(cfg: ScenarioConfig, fmt: str = "csv", out_dir: str | Path | No
     for kind, (_, tables) in _TABLES.items():
         if kind in cfg.outputs:
             for name, title, time, columns in tables(cfg, diags):
-                write_table_csv(out / name, columns, _config_header(cfg, title, time))
-                written.append(out / name)
+                digests[out / name] = write_table_csv(out / name, columns,
+                                                      _config_header(cfg, title, time))
 
-    for path in written:
-        digests[path] = _sha256(path)
     for path in sorted(digests):
         manifest.entries.append(ManifestEntry(path.name, *digests[path]))
     payload = {

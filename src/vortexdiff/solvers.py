@@ -307,14 +307,17 @@ def _classical_stream(cfg: SolverConfig, grid: GridSpec, free_space: FreeSpace |
             return grid.n
 
         def factor(t, side):  # N full steps, then one over the remainder
-            axis = (2.0 * np.cos(_wavenumbers(side, grid.dx) * grid.dx) - 2.0) / grid.dx**2
-            lam = np.add.outer(axis, axis)
+            # lambda is even in kx and ky: powers on the quarter 0..side/2,
+            # mirrored (index j reads min(j, side - j)), symmetric by construction
+            half = (2.0 * np.cos(_wavenumbers(side, grid.dx)[:side // 2 + 1] * grid.dx) - 2.0) / grid.dx**2
+            lam = np.add.outer(half, half)
             n_full = math.floor(t / dt + 1e-12)
             remainder = t - n_full * dt
-            out = (1.0 + D * dt * lam) ** n_full
+            quarter = (1.0 + D * dt * lam) ** n_full
             if remainder > 1e-12 * dt:
-                out *= 1.0 + D * remainder * lam
-            return out
+                quarter *= 1.0 + D * remainder * lam
+            mirror = np.minimum(np.arange(side), side - np.arange(side))
+            return quarter[np.ix_(mirror, mirror)]
     elif cfg.scheme is Scheme.KERNEL:
         def step(t):  # pad by the kernel's half-width: the wrap lands outside the window
             check_kernel_resolution(grid, D, (t,))

@@ -2,8 +2,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# `--hypothesis-profile=ci` runs every property test on a larger budget
+settings.register_profile("ci", max_examples=2000, deadline=None)
 
 import vortexdiff as vd
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import struct
 
@@ -6,6 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import vortexdiff as vd
+from hypothesis.extra import numpy as hnp
+
+import vortexdiff.fieldio as fieldio
 from vortexdiff.fieldio import FieldFormatError, MAGIC, _HEADER
 
 
@@ -275,3 +279,74 @@ class TestCsv:
         vd.write_field_csv(p1, values, small_grid)
         vd.write_field_csv(p2, values, small_grid)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def percent_table(columns: dict) -> str:
+    """The reference: a table's text with every number as '%.17g' % v."""
+    cells = [[c if isinstance(c, str) else "%.17g" % c for c in col] for col in columns.values()]
+    return ",".join(columns) + "\n" + "".join(",".join(row) + "\n" for row in zip(*cells))
+
+
+class TestNumberKernel:
+    """Every number the CSV writer formats is byte for byte '%.17g' % v, whether
+    the certified kernel or its '%' escape hatch wrote it."""
+
+    def assert_percent_bytes(self, tmp_path, columns):
+        path = tmp_path / "t.csv"
+        digest, size = vd.write_table_csv(path, columns)
+        blob = path.read_bytes()
+        assert blob.decode() == percent_table(columns)
+        assert (digest, size) == (hashlib.sha256(blob).hexdigest(), len(blob))
+
+    def test_uniform_bit_patterns(self, tmp_path):
+        bits = np.random.default_rng(11).integers(0, 2**64, 100_000, dtype=np.uint64, endpoint=False)
+        self.assert_percent_bytes(tmp_path, {"v": bits.view(np.float64)})
+
+    def test_neighbours_of_every_power_of_ten(self, tmp_path):
+        # log10 rounds across 10^j here, and 17 digits round up to the next
+        # power: 9.9999999999999996e-281 must not print as 1e-280, and the
+        # doubles just below 1e-14 or 1e98, say, must print as 1e-14 and 1e+98
+        powers = np.array([float(f"1e{j}") for j in range(-323, 309)])
+        below = np.nextafter(powers, 0)
+        values = np.concatenate([np.nextafter(below, 0), below, powers, np.nextafter(powers, np.inf)])
+        self.assert_percent_bytes(tmp_path, {"v": values, "neg": -values})
+
+    def test_special_values(self, tmp_path):
+        values = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, np.finfo(float).max,
+                  -np.finfo(float).max, np.nan, np.inf, -np.inf, 1e-4, 9.99999999999999e-5, 1e16,
+                  1e17, 123456789012345678.0, 0.5, 1.0 / 3.0]
+        self.assert_percent_bytes(tmp_path, {"v": values})
+        vd.write_table_csv(tmp_path / "s.csv", {"v": [-0.0, np.nan, -np.inf]})
+        assert (tmp_path / "s.csv").read_text() == "v\n-0\nnan\n-inf\n"
+
+    @settings(deadline=None)
+    @given(hnp.arrays(np.float64, st.integers(1, 300), elements=st.floats(width=64)))
+    def test_any_floats(self, tmp_path_factory, values):
+        self.assert_percent_bytes(tmp_path_factory.mktemp("kernel"), {"a": values, "b": values[::-1]})
+
+    def test_column_length_not_a_multiple_of_the_block(self, tmp_path):
+        rows = 3 * fieldio._BLOCK // 2 + 7  # two number columns: blocks of _BLOCK // 2 rows
+        rng = np.random.default_rng(12)
+        values = rng.standard_normal(rows) * 10.0 ** rng.integers(-30, 30, rows)
+        self.assert_percent_bytes(tmp_path, {"t": np.arange(rows) / 7, "v": values})
+
+    def test_mixed_label_and_number_table(self, tmp_path):
+        # fit.csv's layout: a label column first, numbers and integer flags after
+        self.assert_percent_bytes(tmp_path, {
+            "model": ["power_law", "exponential", "power_law"],
+            "amplitude": [1.0000000000000002, 0.97, 1e-300],
+            "parameter": [-2.0, 0.123456789, -1e300],
+            "preferred": [1, 0, 0],
+        })
+
+    def test_field_dump_writes_percent_bytes_and_returns_its_digest(self, tmp_path):
+        grid = vd.make_grid(64, 3.0)
+        values = random_complex(64, seed=13) * np.exp(-np.arange(64 * 64).reshape(64, 64) / 50.0)
+        path = tmp_path / "f.csv"
+        digest, size = vd.write_field_csv(path, values, grid, header_lines=["demo"])
+        coords = ["%.17g" % c for c in grid.coords()]
+        rows = ["%s,%s,%.17g,%.17g" % (coords[i], coords[j], v.real, v.imag)
+                for (i, j), v in np.ndenumerate(values)]
+        blob = path.read_bytes()
+        assert blob.decode() == "# demo\nx,y,re,im\n" + "\n".join(rows) + "\n"
+        assert (digest, size) == (hashlib.sha256(blob).hexdigest(), len(blob))

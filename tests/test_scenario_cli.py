@@ -281,9 +281,11 @@ out_dir = {tmp_path / "blocked"}
         # spectra (rho12's and rho22's half), which serve the second too, so
         # the stored fields go.  A snapshot (rho12, rho22, |rho12|^2) and its
         # reductions' maps come and go beside them: 4.5 to 5.0 complex n^2
-        # arrays.  A csv field dump streams its rows, so it adds no n^2
-        # label columns.  Holding the stored fields, the multiplier or the
-        # unclipped rho22 as well read 7.0 to 7.6.
+        # arrays.  A csv field dump is formatted a block of rows at a time,
+        # at most fieldio._BLOCK numbers, so it adds no n^2 label columns;
+        # the block's temporaries read 5.18 at spectral-csv, against 5.02
+        # for one Python row at a time.  Holding the stored fields, the
+        # multiplier or the unclipped rho22 as well read 7.0 to 7.6.
         import tracemalloc
 
         n = 256
@@ -408,7 +410,7 @@ out_dir = {tmp_path / "blocked"}
             assert not any(thread.is_alive() for thread in started), run
 
     def test_both_formats_manifest_matches_every_file_on_disk(self, tmp_path):
-        # VXF dumps are hashed on the writer thread, everything else here
+        # CSV files are hashed as written, VXF dumps read back on the writer thread
         manifest = vd.run_scenario(vd.parse_config(small_vortex_cfg(tmp_path / "run")), fmt="both")
         on_disk = sorted(p.name for p in manifest.out_dir.iterdir() if p.name != "manifest.json")
         listed = json.loads(manifest.manifest_path.read_text())["files"]
@@ -417,6 +419,19 @@ out_dir = {tmp_path / "blocked"}
         for entry in listed:
             blob = (manifest.out_dir / entry["path"]).read_bytes()
             assert (entry["sha256"], entry["bytes"]) == (hashlib.sha256(blob).hexdigest(), len(blob))
+
+    def test_csv_files_are_hashed_as_written(self, tmp_path, monkeypatch):
+        # a CSV file's digest comes from its writer; only VXF dumps are read back
+        import vortexdiff.scenario as scenario
+
+        read_back = []
+        sha256 = scenario._sha256
+        monkeypatch.setattr(scenario, "_sha256", lambda path: read_back.append(path) or sha256(path))
+        manifest = vd.run_scenario(vd.parse_config(small_vortex_cfg(tmp_path / "run")), fmt="both")
+        assert read_back and all(path.suffix == ".vxf" for path in read_back)
+        for entry in manifest.entries:
+            blob = (manifest.out_dir / entry.path).read_bytes()
+            assert (entry.sha256, entry.bytes) == (hashlib.sha256(blob).hexdigest(), len(blob))
 
     def test_bad_format_rejected(self, tmp_path):
         cfg = vd.parse_config(small_vortex_cfg(tmp_path / "run"))
