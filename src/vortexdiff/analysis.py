@@ -118,6 +118,12 @@ def total_population(s: StateSnapshot) -> float:
     return float(np.sum(s.rho22)) * s.grid.dx**2
 
 
+def check_threshold(rel_threshold: float) -> None:
+    """The node-threshold rule of find_radial_nodes: 0 < rel_threshold <= 0.1."""
+    if not (0 < rel_threshold <= 0.1):
+        raise ValueError(f"rel_threshold must be in (0, 0.1], got {rel_threshold}")
+
+
 def find_radial_nodes(
     prof: RadialProfile, rel_threshold: float = 0.02, time: float = 0.0
 ) -> NodeReport:
@@ -131,8 +137,7 @@ def find_radial_nodes(
     not a node), refined by parabolic interpolation of the intensity over
     three bins.
     """
-    if not (0 < rel_threshold <= 0.1):
-        raise ValueError(f"rel_threshold must be in (0, 0.1], got {rel_threshold}")
+    check_threshold(rel_threshold)
     if len(prof.radii) == 0:
         raise ValueError("empty radial profile")
     amp = np.sqrt(prof.mean_intensity)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import ComplexField2D, ParameterError
-from .modes import ModeKind, ModeSpec, _scaled_laguerre, lg_amplitude
+from .modes import ModeKind, ModeSpec, _scaled_laguerre, check_waist, lg_amplitude
 
 #: Default regularizer for the coherence factor; only role is to define the
 #: undisturbed-region limit 0/0 = 1.
@@ -33,12 +33,12 @@ _ROWS = 64
 
 
 def check_diffusion(D: float, times) -> None:
-    """The diffusion-input rule: D >= 0 and every time t >= 0."""
-    if D < 0:
-        raise ParameterError("D", f"diffusion coefficient must be >= 0, got {D}")
+    """The diffusion-input rule: D and every time t finite and >= 0."""
+    if not (0 <= D < math.inf):
+        raise ParameterError("D", f"diffusion coefficient must be finite and >= 0, got {D}")
     for t in times:
-        if t < 0:
-            raise ParameterError("times", f"time must be >= 0, got {t}")
+        if not (0 <= t < math.inf):
+            raise ParameterError("times", f"time must be finite and >= 0, got {t}")
 
 
 @dataclass(frozen=True)
@@ -124,8 +124,7 @@ def initial_snapshot(rho12: ComplexField2D) -> StateSnapshot:
 def evolution_factor(t: float, D: float, w0: float) -> float:
     """s(t) = (w0^2 + 4 D t) / w0^2, the squared waist-growth factor (>= 1)."""
     check_diffusion(D, (t,))
-    if not (w0 > 0):
-        raise ValueError(f"waist must be positive, got {w0}")
+    check_waist(w0)
     return (w0**2 + 4.0 * D * t) / w0**2
 
 

@@ -23,12 +23,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import fit_decay, hole_refill_ratio
-from .analytic import evolution_factor
+from .analysis import check_threshold, fit_decay, hole_refill_ratio
+from .analytic import check_diffusion, evolution_factor
 from .config import ConfigError, OutputKind, ScenarioConfig, parse_config, validate_scenario
 from .fieldio import FieldFormatError, read_table_csv, write_table_csv
 from .grid import l2_norm_sq, ComplexField2D
-from .modes import ContainmentError, ModeKind, ModeSpec, build_mode
+from .modes import ContainmentError, ModeKind, ModeSpec, build_mode, check_waist
 from .scenario import _config_header, node_columns, run_scenario, stream_diagnostics
 from .solvers import CflError, IrreversibleEvolutionError, classical_reversal_amplification, echo_reverse, evolve_quantum
 
@@ -208,6 +208,19 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _float_by(rule):
+    """An argparse type: a float that rule(value), the owner of its rule,
+    accepts; otherwise a usage error that carries the parse or rule message."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+            rule(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+    return parse
+
+
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser whose rejections, like every other failure, end
     with the JSON error line; its subcommand parsers are _Parsers too."""
@@ -249,13 +262,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("trace")
     p.add_argument("--time-column", default="t")
     p.add_argument("--value-column", default=None)
-    p.add_argument("--dcoeff", type=float, default=1.0, help="diffusion coefficient for s(t)")
-    p.add_argument("--waist", type=float, default=1.0, help="waist for s(t)")
+    p.add_argument("--dcoeff", type=_float_by(lambda D: check_diffusion(D, ())), default=1.0,
+                   help="diffusion coefficient for s(t)")
+    p.add_argument("--waist", type=_float_by(check_waist), default=1.0, help="waist for s(t)")
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("nodes", help="node-radius table vs time")
     p.add_argument("config")
-    p.add_argument("--threshold", type=float, default=0.02,
+    p.add_argument("--threshold", type=_float_by(check_threshold), default=0.02,
                    help="node detection threshold, fraction of peak amplitude")
     p.set_defaults(func=_cmd_nodes)
 

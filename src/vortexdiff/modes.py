@@ -15,6 +15,7 @@ diagnostic and is never fitted).
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass, replace
@@ -57,20 +58,29 @@ class ModeSpec:
     block_radius: float = 0.0
 
     def __post_init__(self):
-        if not (self.w0 > 0):
-            raise ParameterError("w0", f"waist w0 must be positive, got {self.w0}")
-        if not (self.P > 0):
-            raise ParameterError("P", f"total intensity P must be positive, got {self.P}")
+        check_waist(self.w0)
+        if not (0 < self.P < math.inf):
+            raise ParameterError("P", f"total intensity P must be positive and finite, got {self.P}")
         if self.amp == 0:
             raise ParameterError("amp", f"amplitude amp must be nonzero, got {self.amp}")
+        if not cmath.isfinite(self.amp):
+            raise ParameterError("amp", f"amplitude amp must be finite, got {self.amp}")
+        if not math.isfinite(self.k):
+            raise ParameterError("k", f"wavenumber k must be finite, got {self.k}")
         if not isinstance(self.p, (int, np.integer)) or self.p < 0:
             raise ParameterError("p", f"radial index p must be a nonnegative integer, "
                                       f"got {self.p!r}")
         if not isinstance(self.m, (int, np.integer)):
             raise ParameterError("m", f"winding number m must be an integer, got {self.m!r}")
-        if self.block_radius < 0:
-            raise ParameterError("block_radius",
-                                 f"block_radius must be nonnegative, got {self.block_radius}")
+        if not (0 <= self.block_radius < math.inf):
+            raise ParameterError("block_radius", f"block_radius must be nonnegative and finite, "
+                                                 f"got {self.block_radius}")
+
+
+def check_waist(w0: float) -> None:
+    """The waist rule: 0 < w0 < inf.  ModeSpec and evolution_factor ask it."""
+    if not (0 < w0 < math.inf):
+        raise ParameterError("w0", f"waist w0 must be positive and finite, got {w0}")
 
 
 def lg_required_extent(w0: float, m: int, p: int, s_max: float) -> float:
@@ -84,7 +94,7 @@ def check_contained(extent: float, w0: float, m: int, p: int, s: float = 1.0) ->
     extent, unless extent >= lg_required_extent(w0, m, p, s).  Mode
     constructors, config validation and free-space padding all ask it."""
     required = lg_required_extent(w0, m, p, s)
-    if required > extent * (1.0 + 1e-12):
+    if not (required <= extent * (1.0 + 1e-12)):  # a NaN extent or s is not contained
         raise ContainmentError(
             f"LG mode (p={p}, m={m}, w0={w0}) is not contained at s = {s:.6g}: requires "
             f"grid extent >= 4*w0*sqrt(s*(1+|m|+p)) = {required:.6g}, got {extent:.6g}",

@@ -18,20 +18,19 @@ write_field_csv for a field dump), every VXF dump by write_field.
 
 Evolution, reductions and CSV writes run on the calling thread, in order.
 A run that dumps VXF fields starts one writer thread: it is handed each
-snapshot's rho12 and rho22 arrays, never the snapshot, and writes and hashes
-them while the next snapshot evolves.  The calling thread waits for snapshot
-i's write before it hands over snapshot i + 1, so one evolved snapshot is
-alive at a time, plus the previous snapshot's two dump arrays while their
-write is pending.  A write's exception re-raises at the next hand-off or at
-the final join, and the thread is always joined.
+snapshot's rho12 and rho22 arrays, never the snapshot, and writes them while
+the calling thread reduces the snapshot.  The calling thread waits for those
+writes before it asks for the next snapshot, so one evolved snapshot is
+alive at a time, and a failed write stops the run where a serial run would.
 
 manifest.json lists each output file with its SHA-256 checksum and size.
 A CSV file is hashed by its writer as its bytes are written; a VXF dump is
 read back from disk by _sha256, in fixed-size chunks, on the writer thread
-right after it is written.  It is removed before the first file is
-written and rewritten last, so a failed run leaves none.  Every step is a
-pure computation and each file has one writer, so identical configs produce
-byte-identical outputs.
+behind its write, so it overlaps the next evolution; the digests are
+collected after the last snapshot.  manifest.json is removed before the
+first file is written and rewritten last, so a failed run leaves none.
+Every step is a pure computation and each file has one writer, so
+identical configs produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -261,25 +260,20 @@ def _sha256(path: Path) -> tuple[str, int]:
     return digest.hexdigest(), size
 
 
-def _write_and_hash(dumps: list[tuple[Path, np.ndarray]], grid, time: float) -> dict:
-    """Write each (path, values) VXF dump of one snapshot, then hash the
-    file; {path: (sha256, bytes)}.  Runs on the writer thread, which drops
-    each array as soon as it is written and never sees the snapshot."""
-    digests = {}
+def _write_dumps(dumps: list[tuple[Path, np.ndarray]], grid, time: float) -> None:
+    """Write each (path, values) VXF dump of one snapshot on the writer
+    thread.  It empties dumps, so no array stays with the finished call."""
     while dumps:
         path, values = dumps.pop(0)
         write_field(path, values, grid, time)
-        del values
-        digests[path] = _sha256(path)
-    return digests
 
 
 def run_scenario(cfg: ScenarioConfig, fmt: str = "csv", out_dir: str | Path | None = None) -> Manifest:
     """Run one scenario and write the requested outputs plus manifest.json.
 
     The config is validated before the output directory is touched.  The
-    stream runs on the calling thread; VXF dumps go to one writer thread
-    (the module docstring states its memory bound and error rule).
+    stream runs on the calling thread; VXF dumps go to one writer thread,
+    and snapshot i's dumps are on disk before snapshot i + 1 evolves.
     """
     if fmt not in ("csv", "vxf", "both"):
         raise ValueError(f"format must be csv, vxf or both, got {fmt!r}")
@@ -294,37 +288,35 @@ def run_scenario(cfg: ScenarioConfig, fmt: str = "csv", out_dir: str | Path | No
                           for name in names)
     snapshots = OutputKind.SNAPSHOTS in cfg.outputs
     digests: dict[Path, tuple[str, int]] = {}  # path -> (sha256, bytes)
+    hashed = []  # (path, future digest) of each VXF dump, queued behind its write
     diags = []
-    writer = pending = None
+    writer = None
     if snapshots and fmt != "csv":
         from concurrent.futures import ThreadPoolExecutor  # loaded only by a run that dumps VXF
         writer = ThreadPoolExecutor(max_workers=1)
     try:
         for i, d in enumerate(stream_diagnostics(cfg)):
-            if snapshots:
-                fields = {f"rho12_{i:03d}": d.snap.rho12.values, f"rho22_{i:03d}": d.snap.rho22}
-                if writer is not None:
-                    if pending is not None:
-                        digests.update(pending.result())
-                    pending = writer.submit(_write_and_hash, [(out / f"{name}.vxf", values)
-                                                              for name, values in fields.items()],
-                                            cfg.grid, d.time)
-                if fmt != "vxf":  # no comprehension variable keeps an array into the next evolution
-                    digests.update({out / f"{name}.csv": write_field_csv(
-                        out / f"{name}.csv", values, cfg.grid, _config_header(cfg, f"field {name}", d.time))
-                        for name, values in fields.items()})
-                del fields
-            for name in reads:
-                getattr(d, name)
-            diags.append(d)
-        if pending is not None:
-            digests.update(pending.result())
-    except Exception:
-        # serially, a failed write of snapshot i would have stopped the run
-        # before anything this thread did after handing it over
-        if pending is not None and pending.exception() is not None:
-            raise pending.exception()
-        raise
+            written = None
+            try:
+                if snapshots:
+                    fields = {f"rho12_{i:03d}": d.snap.rho12.values, f"rho22_{i:03d}": d.snap.rho22}
+                    if writer is not None:
+                        paths = [out / f"{name}.vxf" for name in fields]
+                        written = writer.submit(_write_dumps, list(zip(paths, fields.values())),
+                                                cfg.grid, d.time)
+                        hashed += [(path, writer.submit(_sha256, path)) for path in paths]
+                    if fmt != "vxf":  # no comprehension variable keeps an array into the next evolution
+                        digests.update({out / f"{name}.csv": write_field_csv(
+                            out / f"{name}.csv", values, cfg.grid, _config_header(cfg, f"field {name}", d.time))
+                            for name, values in fields.items()})
+                    del fields
+                for name in reads:
+                    getattr(d, name)
+                diags.append(d)
+            finally:
+                if written is not None:  # serially, snapshot i's write fails before anything after it
+                    written.result()
+        digests.update((path, digest.result()) for path, digest in hashed)
     finally:
         if writer is not None:
             writer.shutdown()

@@ -121,6 +121,10 @@ class QuantumParams:
 
     beta: float = 1.0
 
+    def __post_init__(self):
+        if not math.isfinite(self.beta):
+            raise ParameterError("beta", f"dispersion coefficient beta must be finite, got {self.beta}")
+
 
 def _wavenumbers(n: int, dx: float) -> np.ndarray:
     """Angular wavenumbers 2 pi fftfreq(n, dx) of one axis of an n x n FFT

@@ -5,6 +5,7 @@ import pytest
 
 import vortexdiff as vd
 from vortexdiff.analytic import DEFAULT_ETA, check_eta
+from vortexdiff.modes import check_contained
 from helpers import (heat_flow_radial, lg_amplitude, lg_intensity, population_m0, population_m1,
                      radial_integral)
 
@@ -304,6 +305,38 @@ class TestDiffusionParams:
     def test_accepts_valid(self):
         params = vd.DiffusionParams(D=0.5, times=(0.0, 0.1, 0.2))
         assert params.times == (0.0, 0.1, 0.2)
+
+
+_NON_FINITE_RULES = {  # field -> its dataclass built with that field set to the value
+    "D": lambda v: vd.DiffusionParams(D=v, times=(0.1,)),
+    "times": lambda v: vd.DiffusionParams(D=1.0, times=(0.1, v)),
+    "w0": lambda v: vd.ModeSpec(kind=vd.ModeKind.LG, w0=v),
+    "P": lambda v: vd.ModeSpec(kind=vd.ModeKind.LG, P=v),
+    "amp": lambda v: vd.ModeSpec(kind=vd.ModeKind.LG, amp=complex(v, 0.0)),
+    "k": lambda v: vd.ModeSpec(kind=vd.ModeKind.PLANE_WAVE, k=v),
+    "block_radius": lambda v: vd.ModeSpec(kind=vd.ModeKind.BLOCKED_GAUSSIAN, block_radius=v),
+    "beta": lambda v: vd.QuantumParams(beta=v),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", list(_NON_FINITE_RULES))
+def test_non_finite_parameter_breaks_its_fields_rule(name, value):
+    # the library's own rules reject NaN and infinities, not only the config parser
+    with pytest.raises(vd.ParameterError) as err:
+        _NON_FINITE_RULES[name](value)
+    assert err.value.name == name
+    assert "finite" in str(err.value)
+
+
+def test_nan_fails_the_closed_form_rules():
+    with pytest.raises(vd.ParameterError, match="time must be finite"):
+        vd.evolution_factor(math.nan, 1.0, 1.0)
+    with pytest.raises(vd.ParameterError, match="waist w0 must be positive and finite"):
+        vd.evolution_factor(0.1, 1.0, math.inf)
+    for extent, s in [(math.nan, 1.0), (10.0, math.nan)]:
+        with pytest.raises(vd.ContainmentError):
+            check_contained(extent, 1.0, 1, 0, s)
 
 
 class TestCoherenceFactorParams:

@@ -156,14 +156,14 @@ out_dir = {tmp_path / "blocked"}
 
     @pytest.mark.parametrize("scheme", ["spectral", "kernel", "fd"])
     def test_run_holds_one_evolved_snapshot_at_a_time(self, tmp_path, monkeypatch, scheme):
-        # While snapshot k evolves and is built, no earlier snapshot object is
-        # alive.  A csv run, or one without dumps, holds none of an earlier
-        # snapshot's arrays either.  A VXF run may hold the previous
-        # snapshot's rho12 and rho22 while the writer thread writes them, and
-        # nothing from two snapshots back.  Each VXF write of snapshot k waits
-        # (up to a timeout) until snapshot k + 1 is built, so the overlap
-        # happens on every run, whatever the thread timing.
-        import threading
+        # While snapshot k evolves and is built, nothing of an earlier
+        # snapshot is alive: not the snapshot object, and not its rho12 or
+        # rho22 arrays, in a csv run, in one without dumps, or in a VXF run,
+        # whose writer thread is handed those arrays.  Each VXF write is
+        # slowed by a fixed sleep, far longer than a snapshot's reductions
+        # at this size, so a run that evolved snapshot k + 1 before
+        # snapshot k's dumps were on disk would be seen doing so.
+        import time
         import weakref
 
         import vortexdiff.scenario as scenario
@@ -171,8 +171,7 @@ out_dir = {tmp_path / "blocked"}
 
         times = [0, 0.03, 0.06, 0.09, 0.12, 0.15, 0.2, 0.25]
         alive = []  # (weak reference, snapshot index, which object)
-        seen = {"snapshots": 0, "held": set(), "overlapped": 0}
-        built = threading.Condition()
+        seen = {"snapshots": 0, "held": set(), "writes": 0}
 
         def probe():
             # what is alive of each earlier snapshot, by how many snapshots back
@@ -183,12 +182,10 @@ out_dir = {tmp_path / "blocked"}
         def tracked(*args, **kwargs):
             probe()
             snap = vd.StateSnapshot(*args, **kwargs)
-            with built:
-                k = seen["snapshots"]
-                alive.extend((weakref.ref(x), k, what) for x, what in (
-                    (snap, "snapshot"), (snap.rho12.values, "rho12"), (snap.rho22, "rho22")))
-                seen["snapshots"] += 1
-                built.notify_all()
+            k = seen["snapshots"]
+            alive.extend((weakref.ref(x), k, what) for x, what in (
+                (snap, "snapshot"), (snap.rho12.values, "rho12"), (snap.rho22, "rho22")))
+            seen["snapshots"] += 1
             return snap
 
         ifft = np.fft.ifft
@@ -199,28 +196,23 @@ out_dir = {tmp_path / "blocked"}
 
         write_field = scenario.write_field
 
-        def held_back_write_field(path, values, grid, time):
-            k = int(path.stem[-3:])
-            if path.stem.startswith("rho12") and k + 1 < len(times):
-                with built:
-                    seen["overlapped"] += built.wait_for(lambda: seen["snapshots"] > k + 1, timeout=10)
-            write_field(path, values, grid, time)
+        def slow_write_field(path, values, grid, time_):
+            time.sleep(0.05)
+            write_field(path, values, grid, time_)
+            seen["writes"] += 1
 
         monkeypatch.setattr(solvers, "StateSnapshot", tracked)
         monkeypatch.setattr(np.fft, "ifft", probed_ifft)
-        monkeypatch.setattr(scenario, "write_field", held_back_write_field)
+        monkeypatch.setattr(scenario, "write_field", slow_write_field)
         text = small_vortex_cfg(tmp_path / "run", f"solver.scheme = {scheme}\n").replace(
             "grid.n = 64", "grid.n = 128").replace("[0, 0.05, 0.1, 0.15, 0.25]", str(times))
         for run, fmt in (("vxf", "vxf"), ("csv", "csv"), ("no_snapshots", "vxf")):
-            seen.update(snapshots=0, held=set(), overlapped=0)
+            seen.update(snapshots=0, held=set(), writes=0)
             cfg_text = text.replace("snapshots, ", "") if run == "no_snapshots" else text
             vd.run_scenario(vd.parse_config(cfg_text), fmt=fmt, out_dir=tmp_path / run)
             assert seen["snapshots"] == len(times), run
-            if run == "vxf":
-                assert seen["overlapped"] == len(times) - 1
-                assert seen["held"] == {(1, "rho12"), (1, "rho22")}
-            else:
-                assert seen["held"] == set(), run
+            assert seen["writes"] == (2 * len(times) if run == "vxf" else 0), run
+            assert seen["held"] == set(), run
 
     @pytest.mark.parametrize("scheme", ["spectral", "fd", "kernel"])
     def test_stream_holds_only_what_it_still_needs(self, tmp_path, monkeypatch, scheme):
@@ -351,12 +343,14 @@ out_dir = {tmp_path / "blocked"}
 
     @pytest.mark.parametrize("case", ["at_hand_off", "at_final_join", "before_a_later_error"])
     def test_failed_vxf_write_exits_as_a_serial_run(self, tmp_path, monkeypatch, capsys, case):
-        # the writer thread's OSError re-raises at the next hand-off, or at the
-        # join after the last snapshot, with its own type and message; it also
-        # wins over a later failure of the main thread, as it would serially
+        # the writer thread's OSError re-raises before the next snapshot is
+        # built, at the first snapshot or at the last, with its own type and
+        # message; it also wins over a later failure of the main thread in
+        # the same snapshot's reductions, as it would serially
         import threading
 
         import vortexdiff.scenario as scenario
+        import vortexdiff.solvers as solvers
 
         fail_at = 10 if case == "at_final_join" else 2  # 5 times, two dumps each
         write_field, calls = scenario.write_field, []
@@ -370,7 +364,13 @@ out_dir = {tmp_path / "blocked"}
         def failing_map(*args, **kwargs):
             raise ValueError("a later failure of the main thread")
 
+        def counted_snapshot(*args, **kwargs):
+            built[0] += 1
+            return vd.StateSnapshot(*args, **kwargs)
+
+        built = [0]  # evolved snapshots built
         monkeypatch.setattr(scenario, "write_field", failing_write_field)
+        monkeypatch.setattr(solvers, "StateSnapshot", counted_snapshot)
         if case == "before_a_later_error":
             monkeypatch.setattr(scenario, "coherence_factor_field", failing_map)
         out = tmp_path / "out"
@@ -385,6 +385,7 @@ out_dir = {tmp_path / "blocked"}
         assert record == {"error": "OSError", "exit_code": 4,
                           "message": f"[Errno {errno.ENOSPC}] No space left on device: '{failed}'"}
         assert failed.name == ("rho22_004.vxf" if case == "at_final_join" else "rho22_000.vxf")
+        assert built[0] == (5 if case == "at_final_join" else 1)
         assert not (out / "manifest.json").exists()
         assert threading.active_count() == threads
 
@@ -756,8 +757,21 @@ out_dir = {tmp_path / "sweep"}
         (["--threads", "x", "simulate", "{cfg}"], "argument --threads: invalid int value: 'x'"),
         ([], "the following arguments are required: command"),
         (["simulate"], "the following arguments are required: config"),
+        (["nodes", "--threshold", "0.5", "{cfg}"],
+         "argument --threshold: rel_threshold must be in (0, 0.1], got 0.5"),
+        (["nodes", "--threshold", "nan", "{cfg}"], "argument --threshold: rel_threshold must be in"),
+        (["nodes", "--threshold", "x", "{cfg}"], "argument --threshold: could not convert string to float: 'x'"),
+        (["fit", "--dcoeff", "-1", "{trace}"],
+         "argument --dcoeff: diffusion coefficient must be finite and >= 0, got -1.0"),
+        (["fit", "--dcoeff", "inf", "{trace}"], "argument --dcoeff: diffusion coefficient must be"),
+        (["fit", "--waist", "0", "{trace}"], "argument --waist: waist w0 must be positive and finite, got 0.0"),
     ])
-    def test_malformed_argument_is_a_usage_error(self, tmp_path, capsys, argv, fragment):
+    def test_malformed_argument_is_a_usage_error(self, tmp_path, monkeypatch, capsys, argv, fragment):
+        # each is rejected before any field is built
+        import vortexdiff.scenario as scenario
+
+        built = []
+        monkeypatch.setattr(scenario, "build_mode", lambda *args: built.append(args))
         files = {"cfg": tmp_path / "v.cfg", "t_only": tmp_path / "t.csv", "trace": tmp_path / "trace.csv"}
         files["cfg"].write_text(small_vortex_cfg(tmp_path / "out"))
         vd.write_table_csv(files["t_only"], {"t": [0.0, 0.1]})
@@ -771,6 +785,7 @@ out_dir = {tmp_path / "sweep"}
         assert record["exit_code"] == 2
         assert fragment in record["message"]
         assert not (tmp_path / "out").exists()
+        assert built == []
 
     def test_fit_on_fit_table_is_format_error(self, tmp_path, capsys):
         # fit.csv carries model-name labels; fit reads numeric traces only
