@@ -6,7 +6,22 @@ classical propagators or the unitary quantum one (solvers), and reduce to
 decoherence diagnostics (analysis).  The closed form in analytic
 (lg_closed_form) is the ground truth the numerics are checked against;
 config/scenario/cli drive file-based reproducible runs.
+
+Threads: a process that imports vortexdiff before numpy runs on its main
+thread alone, plus one writer thread while a run dumps VXF fields.  numpy's
+OpenBLAS would otherwise start a worker pool at import, which idles through
+every run: the package's BLAS calls (a two-column lstsq, short dot products)
+are far below its threading threshold.  So, only while numpy is not yet
+imported, OPENBLAS_NUM_THREADS defaults to 1; a caller's own value is kept.
+Set it (say OPENBLAS_NUM_THREADS=4), or import numpy first, to keep a pool.
 """
+
+import os as _os
+import sys as _sys
+
+if "numpy" not in _sys.modules:
+    _os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+del _os, _sys
 
 from .analysis import (
     CoherenceFactorMap,

@@ -9,8 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import DEFAULT_ETA, StateSnapshot, check_eta, evolution_factor
-from .grid import ComplexField2D, GridSpec, RadialProfile
+from .analytic import DEFAULT_ETA, StateSnapshot, check_diffusion, check_eta, evolution_factor
+from .grid import ComplexField2D, GridSpec, ParameterError, RadialProfile
 
 
 class DecayModel(enum.Enum):
@@ -170,14 +170,26 @@ def find_radial_nodes(
     return NodeReport(time=time, node_radii=sorted(nodes))
 
 
+def check_fit_diffusion(D: float) -> None:
+    """The fit's diffusion rule: check_diffusion's, and D > 0, without which
+    s(t) = 1 at every time and neither decay law is determined.
+    check_fit_times and the fit --dcoeff flag ask it."""
+    check_diffusion(D, ())
+    if D == 0:
+        raise ParameterError("D", f"needs the evolution factor s(t) to vary, so a diffusion "
+                                  f"coefficient > 0, got {D}")
+
+
 def check_fit_times(times, D: float, w0: float) -> None:
-    """The fit-trace rule: raise ValueError unless there are at least 5 times
-    and the evolution factor s(t) varies over them, so that both decay laws
-    are determined.  fit_decay and config validation ask it."""
+    """The fit-trace rule: raise ValueError unless there are at least 5 times,
+    D obeys check_fit_diffusion and the evolution factor s(t) varies over the
+    times, so that both decay laws are determined.  fit_decay and config
+    validation ask it."""
     if len(times) < 5:
         raise ValueError("needs at least 5 diffusion times")
+    check_fit_diffusion(D)
     if len({evolution_factor(t, D, w0) for t in times}) == 1:
-        raise ValueError("needs the evolution factor s(t) to vary over the times (D = 0?)")
+        raise ValueError("needs the evolution factor s(t) to vary over the times")
 
 
 def fit_decay(times, values, D: float, w0: float) -> tuple[DecayFit, DecayFit]:

@@ -23,8 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import check_threshold, fit_decay, hole_refill_ratio
-from .analytic import check_diffusion, evolution_factor
+from .analysis import check_fit_diffusion, check_threshold, fit_decay, hole_refill_ratio
+from .analytic import evolution_factor
 from .config import ConfigError, OutputKind, ScenarioConfig, parse_config, validate_scenario
 from .fieldio import FieldFormatError, read_table_csv, write_table_csv
 from .grid import l2_norm_sq, ComplexField2D
@@ -242,8 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("csv", "vxf", "both"), default="csv",
                         help="field dump format (default csv)")
     parser.add_argument("--threads", type=_positive_int, default=1, metavar="N",
-                        help="accepted for compatibility (N >= 1) and ignored: a run evolves "
-                             "and reduces on one thread, and a VXF run writes its dumps on one more")
+                        help="accepted for compatibility (N >= 1) and ignored: a process runs "
+                             "on its main thread, plus one writer thread while a run dumps VXF; "
+                             "numpy's BLAS starts no pool unless OPENBLAS_NUM_THREADS is set")
     parser.add_argument("--strict", action=argparse.BooleanOptionalAction, default=True,
                         help="reject unknown config keys (default on; --no-strict downgrades "
                              "them to warnings)")
@@ -262,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("trace")
     p.add_argument("--time-column", default="t")
     p.add_argument("--value-column", default=None)
-    p.add_argument("--dcoeff", type=_float_by(lambda D: check_diffusion(D, ())), default=1.0,
+    p.add_argument("--dcoeff", type=_float_by(check_fit_diffusion), default=1.0,
                    help="diffusion coefficient for s(t)")
     p.add_argument("--waist", type=_float_by(check_waist), default=1.0, help="waist for s(t)")
     p.set_defaults(func=_cmd_fit)

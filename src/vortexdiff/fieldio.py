@@ -24,7 +24,6 @@ import functools
 import hashlib
 import struct
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -199,39 +198,70 @@ def _split(a):
     return hi, a - hi
 
 
-def _template(neg: int, kind: int, nd: int) -> list[int]:
-    """Source byte of each output byte of one layout, from _format_numbers' 28: d1..d16,
-    d0, '.0-e', exponent sign, separator, NUL, |k| in 4 digits.  kind 0..20 is fixed
-    notation, exponent kind - 4; 21, 22 have 2, 3 exponent digits; nd digits shown."""
+def _templates() -> np.ndarray:
+    """Source byte of each output byte of every layout, by row (neg 23 + kind) 17 + nd - 1,
+    from _format_numbers' 28: d1..d16, d0, '.0-e', exponent sign, separator, NUL, |k| in 4
+    digits.  kind 0..20 is fixed notation, exponent kind - 4; 21, 22 have 2, 3 exponent
+    digits; nd digits shown.  A cell is '-' if neg, the first `shown` bytes of its kind's
+    17-digit mantissa, its kind's exponent, the separator, then NUL padding (23)."""
     digits = [16, *range(16)]
-    if kind < 4:  # 0.000ddd
-        body = [18, 17] + [18] * (3 - kind) + digits[:nd]
-    elif kind < 21:  # ddd.ddd: the integer digits k + 1 = kind - 3 are all written
-        body = digits[:max(nd, kind - 3)]
-        body[kind - 3:kind - 3] = [17] * (nd > kind - 3)
-    else:  # d.ddde+XX
-        body = [16] + ([17] + digits[1:nd] if nd > 1 else []) + [20, 21] + [25, 26, 27][22 - kind:]
-    return [19] * neg + body + [22]
+    mantissa = np.full((23, 22), 23, np.uint8)
+    exponent = np.full((23, 5), 23, np.uint8)
+    for kind in range(23):
+        if kind < 4:  # 0.000ddd
+            cell = [18, 17] + [18] * (3 - kind) + digits
+        elif kind < 21:  # ddd.ddd: the integer digits k + 1 = kind - 3 are all written
+            cell = digits[:kind - 3] + [17] + digits[kind - 3:]
+        else:  # d.ddde+XX
+            cell = [16, 17] + digits[1:]
+            exponent[kind, :kind - 17] = [20, 21] + [25, 26, 27][22 - kind:]
+        mantissa[kind, :len(cell)] = cell
+    kind, nd = np.divmod(np.arange(23 * 17), 17)
+    nd += 1
+    # past 0.000, the digits before the point are all shown, the point only if a digit follows
+    before = np.where(kind < 21, kind - 3, 1)
+    shown = np.where(kind < 4, 5 - kind + nd, np.where(nd > before, nd + 1, before))
+    ends = shown + np.where(kind >= 21, kind - 17, 0)
+    j = np.arange(_SLOT - 1)
+    cells = np.where(j < shown[:, None], mantissa[kind[:, None], np.minimum(j, 21)],
+                     np.where(j < ends[:, None], exponent[kind[:, None], np.clip(j - shown[:, None], 0, 4)],
+                              np.where(j == ends[:, None], np.uint8(22), np.uint8(23))))
+    # every positive cell leaves its last byte NUL, so a '-' shifts it right
+    return np.concatenate([np.pad(cells, ((0, 0), (0, 1)), constant_values=23),
+                           np.pad(cells, ((0, 0), (1, 0)), constant_values=19)])
+
+
+class _Powers:
+    """10^(16 - k), |k| <= _KEXP, by row _KEXP - k, as hi + lo, each correctly rounded
+    from exact integers, with hi's split: four columns hi, hi_hi, hi_lo, lo.  A row is
+    made when a block's exponents first reach it, so a run pays for the decades its
+    numbers span."""
+
+    def __init__(self):
+        self.columns = np.empty((4, 2 * _KEXP + 1))
+        self.built = np.zeros(2 * _KEXP + 1, bool)
+
+    def take(self, rows: np.ndarray) -> list[np.ndarray]:
+        first, last = int(rows.min()), int(rows.max()) + 1
+        if not self.built[first:last].all():
+            for row in range(first, last):
+                q = 16 - _KEXP + row
+                num, den = 10 ** max(q, 0), 10 ** max(-q, 0)
+                hi = num / den
+                a, b = hi.as_integer_ratio()
+                self.columns[:, row] = hi, *_split(hi), (num * b - a * den) / (den * b)
+            self.built[first:last] = True
+        return [column[rows] for column in self.columns]
 
 
 @functools.cache
 def _kernel_tables():
-    """Built on first use: 10^(16 - k), |k| <= _KEXP, as hi + lo, each correctly rounded
-    from exact integers, and hi's split; the ASCII of 0..9999; the place of each 4-digit
-    group's last nonzero digit (-12 for 0000); templates by (neg 23 + kind) 17 + nd - 1."""
-    hi_lo = np.empty((2 * _KEXP + 1, 2))
-    for row, q in enumerate(range(16 - _KEXP, 17 + _KEXP)):
-        num, den = 10 ** max(q, 0), 10 ** max(-q, 0)
-        hi = num / den
-        a, b = hi.as_integer_ratio()
-        hi_lo[row] = hi, (num * b - a * den) / (den * b)
+    """Built on first use: the powers (_Powers); the ASCII of 0..9999; the place of
+    each 4-digit group's last nonzero digit (-12 for 0000); the templates."""
     pairs = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), np.uint16).astype(np.uint32)
     i = np.arange(10000)
     last = np.where(i % 10, 4, np.where(i % 100, 3, np.where(i % 1000, 2, np.where(i, 1, -12))))
-    templates = np.full((2 * 23 * 17, _SLOT), 23, np.uint8)
-    for row, cell in enumerate(_template(*layout) for layout in product((0, 1), range(23), range(1, 18))):
-        templates[row, :len(cell)] = cell
-    return (hi_lo[:, 0], *_split(hi_lo[:, 0]), hi_lo[:, 1]), (pairs[:, None] | pairs << 16).reshape(-1), last, templates
+    return _Powers(), (pairs[:, None] | pairs << 16).reshape(-1), last, _templates()
 
 
 def _format_numbers(x: np.ndarray, seps: np.ndarray) -> np.ndarray:
@@ -242,17 +272,17 @@ def _format_numbers(x: np.ndarray, seps: np.ndarray) -> np.ndarray:
     units of D.  D is certified when the unrounded floor lies in [10^16, 10^17)
     (so k is right) and the fraction is over 1e-9 from 1/2; any other nonzero
     value (NaN, inf, out of range, near tie) is formatted by '%' in its cell."""
-    (hi, hi_hi, hi_lo, lo), quads, last, templates = _kernel_tables()
+    powers, quads, last, templates = _kernel_tables()
     rows, c = x.shape
     x = x.reshape(-1)
     a = np.abs(x)
     ok = (a >= 1e-280) & (a < 1e280)
     a = np.where(ok, a, 1.0)
     k = np.floor(np.log10(a)).astype(np.int64)
-    q = _KEXP - k
-    p = a * hi[q]
+    hi, hi_hi, hi_lo, lo = powers.take(_KEXP - k)
+    p = a * hi
     a_hi, a_lo = _split(a)
-    r = ((a_hi * hi_hi[q] - p) + a_hi * hi_lo[q] + a_lo * hi_hi[q]) + a_lo * hi_lo[q] + a * lo[q]
+    r = ((a_hi * hi_hi - p) + a_hi * hi_lo + a_lo * hi_hi) + a_lo * hi_lo + a * lo
     floor = np.floor(r)
     d = p.astype(np.int64) + floor.astype(np.int64)
     r -= floor

@@ -350,3 +350,36 @@ class TestNumberKernel:
         blob = path.read_bytes()
         assert blob.decode() == "# demo\nx,y,re,im\n" + "\n".join(rows) + "\n"
         assert (digest, size) == (hashlib.sha256(blob).hexdigest(), len(blob))
+
+    def test_tables_match_their_per_row_builds(self):
+        # the reference: every template and power built one row at a time
+        def template(neg, kind, nd):
+            digits = [16, *range(16)]
+            if kind < 4:
+                body = [18, 17] + [18] * (3 - kind) + digits[:nd]
+            elif kind < 21:
+                body = digits[:max(nd, kind - 3)]
+                body[kind - 3:kind - 3] = [17] * (nd > kind - 3)
+            else:
+                body = [16] + ([17] + digits[1:nd] if nd > 1 else []) + [20, 21] + [25, 26, 27][22 - kind:]
+            cell = [19] * neg + body + [22]
+            return cell + [23] * (fieldio._SLOT - len(cell))
+
+        def power(q):
+            num, den = 10 ** max(q, 0), 10 ** max(-q, 0)
+            hi = num / den
+            a, b = hi.as_integer_ratio()
+            return [hi, *fieldio._split(hi), (num * b - a * den) / (den * b)]
+
+        templates = fieldio._kernel_tables()[3]
+        assert templates.dtype == np.uint8
+        assert templates.tolist() == [template(neg, kind, nd) for neg in (0, 1)
+                                      for kind in range(23) for nd in range(1, 18)]
+        powers = fieldio._Powers()
+        rows = np.array([300, 290, 295])
+        assert np.array_equal(np.stack(powers.take(rows), axis=1),
+                              [power(16 - fieldio._KEXP + row) for row in rows.tolist()])
+        assert np.flatnonzero(powers.built).tolist() == list(range(290, 301))  # only the span used
+        every = np.arange(2 * fieldio._KEXP + 1)
+        assert np.stack(powers.take(every), axis=1).tolist() == [power(16 - fieldio._KEXP + row)
+                                                                 for row in every.tolist()]

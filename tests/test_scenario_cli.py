@@ -538,6 +538,27 @@ class TestCliSimulate:
         env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
         subprocess.run([sys.executable, "-c", probe], env=env, check=True)
 
+    @pytest.mark.parametrize("caller_env,probe", [
+        pytest.param({}, "import os, vortexdiff.cli; threads = os.listdir('/proc/self/task'); "
+                         "assert len(threads) == 1, threads",
+                     marks=pytest.mark.skipif(
+                         not (os.path.isdir("/proc/self/task") and len(os.sched_getaffinity(0)) > 1),
+                         reason="needs /proc/self/task and 2 CPUs: OpenBLAS starts no pool on one"),
+                     id="one_os_thread"),
+        pytest.param({"OPENBLAS_NUM_THREADS": "2"},
+                     "import os, vortexdiff.cli; assert os.environ['OPENBLAS_NUM_THREADS'] == '2'",
+                     id="caller_value_kept"),
+        pytest.param({}, "import os, numpy; before = dict(os.environ); import vortexdiff.cli; "
+                         "assert dict(os.environ) == before",
+                     id="numpy_first_environ_untouched"),
+    ])
+    def test_import_keeps_the_thread_budget(self, caller_env, probe):
+        # numpy's OpenBLAS pool would idle through every run; the package
+        # turns it off only before numpy loads, never over a caller's value
+        env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+        env.update(caller_env, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+        subprocess.run([sys.executable, "-c", probe], env=env, check=True)
+
     def test_cli_reruns_byte_identical(self, tmp_path):
         cfg_file = tmp_path / "v.cfg"
         cfg_file.write_text(small_vortex_cfg(tmp_path / "out"))
@@ -765,6 +786,8 @@ out_dir = {tmp_path / "sweep"}
          "argument --dcoeff: diffusion coefficient must be finite and >= 0, got -1.0"),
         (["fit", "--dcoeff", "inf", "{trace}"], "argument --dcoeff: diffusion coefficient must be"),
         (["fit", "--waist", "0", "{trace}"], "argument --waist: waist w0 must be positive and finite, got 0.0"),
+        (["fit", "--dcoeff", "0", "{trace}"],
+         "argument --dcoeff: needs the evolution factor s(t) to vary, so a diffusion coefficient > 0, got 0.0"),
     ])
     def test_malformed_argument_is_a_usage_error(self, tmp_path, monkeypatch, capsys, argv, fragment):
         # each is rejected before any field is built
