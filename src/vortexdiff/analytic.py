@@ -24,8 +24,8 @@ from .modes import ModeKind, ModeSpec, _scaled_laguerre, check_waist, lg_amplitu
 #: undisturbed-region limit 0/0 = 1.
 DEFAULT_ETA = 1e-12
 
-# Density-matrix physicality slack (absolute, for fields normalized to O(1)
-# peaks); covers quadrature and FFT rounding noise.
+# Density-matrix physicality slack, relative to the larger of the peaks of
+# rho22 and |rho12|^2; covers quadrature and FFT rounding noise.
 PHYSICALITY_TOL = 1e-9
 
 # Rows per block of the physicality check's |rho12|^2 - rho22 pass.
@@ -69,9 +69,9 @@ class StateSnapshot:
     The model is the strong-pump limit: rho11 = 1 everywhere, and diffusion
     keeps it so.  Construction is the one physicality check, for initial and
     evolved snapshots alike: rho22 and |rho12|^2 finite, rho22 >= -tol and
-    |rho12|^2 <= rho22 + tol, with tol = PHYSICALITY_TOL scaled by the field
-    peaks.  When rho22 has a value <= 0, the snapshot keeps a copy with
-    those residues clipped to +0; otherwise it keeps the array it was given.
+    |rho12|^2 <= rho22 + tol, tol = PHYSICALITY_TOL max(max rho22, max |rho12|^2).
+    When rho22 has a value <= 0, the snapshot keeps a copy with those
+    residues clipped to +0; otherwise it keeps the array it was given.
 
     coh_sq is |rho12|^2 as the check computed it, kept so that the
     diagnostics read it instead of forming it again; it describes rho12 at
@@ -96,7 +96,7 @@ class StateSnapshot:
         coh_max = float(coh_sq.max())
         if not math.isfinite(coh_max):
             raise ValueError("|rho12|^2 overflows: rho12 is too large to square")
-        tol = PHYSICALITY_TOL * max(1.0, hi, coh_max)
+        tol = PHYSICALITY_TOL * max(hi, coh_max)
         if lo < -tol:
             raise ValueError(f"rho22 has negative values below tolerance (min {lo:.3e}, "
                              f"tol {tol:.3e}); initial data too rough for the scheme and grid?")

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import check_fit_diffusion, check_threshold, fit_decay, hole_refill_ratio
+from .analysis import check_fit_diffusion, check_threshold, fit_decay
 from .analytic import evolution_factor
 from .config import ConfigError, OutputKind, ScenarioConfig, parse_config, validate_scenario
 from .fieldio import FieldFormatError, read_table_csv, write_table_csv
@@ -151,20 +151,18 @@ def _cmd_compare_blocked(args) -> int:
     cfg = _load_config(args.config, args.strict)
     if cfg.mode.kind is not ModeKind.BLOCKED_GAUSSIAN:
         raise ConfigError("compare-blocked needs a blocked_gaussian scenario")
-    hole = cfg.mode.block_radius
-    vortex_mode = ModeSpec(kind=ModeKind.LG, p=0, m=1, w0=cfg.mode.w0,
-                           P=cfg.mode.P, amp=cfg.mode.amp)
-    # the twin only feeds the refill diagnostic below; strip outputs that
-    # are tied to the blocked mode before re-validating
+    # the twin keeps the hole, which its lg mode ignores, for the refill
+    # diagnostic; strip outputs tied to the blocked mode before re-validating
+    vortex_mode = ModeSpec(kind=ModeKind.LG, p=0, m=1, w0=cfg.mode.w0, P=cfg.mode.P,
+                           amp=cfg.mode.amp, block_radius=cfg.mode.block_radius)
     vortex_cfg = dataclasses.replace(
         cfg, mode=vortex_mode, outputs=(OutputKind.FIDELITY_TRACE,)
     )
     validate_scenario(vortex_cfg)
     rows = {
         "t": cfg.diffusion.times,
-        "blocked_refill": [hole_refill_ratio(d.snap.rho12, hole) for d in stream_diagnostics(cfg)],
-        "vortex_refill": [hole_refill_ratio(d.snap.rho12, hole)
-                          for d in stream_diagnostics(vortex_cfg)],
+        "blocked_refill": [d.hole_refill for d in stream_diagnostics(cfg)],
+        "vortex_refill": [d.hole_refill for d in stream_diagnostics(vortex_cfg)],
     }
     print(f"{'t':>10s}  {'blocked':>14s}  {'vortex':>14s}")
     for i, t in enumerate(cfg.diffusion.times):

@@ -27,7 +27,6 @@ pass silently.
 
 from __future__ import annotations
 
-import cmath
 import contextlib
 import enum
 import typing
@@ -38,7 +37,7 @@ from .analytic import DEFAULT_ETA, DiffusionParams, check_eta, evolution_factor
 from .grid import GridSpec, ParameterError, check_nbins
 from .modes import ModeKind, ModeSpec, check_block_radius, check_contained, check_plane_wave_k
 from .solvers import (QuantumParams, Scheme, SolverConfig, check_kernel_resolution,
-                      fd_timestep)
+                      check_memory_budget, fd_timestep)
 
 
 class ConfigError(ValueError):
@@ -119,7 +118,7 @@ def _split_lines(text: str):
 
 
 def _parse_value(value: str, kind, key: str, lineno: int):
-    """Parse one value of a _KEYS kind; NaN and infinities are rejected."""
+    """Parse one value of a _KEYS kind; each value's owner checks its range."""
     if typing.get_origin(kind) is tuple:
         item = typing.get_args(kind)[0]
         if value.startswith("[") and value.endswith("]"):
@@ -141,13 +140,10 @@ def _parse_value(value: str, kind, key: str, lineno: int):
             raise ConfigError(f"unknown output {value!r}; valid: {valid}", lineno)
         raise ConfigError(f"{key} must be one of {valid}, got {value!r}", lineno)
     try:
-        parsed = kind(value.replace(" ", "") if kind is complex else value)
+        return kind(value.replace(" ", "") if kind is complex else value)
     except ValueError:
         message = f"cannot parse {key} value {value!r} as {kind.__name__}"
         raise ConfigError(message, lineno) from None
-    if kind is not int and not cmath.isfinite(parsed):
-        raise ConfigError(f"{key} must be finite, got {value!r}", lineno)
-    return parsed
 
 
 def _render_value(value, kind) -> str:
@@ -232,10 +228,9 @@ def validate_scenario(cfg: ScenarioConfig) -> None:
     """Semantic checks shared by parse_config and programmatic construction.
 
     Each physical rule is asked of its one owner (README, "Invariants"); its
-    error becomes a ConfigError naming the key: mode.p or mode.m (nonzero
-    off an lg mode, which would ignore it), grid.extent (containment at
-    the latest time), mode.block_radius, mode.k, solver.dt (or
-    solver.cfl_safety when dt is unset), diffusion.times (kernel
+    error becomes a ConfigError naming the key: grid.extent (containment at
+    the latest time), grid.n (memory), mode.block_radius, mode.k, solver.dt
+    (or solver.cfl_safety when dt is unset), diffusion.times (kernel
     resolution), eta or nbins; parse_config adds the key's line.  An
     empty diffusion.times fails with the message parse_config gives it, and
     a fit output whose trace cannot be fitted fails naming that output.
@@ -244,17 +239,13 @@ def validate_scenario(cfg: ScenarioConfig) -> None:
     if not diffusion.times:
         raise ConfigError("diffusion.times needs at least one value")
 
-    if mode.kind is not ModeKind.LG:
-        for name in ("p", "m"):
-            with _key(f"mode.{name}"):
-                if value := getattr(mode, name):
-                    raise ValueError(f"mode.{name} applies to lg modes only, got {value} "
-                                     f"on a {mode.kind.value} mode")
-
     if mode.kind in (ModeKind.LG, ModeKind.BLOCKED_GAUSSIAN):
         with _key("grid.extent"):
             check_contained(grid.extent, mode.w0, mode.m, mode.p,
                             evolution_factor(diffusion.times[-1], diffusion.D, mode.w0))
+
+    with _key("grid.n"):
+        check_memory_budget(grid, diffusion.D, diffusion.times, cfg.solver.scheme)
 
     if mode.kind is ModeKind.BLOCKED_GAUSSIAN:
         with _key("mode.block_radius"):

@@ -18,7 +18,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,6 +72,10 @@ class ModeSpec:
                                       f"got {self.p!r}")
         if not isinstance(self.m, (int, np.integer)):
             raise ParameterError("m", f"winding number m must be an integer, got {self.m!r}")
+        for name in ("p", "m"):  # another kind would ignore the index, hiding a typo
+            if self.kind is not ModeKind.LG and (value := getattr(self, name)):
+                raise ParameterError(name, f"mode.{name} applies to lg modes only, got {value} "
+                                           f"on a {self.kind.value} mode")
         if not (0 <= self.block_radius < math.inf):
             raise ParameterError("block_radius", f"block_radius must be nonnegative and finite, "
                                                  f"got {self.block_radius}")
@@ -162,7 +166,7 @@ def blocked_gaussian(spec: ModeSpec, grid: GridSpec) -> ComplexField2D:
     check_block_radius(spec.block_radius, grid)
     check_contained(grid.extent, spec.w0, 0, 0)
     r = grid.radius()
-    values = spec.amp * lg_amplitude(replace(spec, p=0, m=0), 1.0, r).astype(np.complex128)
+    values = spec.amp * lg_amplitude(spec, 1.0, r).astype(np.complex128)
     values[r < spec.block_radius] = 0.0
     return ComplexField2D(grid, values, FreeSpace(spec.w0**2, 1))
 

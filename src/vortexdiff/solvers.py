@@ -61,13 +61,14 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
 import numpy.fft  # noqa: F401  numpy 2 imports numpy.fft lazily; load it with the package
 
-from .analytic import StateSnapshot, check_diffusion
+from .analytic import StateSnapshot, check_diffusion, evolution_factor
 from .grid import ComplexField2D, FreeSpace, GridSpec, ParameterError
 from .modes import ContainmentError, check_contained
 
@@ -111,8 +112,8 @@ class SolverConfig:
         if not (0 < self.cfl_safety <= 1):
             raise ParameterError("cfl_safety",
                                  f"cfl_safety must be in (0, 1], got {self.cfl_safety}")
-        if self.dt is not None and not (self.dt > 0):
-            raise ParameterError("dt", f"dt must be positive, got {self.dt}")
+        if self.dt is not None and not (0 < self.dt < math.inf):
+            raise ParameterError("dt", f"dt must be positive and finite, got {self.dt}")
 
 
 @dataclass(frozen=True)
@@ -164,15 +165,15 @@ def _fft_size(n_min: int) -> int:
 def _free_space_size(grid: GridSpec, fs: FreeSpace | None, D: float, t: float) -> int:
     """FFT side that contains a field with boundary fs after time t, on the grid's dx.
 
-    The extent comes from the containment rule at s = (w0^2 + 4 D t) / w0^2
-    for the field's recorded waist; a periodic field, or one whose grid
-    already contains the mode, keeps the grid's own size.
+    The extent comes from the containment rule at s(t), evolution_factor for
+    the field's recorded waist; a periodic field, or one whose grid already
+    contains the mode, keeps the grid's own size.
     """
     if fs is None:
         return grid.n
-    s = (fs.w0_sq + 4.0 * D * t) / fs.w0_sq
+    w0 = math.sqrt(fs.w0_sq)
     try:
-        check_contained(grid.extent, math.sqrt(fs.w0_sq), 0, fs.order - 1, s)
+        check_contained(grid.extent, w0, 0, fs.order - 1, evolution_factor(t, D, w0))
     except ContainmentError as exc:
         return _fft_size(math.ceil(2.0 * exc.required_extent / grid.dx))
     return grid.n
@@ -249,6 +250,12 @@ def _kernel_cut(grid: GridSpec, D: float, t: float) -> tuple[float, int]:
     return r_cut, max(1, int(math.ceil(r_cut / grid.dx)))
 
 
+def _kernel_side(grid: GridSpec, D: float, t: float) -> int:
+    """FFT side of the kernel step at time t: the grid padded by the
+    kernel's half-width, so that the circular wrap lands outside the window."""
+    return _fft_size(grid.n + _kernel_cut(grid, D, t)[1])
+
+
 def check_kernel_resolution(grid: GridSpec, D: float, times) -> None:
     """The kernel scheme's resolution rule: every nonzero step has 4 D t >= dx^2.
     A shorter one under-samples the kernel and would fabricate mass."""
@@ -258,6 +265,28 @@ def check_kernel_resolution(grid: GridSpec, D: float, times) -> None:
                 f"kernel unresolved: needs 4 D t >= dx^2 = {grid.dx ** 2:.6g}, "
                 f"got {4.0 * D * t:.6g}; use the spectral scheme for short steps"
             )
+
+
+def check_memory_budget(grid: GridSpec, D: float, times, scheme: Scheme) -> None:
+    """The memory rule: a run's arrays, estimated as 5.5 complex arrays of
+    side^2 samples (5.5 x 16 B x side^2, the bound its traced peak is tested
+    against), fit the machine's physical memory.  side is grid.n for the
+    spectral and FD schemes (validation keeps every time contained, so a
+    validated spectral run never pads) and the kernel's padded side at the
+    last time.  Where os.sysconf cannot report the physical memory, the rule
+    is skipped."""
+    try:
+        page, pages = os.sysconf("SC_PAGE_SIZE"), os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or not these names
+        return
+    if page < 1 or pages < 1:  # -1: indeterminate
+        return
+    side = _kernel_side(grid, D, times[-1]) if scheme is Scheme.KERNEL else grid.n
+    need = 5.5 * 16 * side**2
+    if need > page * pages:
+        raise ValueError(f"a run at n = {grid.n} needs about {need / 2**30:.3g} GiB for its arrays "
+                         f"(5.5 x 16 B x {side}^2), over the {page * pages / 2**30:.3g} GiB of "
+                         f"physical memory")
 
 
 def fd_max_dt(grid: GridSpec, D: float, cfl_safety: float = 1.0) -> float:
@@ -325,7 +354,7 @@ def _classical_stream(cfg: SolverConfig, grid: GridSpec, free_space: FreeSpace |
     elif cfg.scheme is Scheme.KERNEL:
         def step(t):  # pad by the kernel's half-width: the wrap lands outside the window
             check_kernel_resolution(grid, D, (t,))
-            return _fft_size(grid.n + _kernel_cut(grid, D, t)[1])
+            return _kernel_side(grid, D, t)
 
         def factor(t, side):  # the weights G dx^2 = g(x) g(y), centred at index 0
             r_cut = _kernel_cut(grid, D, t)[0]
@@ -379,10 +408,8 @@ def diffuse_kernel(f: ComplexField2D, D: float, t: float) -> ComplexField2D:
     zero-padded by the kernel's half-width K, the kernel is centred at index
     0 of the padded axes, and the n x n window at the origin is kept; the
     circular wrap of that transform lands only outside the window.  t = 0 is
-    rejected (the kernel degenerates to a delta; use the identity instead),
-    as are steps too short for the grid to resolve the kernel."""
-    if not (t > 0):
-        raise ValueError("kernel propagator needs t > 0 (t = 0 is the identity)")
+    the identity, as for every classical step; a step too short for the grid
+    to resolve the kernel is rejected."""
     return _diffuse_one(f, D, t, SolverConfig(Scheme.KERNEL))
 
 

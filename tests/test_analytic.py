@@ -1,11 +1,15 @@
+import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import vortexdiff as vd
 from vortexdiff.analytic import DEFAULT_ETA, check_eta
 from vortexdiff.modes import check_contained
+from vortexdiff.scenario import stream_diagnostics
 from helpers import (heat_flow_radial, lg_amplitude, lg_intensity, population_m0, population_m1,
                      radial_integral)
 
@@ -291,6 +295,39 @@ class TestStateSnapshot:
         rho22 = np.abs(lg01.values) ** 2 + 1e-3
         snap = vd.StateSnapshot(time=0.0, rho12=lg01, rho22=rho22)
         assert np.array_equal(snap.rho22, rho22)
+
+
+@functools.lru_cache(maxsize=None)
+def _verdict(m, p, n, scheme, times, P):
+    """Efficiency at each time of LG_p^m run at P on an n x n grid of extent
+    16, or None when an evolved snapshot fails the physicality check."""
+    cfg = vd.ScenarioConfig(mode=vd.ModeSpec(vd.ModeKind.LG, p=p, m=m, P=P),
+                            grid=vd.GridSpec(n, 16.0),
+                            diffusion=vd.DiffusionParams(1.0, times),
+                            solver=vd.SolverConfig(scheme))
+    vd.validate_scenario(cfg)
+    try:
+        return [d.efficiency for d in stream_diagnostics(cfg)]
+    except ValueError as exc:
+        assert "below tolerance" in str(exc) or "violates" in str(exc), exc
+        return None
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(m=st.integers(-2, 2), p=st.integers(0, 1), n=st.sampled_from([96, 112, 128]),
+       scheme=st.sampled_from(list(vd.Scheme)),
+       times=st.lists(st.sampled_from([0.0, 0.05, 0.125, 0.25, 0.5]), min_size=2, max_size=3,
+                      unique=True).map(lambda ts: tuple(sorted(ts))),
+       u=st.floats(-3.0, 3.0))
+def test_physicality_verdict_does_not_depend_on_power(m, p, n, scheme, times, u):
+    # the tolerance is relative to the field's peaks: scaling P scales every
+    # field, so the run's verdict and its normalised efficiency stay as at P = 1
+    at_one = _verdict(m, p, n, scheme, times, 1.0)
+    for P in (10.0**u, 10.0**-u):
+        at_P = _verdict(m, p, n, scheme, times, P)
+        assert (at_P is None) == (at_one is None), P
+        if at_one is not None:
+            np.testing.assert_allclose(at_P, at_one, rtol=1e-12, atol=0)
 
 
 class TestDiffusionParams:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 import re
 
 import pytest
@@ -179,6 +180,17 @@ class TestParsing:
         with pytest.raises(vd.ConfigError, match="grid.n"):
             vd.parse_config(bad)
 
+    # the parser only parses: the owner of each value's rule rejects NaN and
+    # infinities, and its message is prefixed with the key and line
+    NON_FINITE_OWNER_MESSAGE = {
+        "diffusion.D": "diffusion coefficient must be finite and >= 0, got nan",
+        "grid.extent": "grid spacing dx = 2 extent / n must be positive and finite, "
+                       "got extent inf with n 256",
+        "diffusion.times": "time must be finite and >= 0, got nan",
+        "mode.amp": "amplitude amp must be finite, got (nan+0j)",
+        "solver.dt": "dt must be positive and finite, got nan",
+    }
+
     @pytest.mark.parametrize("key,value", [
         ("diffusion.D", "nan"),
         ("grid.extent", "inf"),
@@ -189,10 +201,10 @@ class TestParsing:
     def test_non_finite_value_names_key_and_line(self, key, value):
         lines = [ln for ln in MINIMAL.splitlines() if not ln.startswith(key)]
         lines.insert(3, f"{key} = {value}")
-        with pytest.raises(vd.ConfigError, match="must be finite") as err:
+        with pytest.raises(vd.ConfigError) as err:
             vd.parse_config("\n".join(lines))
-        assert err.value.line == 4
-        assert key in str(err.value)
+        assert str(err.value) == f"line 4: {key}: {self.NON_FINITE_OWNER_MESSAGE[key]}"
+        assert (err.value.line, err.value.key) == (4, key)
 
     @pytest.mark.parametrize("key,text,line", [
         ("grid.extent", MINIMAL.replace("grid.extent = 8", "grid.extent = 7"), 10),
@@ -239,6 +251,57 @@ class TestParsing:
         with pytest.raises(vd.ConfigError, match=rf"^line {line}: {re.escape(key)}: ") as err:
             vd.parse_config(text)
         assert (err.value.line, err.value.key) == (line, key)
+
+    def test_grid_beyond_physical_memory_fails_at_parse_time(self):
+        # the run's arrays, 5.5 x 16 B x n^2, would need about 8e8 GiB
+        import tracemalloc
+
+        try:
+            page, pages = os.sysconf("SC_PAGE_SIZE"), os.sysconf("SC_PHYS_PAGES")
+        except (AttributeError, ValueError, OSError):
+            page = pages = -1
+        if page < 1 or pages < 1:
+            pytest.skip("os.sysconf cannot report physical memory here")
+        budget = page * pages
+        n = 100_000_000
+        tracemalloc.start()
+        try:
+            with pytest.raises(vd.ConfigError) as err:
+                vd.parse_config(MINIMAL.replace("grid.n = 256", f"grid.n = {n}"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (err.value.line, err.value.key) == (9, "grid.n")
+        assert str(err.value) == (
+            f"line 9: grid.n: a run at n = {n} needs about {5.5 * 16 * n**2 / 2**30:.3g} GiB for its "
+            f"arrays (5.5 x 16 B x {n}^2), over the {budget / 2**30:.3g} GiB of physical memory")
+        assert peak < 2**20  # nothing was allocated for the grid
+
+    @pytest.mark.parametrize("scheme", ["spectral", "fd", "kernel"])
+    def test_memory_rule_reads_the_side_the_run_transforms_at(self, monkeypatch, scheme):
+        # on a machine of 1 MiB, n = 96 (5.5 x 16 B x 96^2 = 0.77 MiB) fits for
+        # the spectral and FD schemes, which run on the grid's own side; the
+        # kernel's plan pads by its half-width, widest at the last time
+        from vortexdiff.solvers import _kernel_side
+
+        monkeypatch.setattr(os, "sysconf", lambda name: {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}[name])
+        text = MINIMAL.replace("grid.n = 256", "grid.n = 96") + f"solver.scheme = {scheme}\n"
+        if scheme != "kernel":
+            assert vd.parse_config(text).grid.n == 96
+            return
+        side = _kernel_side(vd.GridSpec(96, 8.0), 1.0, 0.25)
+        with pytest.raises(vd.ConfigError, match=rf"^line 9: grid\.n: a run at n = 96 needs .* "
+                                                 rf"\(5\.5 x 16 B x {side}\^2\), over the 0\.000977 GiB "):
+            vd.parse_config(text)
+
+    @pytest.mark.parametrize("report", ["raises", "indeterminate"])
+    def test_memory_rule_is_skipped_without_a_physical_memory_report(self, monkeypatch, report):
+        def sysconf(name):
+            if report == "raises":
+                raise ValueError(f"unrecognized configuration name {name!r}")
+            return -1
+        monkeypatch.setattr(os, "sysconf", sysconf)
+        assert vd.parse_config(MINIMAL.replace("grid.n = 256", "grid.n = 100000000")).grid.n == 10**8
 
     @pytest.mark.parametrize("kind,extra", [("blocked_gaussian", "mode.block_radius = 1.0\n"),
                                             ("plane_wave", "")])

@@ -517,7 +517,10 @@ class TestCliSimulate:
         cfg_file = tmp_path / "bad.cfg"
         cfg_file.write_text(small_vortex_cfg(tmp_path / "out").replace("diffusion.D = 1.0", "diffusion.D = nan"))
         assert main(["simulate", str(cfg_file)]) == 2
-        assert "diffusion.D must be finite" in capsys.readouterr().err
+        # the parser only parses; D's owner, check_diffusion, names the value
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record == {"error": "ConfigError", "exit_code": 2, "message":
+                          "line 6: diffusion.D: diffusion coefficient must be finite and >= 0, got nan"}
 
     def test_import_does_not_load_scipy(self):
         # scipy is a test-only dependency; the CLI must start without it
@@ -810,6 +813,46 @@ out_dir = {tmp_path / "sweep"}
         assert not (tmp_path / "out").exists()
         assert built == []
 
+    def test_nodes_threshold_flag_is_the_table_threshold(self, tmp_path):
+        # an accepted --threshold reaches the node search and the table header
+        from vortexdiff.scenario import node_columns, stream_diagnostics
+
+        text = small_vortex_cfg(tmp_path / "run", "mode.p = 1\n").replace(  # LG_1^1
+            "[0, 0.05, 0.1, 0.15, 0.25]", "[0, 0.02, 0.05]").replace(", fit", "").replace(
+            "grid.n = 64", "grid.n = 128").replace("nbins = 48", "nbins = 200")
+        cfg_file = tmp_path / "v.cfg"
+        cfg_file.write_text(text)
+        assert main(["--out-dir", str(tmp_path / "out"), "nodes", "--threshold", "0.05",
+                     str(cfg_file)]) == 0
+        table = tmp_path / "out" / "nodes.csv"
+        assert any(ln.startswith("#") and "threshold 0.05" in ln
+                   for ln in table.read_text().splitlines())
+        profiles = [(d.time, d.profile) for d in stream_diagnostics(vd.parse_config(text))]
+        expected, by_default = (
+            node_columns([vd.find_radial_nodes(prof, threshold, time=t) for t, prof in profiles])
+            for threshold in (0.05, 0.02))
+        assert expected != by_default  # at t = 0 only 0.05 finds the ring at r = w0
+        written = vd.read_table_csv(table)
+        assert list(written) == list(expected)
+        for name, column in expected.items():
+            assert np.array_equal(written[name], column), name
+
+    def test_fit_flags_set_the_evolution_factor(self, tmp_path, capsys):
+        # v = s(t)^-2 with s for D = 2, w0 = 0.5 is a pure power law only in that s
+        t = np.linspace(0.0, 0.5, 8)
+        trace = tmp_path / "trace.csv"
+        v = [vd.evolution_factor(ti, 2.0, 0.5) ** -2.0 for ti in t]
+        vd.write_table_csv(trace, {"t": t, "efficiency": v})
+
+        def power_line(argv):
+            assert main(["fit", *argv, str(trace)]) == 0
+            (line,) = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("power law")]
+            return line
+
+        line = power_line(["--dcoeff", "2", "--waist", "0.5"])
+        assert " * s(t)^-2 " in line and line.endswith("preferred")
+        assert " * s(t)^-2 " not in power_line([])
+
     def test_fit_on_fit_table_is_format_error(self, tmp_path, capsys):
         # fit.csv carries model-name labels; fit reads numeric traces only
         manifest = vd.run_scenario(vd.parse_config(small_vortex_cfg(tmp_path / "run")), fmt="vxf")
@@ -827,8 +870,8 @@ out_dir = {tmp_path / "sweep"}
         assert record["exit_code"] == 3
 
     def test_out_of_memory_is_a_numeric_error(self, tmp_path, monkeypatch, capsys):
-        # a grid too large for the machine validates, then fails to
-        # allocate; that is reported as one JSON line with exit 3, no traceback
+        # a run that validates can still fail to allocate, on a machine whose
+        # memory is in use; that is reported as one JSON line with exit 3, no traceback
         import vortexdiff.scenario as scenario
 
         def exhausted(spec, grid):

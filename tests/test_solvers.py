@@ -239,9 +239,12 @@ class TestDiffuseKernel:
         after = np.sum(vd.diffuse_kernel(lg00, 1.0, 0.2).values) * lg00.grid.dx**2
         assert abs(after - before) / abs(before) <= 1e-6
 
-    def test_rejects_t_zero(self, lg00):
-        with pytest.raises(ValueError):
-            vd.diffuse_kernel(lg00, 1.0, 0.0)
+    def test_t_zero_is_the_identity(self, lg00):
+        # as for every classical step: no kernel is sampled, the field is copied
+        out = vd.diffuse_kernel(lg00, 1.0, 0.0)
+        assert out.values is not lg00.values
+        assert np.array_equal(out.values, lg00.values)
+        assert out.free_space == lg00.free_space
 
     def test_rejects_unresolved_kernel(self, lg00):
         # 4 D t below dx^2 under-samples the kernel and would inflate mass
