@@ -46,7 +46,7 @@ from .analytic import (
     initial_snapshot,
     lg_closed_form,
 )
-from .config import ConfigError, OutputKind, ScenarioConfig, parse_config, render_config, validate_scenario
+from .config import ConfigError, OutputKind, ScenarioConfig, parse_config, render_config
 from .fieldio import FieldDump, FieldFormatError, read_field, read_table_csv, write_field, write_field_csv, write_table_csv
 from .grid import (
     ComplexField2D,

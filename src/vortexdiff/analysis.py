@@ -197,15 +197,15 @@ def fit_decay(times, values, D: float, w0: float) -> tuple[DecayFit, DecayFit]:
 
     log v = log a + q log s(t)   and   log v = log a - gamma t,
     both solved in the log domain; the lower-rms model gets preferred=True.
-    Needs strictly positive samples at times that pass check_fit_times.
+    Needs finite, strictly positive samples at times that pass check_fit_times.
     """
     t = np.asarray(times, dtype=np.float64)
     v = np.asarray(values, dtype=np.float64)
     if t.shape != v.shape or t.ndim != 1:
         raise ValueError("times and values must be 1-D arrays of equal length")
     check_fit_times(t, D, w0)
-    if np.any(v <= 0):
-        raise ValueError("decay fits need strictly positive values")
+    if not np.all((0 < v) & (v < np.inf)):  # NaN fails both
+        raise ValueError("decay fits need finite, strictly positive values")
     log_v = np.log(v)
     log_s = np.log([evolution_factor(ti, D, w0) for ti in t])
 

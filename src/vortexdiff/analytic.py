@@ -43,13 +43,16 @@ def check_diffusion(D: float, times) -> None:
 
 @dataclass(frozen=True)
 class DiffusionParams:
-    """Diffusion coefficient and the times at which diagnostics are evaluated."""
+    """Diffusion coefficient and the times at which diagnostics are evaluated:
+    at least one, each finite and >= 0, strictly ascending."""
 
     D: float
     times: tuple[float, ...]
 
     def __post_init__(self):
         times = tuple(float(t) for t in self.times)
+        if not times:
+            raise ParameterError("times", "diffusion.times needs at least one value")
         check_diffusion(self.D, times)
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ParameterError("times", f"times must be strictly ascending, got {times}")

@@ -18,9 +18,11 @@ Keys are dotted, values are scalars or comma lists (brackets optional),
 comments run from '#' to end of line.  One table, _KEYS, is the grammar:
 each key is the path of the ScenarioConfig field it sets, and its declared
 kind both parses and renders the value.  An absent key takes the default of
-the dataclass field it names; an absent quantum section stays None.  Parse
-errors are line-addressed; semantic errors name the violated invariant, and
-the key and line of the value to change when validation knows them.
+the dataclass field it names; an absent quantum section stays None.  A
+ScenarioConfig is valid by construction, parsed or built with
+dataclasses.replace alike.  Parse errors are line-addressed; semantic errors
+name the violated invariant, and the key (and, when parsed, the line) of
+the value to change.
 Strict mode rejects unknown keys so a typo in a physics parameter cannot
 pass silently.
 """
@@ -83,9 +85,31 @@ _REQUIRED_KEYS = ("mode.kind", "grid.n", "grid.extent", "diffusion.D", "diffusio
 _USED_BY = {"mode.k": ModeKind.PLANE_WAVE, "mode.block_radius": ModeKind.BLOCKED_GAUSSIAN}
 
 
+@contextlib.contextmanager
+def _key(name: str):
+    """Turn a rule's ValueError into a ConfigError that names the key to
+    change, once: a message that already opens with the key keeps its text."""
+    try:
+        yield
+    except ValueError as exc:
+        message = str(exc)
+        error = ConfigError(message if message.startswith(f"{name} ") else f"{name}: {message}")
+        error.key = name
+        raise error from exc
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Fully validated scenario: mode, grid, diffusion, solver, outputs."""
+    """A scenario: mode, grid, diffusion, solver, outputs; valid by construction.
+
+    Every construction, parse_config's or a dataclasses.replace copy's, asks
+    each physical rule of its one owner (README, "Invariants"); a broken rule
+    is a ConfigError naming the key to change: grid.extent (containment at
+    the latest time), grid.n (memory), mode.block_radius, mode.k, solver.dt
+    (or solver.cfl_safety when dt is unset), diffusion.times (kernel
+    resolution), eta or nbins; parse_config adds the key's line.  A fit
+    output whose trace cannot be fitted fails naming that output.
+    """
 
     mode: ModeSpec
     grid: GridSpec
@@ -97,6 +121,54 @@ class ScenarioConfig:
     outputs: tuple[OutputKind, ...] = (OutputKind.FIDELITY_TRACE,)
     out_dir: str = "out"
     warnings: tuple[str, ...] = field(default=(), compare=False)
+
+    def __post_init__(self):
+        mode, grid, diffusion = self.mode, self.grid, self.diffusion
+        if mode.kind in (ModeKind.LG, ModeKind.BLOCKED_GAUSSIAN):
+            with _key("grid.extent"):
+                check_contained(grid.extent, mode.w0, mode.m, mode.p,
+                                evolution_factor(diffusion.times[-1], diffusion.D, mode.w0))
+
+        with _key("grid.n"):
+            check_memory_budget(grid, diffusion.D, diffusion.times, self.solver.scheme)
+
+        if mode.kind is ModeKind.BLOCKED_GAUSSIAN:
+            with _key("mode.block_radius"):
+                check_block_radius(mode.block_radius, grid)
+                if OutputKind.HOLE_REFILL in self.outputs:
+                    check_hole_geometry(mode.block_radius, grid)
+        elif OutputKind.HOLE_REFILL in self.outputs:
+            raise ConfigError("hole_refill output applies to blocked_gaussian scenarios only")
+
+        if mode.kind is ModeKind.PLANE_WAVE:
+            with _key("mode.k"):
+                check_plane_wave_k(mode.k, grid)
+
+        if self.solver.scheme is Scheme.FD_EXPLICIT and diffusion.D > 0:
+            # an unset dt is derived from cfl_safety, so that is the value to change
+            with _key("solver.cfl_safety" if self.solver.dt is None else "solver.dt"):
+                fd_timestep(grid, diffusion.D, self.solver)
+
+        if self.solver.scheme is Scheme.KERNEL:
+            with _key("diffusion.times"):
+                check_kernel_resolution(grid, diffusion.D, diffusion.times)
+
+        with _key("eta"):
+            check_eta(self.eta)
+
+        with _key("nbins"):
+            check_nbins(self.nbins, grid)
+
+        if OutputKind.FIT in self.outputs:
+            try:
+                check_fit_times(diffusion.times, diffusion.D, mode.w0)
+            except ValueError as exc:
+                raise ConfigError(f"the fit output {exc}") from exc
+
+        # render_config writes out_dir raw on one line, parse_config strips it
+        if "#" in self.out_dir or self.out_dir.strip().splitlines() != [self.out_dir]:
+            raise ConfigError(f"out_dir must be one line without '#' or surrounding whitespace, "
+                              f"got {self.out_dir!r}")
 
 
 def _split_lines(text: str):
@@ -125,11 +197,7 @@ def _parse_value(value: str, kind, key: str, lineno: int):
             value = value[1:-1]
         items = tuple(_parse_value(s.strip(), item, key, lineno)
                       for s in value.split(",") if s.strip())
-        if item is OutputKind:
-            return tuple(dict.fromkeys(items))
-        if not items:
-            raise ConfigError(f"{key} needs at least one value", lineno)
-        return items
+        return tuple(dict.fromkeys(items)) if item is OutputKind else items
     if kind is str:
         return value
     if isinstance(kind, enum.EnumMeta):
@@ -162,10 +230,11 @@ def _render_value(value, kind) -> str:
 
 
 def parse_config(text: str, strict: bool = True) -> ScenarioConfig:
-    """Parse and validate a scenario document.
+    """Parse a scenario document into a ScenarioConfig.
 
     Only the keys present are parsed; each section's dataclass is built from
-    them, so an absent key takes that field's default.
+    them, so an absent key takes that field's default.  A rule that any of
+    those constructors breaks is reported with the line of the key it names.
 
     strict=True (the default) rejects unknown keys; otherwise they are
     collected into ScenarioConfig.warnings.
@@ -201,7 +270,6 @@ def parse_config(text: str, strict: bool = True) -> ScenarioConfig:
                 with _key(f"{section}.{exc.name}"):  # the key that sets the field
                     raise
         cfg = ScenarioConfig(**parts, **top, warnings=tuple(warnings))
-        validate_scenario(cfg)
     except ConfigError as exc:
         if exc.key not in entries:
             raise
@@ -209,81 +277,6 @@ def parse_config(text: str, strict: bool = True) -> ScenarioConfig:
         error.key = exc.key
         raise error from exc
     return cfg
-
-
-@contextlib.contextmanager
-def _key(name: str):
-    """Turn a rule's ValueError into a ConfigError that names the key to
-    change, once: a message that already opens with the key keeps its text."""
-    try:
-        yield
-    except ValueError as exc:
-        message = str(exc)
-        error = ConfigError(message if message.startswith(f"{name} ") else f"{name}: {message}")
-        error.key = name
-        raise error from exc
-
-
-def validate_scenario(cfg: ScenarioConfig) -> None:
-    """Semantic checks shared by parse_config and programmatic construction.
-
-    Each physical rule is asked of its one owner (README, "Invariants"); its
-    error becomes a ConfigError naming the key: grid.extent (containment at
-    the latest time), grid.n (memory), mode.block_radius, mode.k, solver.dt
-    (or solver.cfl_safety when dt is unset), diffusion.times (kernel
-    resolution), eta or nbins; parse_config adds the key's line.  An
-    empty diffusion.times fails with the message parse_config gives it, and
-    a fit output whose trace cannot be fitted fails naming that output.
-    """
-    mode, grid, diffusion = cfg.mode, cfg.grid, cfg.diffusion
-    if not diffusion.times:
-        raise ConfigError("diffusion.times needs at least one value")
-
-    if mode.kind in (ModeKind.LG, ModeKind.BLOCKED_GAUSSIAN):
-        with _key("grid.extent"):
-            check_contained(grid.extent, mode.w0, mode.m, mode.p,
-                            evolution_factor(diffusion.times[-1], diffusion.D, mode.w0))
-
-    with _key("grid.n"):
-        check_memory_budget(grid, diffusion.D, diffusion.times, cfg.solver.scheme)
-
-    if mode.kind is ModeKind.BLOCKED_GAUSSIAN:
-        with _key("mode.block_radius"):
-            check_block_radius(mode.block_radius, grid)
-            if OutputKind.HOLE_REFILL in cfg.outputs:
-                check_hole_geometry(mode.block_radius, grid)
-    elif OutputKind.HOLE_REFILL in cfg.outputs:
-        raise ConfigError("hole_refill output applies to blocked_gaussian scenarios only")
-
-    if mode.kind is ModeKind.PLANE_WAVE:
-        with _key("mode.k"):
-            check_plane_wave_k(mode.k, grid)
-
-    if cfg.solver.scheme is Scheme.FD_EXPLICIT and diffusion.D > 0:
-        # an unset dt is derived from cfl_safety, so that is the value to change
-        with _key("solver.cfl_safety" if cfg.solver.dt is None else "solver.dt"):
-            fd_timestep(grid, diffusion.D, cfg.solver)
-
-    if cfg.solver.scheme is Scheme.KERNEL:
-        with _key("diffusion.times"):
-            check_kernel_resolution(grid, diffusion.D, diffusion.times)
-
-    with _key("eta"):
-        check_eta(cfg.eta)
-
-    with _key("nbins"):
-        check_nbins(cfg.nbins)
-
-    if OutputKind.FIT in cfg.outputs:
-        try:
-            check_fit_times(diffusion.times, diffusion.D, mode.w0)
-        except ValueError as exc:
-            raise ConfigError(f"the fit output {exc}") from exc
-
-    # render_config writes out_dir raw on one line, parse_config strips it
-    if "#" in cfg.out_dir or cfg.out_dir.strip().splitlines() != [cfg.out_dir]:
-        raise ConfigError(f"out_dir must be one line without '#' or surrounding whitespace, "
-                          f"got {cfg.out_dir!r}")
 
 
 def render_config(cfg: ScenarioConfig) -> str:

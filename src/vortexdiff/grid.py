@@ -150,11 +150,15 @@ def l2_norm_sq(f: ComplexField2D) -> float:
     return float(np.sum(intensity)) * f.grid.dx**2
 
 
-def check_nbins(nbins) -> None:
+def check_nbins(nbins, grid: GridSpec) -> None:
     """The one rule on the radial bin count: raise ValueError unless nbins is
-    an integer >= 4.  radial_bins asks it before building any bins."""
+    an integer with 4 <= nbins <= n^2, the grid's sample count, so that the
+    per-bin arrays never outweigh a field.  radial_bins asks it before
+    building any bins."""
     if not isinstance(nbins, (int, np.integer)) or nbins < 4:
         raise ValueError(f"nbins must be an integer >= 4, got {nbins!r}")
+    if nbins > grid.n**2:
+        raise ValueError(f"{nbins} bins exceed the grid's n^2 = {grid.n**2} samples")
 
 
 @functools.lru_cache(maxsize=4, typed=True)
@@ -169,7 +173,7 @@ def radial_bins(grid: GridSpec, nbins: int) -> tuple[np.ndarray, np.ndarray]:
     (grid, nbins), so the radius map is built once per grid instead of once
     per reduction.
     """
-    check_nbins(nbins)
+    check_nbins(nbins, grid)
     idx = np.floor(grid.radius() / (grid.extent / nbins)).astype(np.intp).ravel()
     np.minimum(idx, nbins, out=idx)
     counts = _binned(idx, None, nbins)

@@ -9,6 +9,7 @@ formed (StateSnapshot.coh_sq), and the efficiency's t = 0 reference is
 computed once per run.  The stream keeps of the stored snapshot only what
 the evolution still reads: its fields go once the held spectra serve every
 later time (solvers' memory rule), and it keeps nothing it has yielded.
+A ScenarioConfig is valid by construction, so nothing here checks it again.
 run_scenario writes each snapshot's field dumps and computes the reductions
 its tables read as the snapshot arrives; the stream then releases the
 snapshot before the next time is evolved.  Each table OutputKind is one
@@ -56,7 +57,7 @@ from .analysis import (
     total_population,
 )
 from .analytic import StateSnapshot, evolution_factor, initial_snapshot
-from .config import OutputKind, ScenarioConfig, render_config, validate_scenario
+from .config import OutputKind, ScenarioConfig, render_config
 from .fieldio import write_field, write_field_csv, write_table_csv
 from .grid import RadialProfile, azimuthal_average, radial_mean
 from .modes import build_mode
@@ -271,13 +272,13 @@ def _write_dumps(dumps: list[tuple[Path, np.ndarray]], grid, time: float) -> Non
 def run_scenario(cfg: ScenarioConfig, fmt: str = "csv", out_dir: str | Path | None = None) -> Manifest:
     """Run one scenario and write the requested outputs plus manifest.json.
 
-    The config is validated before the output directory is touched.  The
-    stream runs on the calling thread; VXF dumps go to one writer thread,
-    and snapshot i's dumps are on disk before snapshot i + 1 evolves.
+    cfg is valid by construction, so only fmt is checked before the output
+    directory is touched.  The stream runs on the calling thread; VXF dumps
+    go to one writer thread, and snapshot i's dumps are on disk before
+    snapshot i + 1 evolves.
     """
     if fmt not in ("csv", "vxf", "both"):
         raise ValueError(f"format must be csv, vxf or both, got {fmt!r}")
-    validate_scenario(cfg)
     manifest = Manifest(out_dir=Path(out_dir) if out_dir is not None else Path(cfg.out_dir),
                         entries=[])
     out = manifest.out_dir

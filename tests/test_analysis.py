@@ -233,6 +233,12 @@ class TestFitDecay:
         with pytest.raises(ValueError):
             vd.fit_decay([0, 0.1, 0.2, 0.3, 0.4], [1, 0.9, 0.0, 0.7, 0.6], 1.0, 1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_values(self, bad):
+        # NaN passes a "<= 0" test, so the rule is stated as 0 < v < inf
+        with pytest.raises(ValueError, match="^decay fits need finite, strictly positive values$"):
+            vd.fit_decay([0, 0.1, 0.2, 0.3, 0.4], [1, 0.9, bad, 0.7, 0.6], 1.0, 1.0)
+
 
 class TestTotalPopulation:
     def test_unit_mode_at_t_zero(self, lg01):

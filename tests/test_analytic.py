@@ -305,7 +305,6 @@ def _verdict(m, p, n, scheme, times, P):
                             grid=vd.GridSpec(n, 16.0),
                             diffusion=vd.DiffusionParams(1.0, times),
                             solver=vd.SolverConfig(scheme))
-    vd.validate_scenario(cfg)
     try:
         return [d.efficiency for d in stream_diagnostics(cfg)]
     except ValueError as exc:

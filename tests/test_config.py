@@ -91,7 +91,7 @@ def scenario_configs(draw):
         solver=vd.SolverConfig(scheme=scheme, dt=dt, cfl_safety=cfl_safety),
         quantum=draw(st.none() | st.builds(vd.QuantumParams, beta=_floats(-10.0, 10.0))),
         eta=draw(_floats(0.0, 1e-8, exclude_min=True)),
-        nbins=draw(st.integers(4, 1000)),
+        nbins=draw(st.integers(4, min(1000, n * n))),
         outputs=outputs,
         out_dir=draw(st.text(min_size=1).filter(
             lambda s: "#" not in s and s.strip().splitlines() == [s])),
@@ -351,10 +351,12 @@ class TestParsing:
         still = still.replace("[0, 0.25]", "[0, 0.05, 0.1, 0.15, 0.25]")
         with pytest.raises(vd.ConfigError, match=r"^the fit output needs the evolution factor"):
             vd.parse_config(still + "outputs = fit\n")
-        cfg = dataclasses.replace(vd.parse_config(still), outputs=(OutputKind.FIT,))
+        cfg = vd.parse_config(still)
+        with pytest.raises(vd.ConfigError, match="^the fit output "):
+            dataclasses.replace(cfg, outputs=(OutputKind.FIT,))
         out = tmp_path / "run"
         with pytest.raises(vd.ConfigError, match="^the fit output "):
-            vd.run_scenario(cfg, "vxf", out)
+            vd.run_scenario(dataclasses.replace(cfg, outputs=(OutputKind.FIT,)), "vxf", out)
         assert not out.exists()
 
     def test_zero_amplitude_rejected(self):
@@ -456,24 +458,43 @@ grid.extent = 8
     def test_nbins_rule_checked_at_parse_and_validation(self):
         with pytest.raises(vd.ConfigError, match=r"^line 11: nbins must be an integer >= 4, got 3$"):
             vd.parse_config(MINIMAL + "nbins = 3\n")
-        cfg = dataclasses.replace(vd.parse_config(MINIMAL), nbins=2)
-        with pytest.raises(vd.ConfigError, match="^nbins must be an integer >= 4, got 2$"):
-            vd.validate_scenario(cfg)
+        cfg = vd.parse_config(MINIMAL)
+        with pytest.raises(vd.ConfigError, match="^nbins must be an integer >= 4, got 2$") as err:
+            dataclasses.replace(cfg, nbins=2)
+        assert (err.value.key, err.value.line) == ("nbins", None)
+
+    def test_nbins_beyond_the_grid_sample_count_fails_at_parse(self):
+        # 4e9 bins on 64^2 samples would allocate three 30 GiB per-bin arrays at the first reduction
+        import tracemalloc
+
+        text = MINIMAL.replace("grid.n = 256", "grid.n = 64") + "nbins = 4000000000\n"
+        tracemalloc.start()
+        try:
+            with pytest.raises(vd.ConfigError) as err:
+                vd.parse_config(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == "line 11: nbins: 4000000000 bins exceed the grid's n^2 = 4096 samples"
+        assert (err.value.key, err.value.line) == ("nbins", 11)
+        assert peak < 2**20
+        assert vd.parse_config(text.replace("4000000000", "4096")).nbins == 4096
 
     def test_eta_rule_checked_by_validation_before_any_output(self, tmp_path):
-        cfg = dataclasses.replace(vd.parse_config(MINIMAL), eta=1.0)
-        with pytest.raises(vd.ConfigError, match=r"^eta must be in \(0, 1e-8\]"):
-            vd.validate_scenario(cfg)
+        cfg = vd.parse_config(MINIMAL)
+        with pytest.raises(vd.ConfigError, match=r"^eta must be in \(0, 1e-8\]") as err:
+            dataclasses.replace(cfg, eta=1.0)
+        assert (err.value.key, err.value.line) == ("eta", None)
         out = tmp_path / "run"
         with pytest.raises(vd.ConfigError, match="^eta must be in "):
-            vd.run_scenario(cfg, "vxf", out)
+            vd.run_scenario(dataclasses.replace(cfg, eta=1.0), "vxf", out)
         assert not out.exists()
 
     def test_empty_times_rejected_by_validation(self):
-        cfg = vd.parse_config(MINIMAL)
-        cfg = dataclasses.replace(cfg, diffusion=vd.DiffusionParams(D=1.0, times=()))
-        with pytest.raises(vd.ConfigError, match="^diffusion.times needs at least one value$"):
-            vd.validate_scenario(cfg)
+        # DiffusionParams owns the rule; parse_config names its key and line
+        with pytest.raises(vd.ParameterError, match="^diffusion.times needs at least one value$") as err:
+            vd.DiffusionParams(D=1.0, times=())
+        assert err.value.name == "times"
 
 
 class TestRenderRoundTrip:
@@ -539,14 +560,13 @@ out_dir = runs/every key
 
     @pytest.mark.parametrize("out_dir", ["runs/#3", "runs\n3", "runs\r3", "runs\v3", " runs", "runs ", ""])
     def test_out_dir_that_cannot_round_trip_rejected(self, out_dir):
-        cfg = dataclasses.replace(vd.parse_config(MINIMAL), out_dir=out_dir)
+        cfg = vd.parse_config(MINIMAL)
         with pytest.raises(vd.ConfigError, match="^out_dir must be one line"):
-            vd.validate_scenario(cfg)
+            dataclasses.replace(cfg, out_dir=out_dir)
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(cfg=scenario_configs())
     def test_generated_configs_round_trip(self, cfg):
-        vd.validate_scenario(cfg)
         assert vd.parse_config(vd.render_config(cfg)) == cfg
 
     def test_shipped_scenarios_parse_and_render(self):

@@ -87,6 +87,13 @@ class TestAzimuthalAverage:
         with pytest.raises(ValueError):
             vd.azimuthal_average(lg00, 3)
 
+    def test_rejects_more_bins_than_samples(self, lg00):
+        # the per-bin arrays would outweigh the field they reduce
+        n = lg00.grid.n
+        assert vd.azimuthal_average(lg00, n * n).radii.size > 0
+        with pytest.raises(ValueError, match=f"^{n * n + 1} bins exceed the grid's n\\^2 = {n * n} samples$"):
+            vd.azimuthal_average(lg00, n * n + 1)
+
     def test_intensity_invariant_under_phase(self, lg01):
         rotated = vd.ComplexField2D(lg01.grid, lg01.values * np.exp(1j * 0.77))
         a = vd.azimuthal_average(lg01, 50)

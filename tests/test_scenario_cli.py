@@ -749,6 +749,33 @@ out_dir = {tmp_path / "sweep"}
             oracle = [vd.lg_closed_form(spec, cfg.diffusion.D, t, 0.0)[2] for t in cfg.diffusion.times]
             assert np.max(np.abs(table[f"efficiency_p{p}"] - oracle)) <= 1e-9
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--param", "m=0..8", str(SCENARIOS / "sweep.cfg")],
+        # the blocked Gaussian is contained on a 6-unit box at s = 2, its m = 1 twin is not
+        ["compare-blocked", "{blocked}"],
+    ])
+    def test_uncontained_configs_fail_before_anything_evolves(self, tmp_path, monkeypatch, capsys, argv):
+        # every config a subcommand runs is built before the first stream,
+        # so one that leaves the box exits 2 with no snapshot built
+        blocked = tmp_path / "b.cfg"
+        blocked.write_text((SCENARIOS / "blocked.cfg").read_text().replace(
+            "grid.extent       = 8.0", "grid.extent       = 6.0").replace(
+            "grid.n            = 256", "grid.n            = 64"))
+        post_init, built = vd.StateSnapshot.__post_init__, [0]
+
+        def counted(snap):
+            built[0] += 1
+            post_init(snap)
+        monkeypatch.setattr(vd.StateSnapshot, "__post_init__", counted)
+        out = tmp_path / "out"
+        argv = ["--out-dir", str(out)] + [a.format(blocked=blocked) for a in argv]
+        assert main(argv) == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "ConfigError" and record["message"].startswith("grid.extent: ")
+        assert "is not contained" in record["message"]
+        assert built[0] == 0
+        assert not out.exists()
+
     def test_sweep_bad_param(self, tmp_path):
         cfg_file = tmp_path / "v.cfg"
         cfg_file.write_text(small_vortex_cfg(tmp_path / "out"))
@@ -860,6 +887,18 @@ out_dir = {tmp_path / "sweep"}
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert record["error"] == "FieldFormatError"
         assert record["message"] == "column 'model', row 1: 'power_law' is not a number"
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_fit_on_a_non_finite_value_is_a_numeric_error(self, tmp_path, capsys, bad):
+        trace = tmp_path / "trace.csv"
+        trace.write_text(f"t,efficiency\n0,1\n0.05,0.8\n0.1,{bad}\n0.15,0.6\n0.25,0.4\n")
+        assert main(["fit", str(trace)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "ValueError", "exit_code": 3,
+                                        "message": "decay fits need finite, strictly positive values"}
 
     def test_numeric_error_exit_code(self, tmp_path, capsys):
         # a 4-point trace cannot be fitted; the failure maps to exit 3
