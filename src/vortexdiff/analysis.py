@@ -9,8 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import DEFAULT_ETA, StateSnapshot, check_diffusion, check_eta, evolution_factor
-from .grid import ComplexField2D, GridSpec, ParameterError, RadialProfile
+from .analytic import DEFAULT_ETA, StateSnapshot, check_eta
+from .grid import ComplexField2D, GridSpec, RadialProfile
 
 
 class DecayModel(enum.Enum):
@@ -22,8 +22,8 @@ class DecayModel(enum.Enum):
 class DecayFit:
     """One fitted decay law with its log-domain residual.
 
-    POWER_LAW: v = amplitude * s(t)^exponent (regressed against the evolution
-    factor s, not raw t, so the exponent estimates -(m+1) directly).
+    POWER_LAW: v = amplitude * s^exponent, regressed against the trace's
+    evolution factor s, not raw t, so the exponent estimates -(m+1) directly.
     EXPONENTIAL: v = amplitude * e^(-rate * t).
     preferred marks the lower-residual model of a compared pair.
     """
@@ -170,44 +170,41 @@ def find_radial_nodes(
     return NodeReport(time=time, node_radii=sorted(nodes))
 
 
-def check_fit_diffusion(D: float) -> None:
-    """The fit's diffusion rule: check_diffusion's, and D > 0, without which
-    s(t) = 1 at every time and neither decay law is determined.
-    check_fit_times and the fit --dcoeff flag ask it."""
-    check_diffusion(D, ())
-    if D == 0:
-        raise ParameterError("D", f"needs the evolution factor s(t) to vary, so a diffusion "
-                                  f"coefficient > 0, got {D}")
-
-
-def check_fit_times(times, D: float, w0: float) -> None:
-    """The fit-trace rule: raise ValueError unless there are at least 5 times,
-    D obeys check_fit_diffusion and the evolution factor s(t) varies over the
-    times, so that both decay laws are determined.  fit_decay and config
-    validation ask it."""
-    if len(times) < 5:
+def check_fit_trace(times, s, values=None) -> None:
+    """The fit-trace rule: raise ValueError unless times, the evolution factor
+    s at each time and, when given, the values are 1-D rows of one length, at
+    least 5, the times finite, s and the values finite and > 0, and s varies,
+    so that both decay laws are determined (D = 0 makes s(t) = 1 throughout).
+    fit_decay and, for the fit output, ScenarioConfig ask it."""
+    t, s = np.asarray(times, dtype=np.float64), np.asarray(s, dtype=np.float64)
+    v = s if values is None else np.asarray(values, dtype=np.float64)  # s passes its own check
+    if t.ndim != 1 or s.shape != t.shape or v.shape != t.shape:
+        raise ValueError("times, s and values must be 1-D arrays of equal length")
+    if len(t) < 5:
         raise ValueError("needs at least 5 diffusion times")
-    check_fit_diffusion(D)
-    if len({evolution_factor(t, D, w0) for t in times}) == 1:
+    if not np.all(np.isfinite(t)):
+        raise ValueError("needs finite times")
+    if not np.all((0 < s) & (s < np.inf)):  # NaN fails both
+        raise ValueError("needs a finite evolution factor s(t) > 0 at every time")
+    if not np.all((0 < v) & (v < np.inf)):
+        raise ValueError("decay fits need finite, strictly positive values")
+    if np.all(s == s[0]):
         raise ValueError("needs the evolution factor s(t) to vary over the times")
 
 
-def fit_decay(times, values, D: float, w0: float) -> tuple[DecayFit, DecayFit]:
-    """Least-squares fits of a trace to a power law in s(t) and an exponential in t.
+def fit_decay(times, values, s) -> tuple[DecayFit, DecayFit]:
+    """Least-squares fits of a trace to a power law in s and an exponential in t.
 
-    log v = log a + q log s(t)   and   log v = log a - gamma t,
+    s is the evolution factor s(t) = 1 + 4 D t / w0^2 at each time, as the
+    trace states it (a fidelity table's s column), so the fit needs neither
+    D nor w0.  log v = log a + q log s   and   log v = log a - gamma t,
     both solved in the log domain; the lower-rms model gets preferred=True.
-    Needs finite, strictly positive samples at times that pass check_fit_times.
+    The trace obeys check_fit_trace.
     """
+    check_fit_trace(times, s, values)
     t = np.asarray(times, dtype=np.float64)
-    v = np.asarray(values, dtype=np.float64)
-    if t.shape != v.shape or t.ndim != 1:
-        raise ValueError("times and values must be 1-D arrays of equal length")
-    check_fit_times(t, D, w0)
-    if not np.all((0 < v) & (v < np.inf)):  # NaN fails both
-        raise ValueError("decay fits need finite, strictly positive values")
-    log_v = np.log(v)
-    log_s = np.log([evolution_factor(ti, D, w0) for ti in t])
+    log_v = np.log(np.asarray(values, dtype=np.float64))
+    log_s = np.log(np.asarray(s, dtype=np.float64))
 
     def linfit(x):
         design = np.column_stack([np.ones_like(x), x])

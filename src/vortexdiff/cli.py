@@ -23,12 +23,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import check_fit_diffusion, check_threshold, fit_decay
+from .analysis import check_threshold, fit_decay
 from .analytic import evolution_factor
 from .config import ConfigError, OutputKind, ScenarioConfig, parse_config
 from .fieldio import FieldFormatError, read_table_csv, write_table_csv
 from .grid import l2_norm_sq, ComplexField2D
-from .modes import ContainmentError, ModeKind, ModeSpec, build_mode, check_waist
+from .modes import ContainmentError, ModeKind, ModeSpec, build_mode
 from .scenario import _config_header, node_columns, run_scenario, stream_diagnostics
 from .solvers import CflError, IrreversibleEvolutionError, classical_reversal_amplification, echo_reverse, evolve_quantum
 
@@ -67,7 +67,7 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _parse_sweep(spec: str) -> tuple[str, list[int]]:
+def _parse_sweep(spec: str) -> tuple[str, range]:
     if "=" not in spec:
         raise ConfigError(f"--param needs name=a..b, got {spec!r}")
     name, _, rng = spec.partition("=")
@@ -83,7 +83,7 @@ def _parse_sweep(spec: str) -> tuple[str, list[int]]:
         raise ConfigError(f"sweep bounds must be integers, got {rng!r}")
     if hi < lo:
         raise ConfigError(f"empty sweep range {rng!r}")
-    return name, list(range(lo, hi + 1))
+    return name, range(lo, hi + 1)  # lazy: a bad value fails before the rest is formed
 
 
 def _cmd_sweep(args) -> int:
@@ -91,18 +91,17 @@ def _cmd_sweep(args) -> int:
     if cfg.mode.kind is not ModeKind.LG:
         raise ConfigError("sweep needs an lg scenario")
     name, values = _parse_sweep(args.param)
-    svals = [evolution_factor(t, cfg.diffusion.D, cfg.mode.w0) for t in cfg.diffusion.times]
     subs = {}  # every swept config is built, so valid, before anything evolves
     for value in values:
         try:
             mode = dataclasses.replace(cfg.mode, **{name: value})
+            subs[f"efficiency_{name}{value}"] = dataclasses.replace(cfg, mode=mode)
         except ValueError as exc:
-            raise ConfigError(f"--param {name}={value}: {exc}") from exc
-        subs[f"efficiency_{name}{value}"] = dataclasses.replace(cfg, mode=mode)
-    columns = {"s": svals} | {column: [d.efficiency for d in stream_diagnostics(sub)]
-                              for column, sub in subs.items()}
+            raise ConfigError(f"--param {name}={value}: {exc}", key=getattr(exc, "key", None)) from exc
+    columns = {"s": cfg.evolution_factors} | {
+        column: [d.efficiency for d in stream_diagnostics(sub)] for column, sub in subs.items()}
     print("s      " + "  ".join(f"{k:>16s}" for k in columns if k != "s"))
-    for i, s in enumerate(svals):
+    for i, s in enumerate(columns["s"]):
         row = "  ".join(f"{columns[k][i]:16.10f}" for k in columns if k != "s")
         print(f"{s:6.3f} {row}")
     _write_table(args.out_dir or cfg.out_dir, "sweep_fidelity.csv", columns,
@@ -115,14 +114,16 @@ def _cmd_fit(args) -> int:
     tcol = args.time_column
     vcol = args.value_column
     if vcol is None:
-        candidates = [c for c in table if c != tcol]
+        candidates = [c for c in table if c not in (tcol, "s")]
         if not candidates:
             raise ConfigError("trace has no value column")
         vcol = "efficiency" if "efficiency" in table else candidates[0]
     for column in (tcol, vcol):
         if column not in table:
             raise ConfigError(f"trace has no column {column!r}; columns: {sorted(table)}")
-    power, expo = fit_decay(table[tcol], table[vcol], args.dcoeff, args.waist)
+    # a trace without an s column is read in natural units, D = w0 = 1
+    s = table["s"] if "s" in table else [evolution_factor(t, 1.0, 1.0) for t in table[tcol]]
+    power, expo = fit_decay(table[tcol], table[vcol], s)
     for fit in (power, expo):
         tag = "preferred" if fit.preferred else "         "
         if fit.model.value == "power_law":
@@ -259,9 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("trace")
     p.add_argument("--time-column", default="t")
     p.add_argument("--value-column", default=None)
-    p.add_argument("--dcoeff", type=_float_by(check_fit_diffusion), default=1.0,
-                   help="diffusion coefficient for s(t)")
-    p.add_argument("--waist", type=_float_by(check_waist), default=1.0, help="waist for s(t)")
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("nodes", help="node-radius table vs time")

@@ -34,7 +34,7 @@ import enum
 import typing
 from dataclasses import dataclass, field
 
-from .analysis import check_fit_times, check_hole_geometry
+from .analysis import check_fit_trace, check_hole_geometry
 from .analytic import DEFAULT_ETA, DiffusionParams, check_eta, evolution_factor
 from .grid import GridSpec, ParameterError, check_nbins
 from .modes import ModeKind, ModeSpec, check_block_radius, check_contained, check_plane_wave_k
@@ -46,11 +46,9 @@ class ConfigError(ValueError):
     """Configuration problem; carries the offending line number when known, and
     the key to change when a validation rule names one."""
 
-    key: str | None = None
-
-    def __init__(self, message: str, line: int | None = None):
+    def __init__(self, message: str, line: int | None = None, key: str | None = None):
         super().__init__(f"line {line}: {message}" if line is not None else message)
-        self.line = line
+        self.line, self.key = line, key
 
 
 class OutputKind(enum.Enum):
@@ -93,9 +91,8 @@ def _key(name: str):
         yield
     except ValueError as exc:
         message = str(exc)
-        error = ConfigError(message if message.startswith(f"{name} ") else f"{name}: {message}")
-        error.key = name
-        raise error from exc
+        raise ConfigError(message if message.startswith(f"{name} ") else f"{name}: {message}",
+                          key=name) from exc
 
 
 @dataclass(frozen=True)
@@ -108,7 +105,8 @@ class ScenarioConfig:
     the latest time), grid.n (memory), mode.block_radius, mode.k, solver.dt
     (or solver.cfl_safety when dt is unset), diffusion.times (kernel
     resolution), eta or nbins; parse_config adds the key's line.  A fit
-    output whose trace cannot be fitted fails naming that output.
+    output whose trace cannot be fitted (check_fit_trace, at the configured
+    times and their evolution factors) fails naming that output.
     """
 
     mode: ModeSpec
@@ -126,8 +124,7 @@ class ScenarioConfig:
         mode, grid, diffusion = self.mode, self.grid, self.diffusion
         if mode.kind in (ModeKind.LG, ModeKind.BLOCKED_GAUSSIAN):
             with _key("grid.extent"):
-                check_contained(grid.extent, mode.w0, mode.m, mode.p,
-                                evolution_factor(diffusion.times[-1], diffusion.D, mode.w0))
+                check_contained(grid.extent, mode.w0, mode.m, mode.p, self.evolution_factors[-1])
 
         with _key("grid.n"):
             check_memory_budget(grid, diffusion.D, diffusion.times, self.solver.scheme)
@@ -161,7 +158,7 @@ class ScenarioConfig:
 
         if OutputKind.FIT in self.outputs:
             try:
-                check_fit_times(diffusion.times, diffusion.D, mode.w0)
+                check_fit_trace(diffusion.times, self.evolution_factors)
             except ValueError as exc:
                 raise ConfigError(f"the fit output {exc}") from exc
 
@@ -169,6 +166,11 @@ class ScenarioConfig:
         if "#" in self.out_dir or self.out_dir.strip().splitlines() != [self.out_dir]:
             raise ConfigError(f"out_dir must be one line without '#' or surrounding whitespace, "
                               f"got {self.out_dir!r}")
+
+    @property
+    def evolution_factors(self) -> list[float]:
+        """s(t) at each configured time: containment's, the fit rule's and each s column's."""
+        return [evolution_factor(t, self.diffusion.D, self.mode.w0) for t in self.diffusion.times]
 
 
 def _split_lines(text: str):
@@ -273,9 +275,7 @@ def parse_config(text: str, strict: bool = True) -> ScenarioConfig:
     except ConfigError as exc:
         if exc.key not in entries:
             raise
-        error = ConfigError(str(exc), entries[exc.key][1])
-        error.key = exc.key
-        raise error from exc
+        raise ConfigError(str(exc), entries[exc.key][1], exc.key) from exc
     return cfg
 
 

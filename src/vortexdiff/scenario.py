@@ -56,7 +56,7 @@ from .analysis import (
     reference_energy,
     total_population,
 )
-from .analytic import StateSnapshot, evolution_factor, initial_snapshot
+from .analytic import StateSnapshot, initial_snapshot
 from .config import OutputKind, ScenarioConfig, render_config
 from .fieldio import write_field, write_field_csv, write_table_csv
 from .grid import RadialProfile, azimuthal_average, radial_mean
@@ -193,10 +193,9 @@ def _cfactor_tables(cfg, diags):
 
 
 def _fidelity_table(cfg, diags):
-    times = cfg.diffusion.times
     return [("fidelity.csv", "fidelity trace", None, {
-        "t": times,
-        "s": [evolution_factor(t, cfg.diffusion.D, cfg.mode.w0) for t in times],
+        "t": cfg.diffusion.times,
+        "s": cfg.evolution_factors,
         "efficiency": [d.efficiency for d in diags],
         "total_population": [d.population for d in diags],
     })]
@@ -217,7 +216,7 @@ def _center_table(cfg, diags):
 
 def _fit_table(cfg, diags):
     power, expo = fit_decay(cfg.diffusion.times, [d.efficiency for d in diags],
-                            cfg.diffusion.D, cfg.mode.w0)
+                            cfg.evolution_factors)
     return [("fit.csv", "decay-law fits", None, {
         "model": [power.model.value, expo.model.value],
         "amplitude": [power.amplitude, expo.amplitude],

@@ -94,7 +94,7 @@ def test_criterion_03_fidelity_power_law():
         effs = [vd.retrieval_efficiency(vd.diffuse_spectral(field, 1.0, t), field)
                 for t in times]
         traces[m] = effs
-        power, _ = vd.fit_decay(times, effs, 1.0, 1.0)
+        power, _ = vd.fit_decay(times, effs, [vd.evolution_factor(t, 1.0, 1.0) for t in times])
         q_err = abs(power.exponent + (m + 1)) / (m + 1)
         worst_q_err = max(worst_q_err, q_err)
         print(f"    m={m}: fitted exponent {power.exponent:.6f} (target {-(m + 1)})")
@@ -119,7 +119,7 @@ def test_criterion_04_plane_wave_rate():
         wave = vd.plane_wave(vd.ModeSpec(kind=vd.ModeKind.PLANE_WAVE, k=k), grid)
         values = [vd.retrieval_efficiency(vd.diffuse_spectral(wave, 1.0, t), wave)
                   for t in times]
-        power, expo = vd.fit_decay(times, values, 1.0, 1.0)
+        power, expo = vd.fit_decay(times, values, [vd.evolution_factor(t, 1.0, 1.0) for t in times])
         rate_err = abs(expo.rate - 2.0 * k * k) / (2.0 * k * k)
         worst = max(worst, rate_err)
         assert expo.preferred and not power.preferred

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -188,11 +189,16 @@ class TestCenterIntensity:
         assert times[int(np.argmax(values))] == 0.125
 
 
+def natural_s(times):
+    """The evolution factor at each time in natural units, D = w0 = 1."""
+    return [vd.evolution_factor(t, 1.0, 1.0) for t in times]
+
+
 class TestFitDecay:
     def test_synthetic_power_law(self):
         times = np.linspace(0.0, 1.0, 8)
         values = [vd.evolution_factor(t, 1.0, 1.0) ** -2 for t in times]
-        power, expo = vd.fit_decay(times, values, 1.0, 1.0)
+        power, expo = vd.fit_decay(times, values, natural_s(times))
         assert power.exponent == pytest.approx(-2.0, abs=0.01)
         assert power.preferred and not expo.preferred
 
@@ -201,14 +207,14 @@ class TestFitDecay:
         wave = vd.plane_wave(vd.ModeSpec(kind=vd.ModeKind.PLANE_WAVE, k=k), grid256)
         times = np.linspace(0.0, 0.02, 8)
         values = [vd.retrieval_efficiency(evolved(wave, t), wave) for t in times]
-        power, expo = vd.fit_decay(times, values, 1.0, 1.0)
+        power, expo = vd.fit_decay(times, values, natural_s(times))
         assert expo.preferred and not power.preferred
         assert expo.rate == pytest.approx(2.0 * k**2, rel=5e-3)
 
     def test_vortex_energy_trace_prefers_power_law(self, lg01):
         times = np.linspace(0.0, 0.25, 6)
         values = [vd.retrieval_efficiency(evolved(lg01, t), lg01) for t in times]
-        power, expo = vd.fit_decay(times, values, 1.0, 1.0)
+        power, expo = vd.fit_decay(times, values, natural_s(times))
         assert power.preferred
         assert power.exponent == pytest.approx(-2.0, rel=0.01)
         assert power.rms_log_residual < expo.rms_log_residual
@@ -216,7 +222,7 @@ class TestFitDecay:
     def test_exponential_data_prefers_exponential(self):
         times = np.linspace(0.0, 1.0, 6)
         values = 3.0 * np.exp(-1.7 * times)  # spans a factor e^1.7 > 4
-        power, expo = vd.fit_decay(times, values, 1.0, 1.0)
+        power, expo = vd.fit_decay(times, values, natural_s(times))
         assert expo.preferred
         assert expo.rate == pytest.approx(1.7, rel=1e-9)
         assert expo.amplitude == pytest.approx(3.0, rel=1e-9)
@@ -224,20 +230,45 @@ class TestFitDecay:
     def test_exactly_one_preferred(self):
         times = np.linspace(0.0, 1.0, 7)
         values = np.exp(-times)
-        power, expo = vd.fit_decay(times, values, 1.0, 1.0)
+        power, expo = vd.fit_decay(times, values, natural_s(times))
         assert power.preferred != expo.preferred
 
     def test_rejects_short_or_nonpositive(self):
         with pytest.raises(ValueError):
-            vd.fit_decay([0, 0.1, 0.2, 0.3], [1, 0.9, 0.8, 0.7], 1.0, 1.0)
+            vd.fit_decay([0, 0.1, 0.2, 0.3], [1, 0.9, 0.8, 0.7], natural_s([0, 0.1, 0.2, 0.3]))
         with pytest.raises(ValueError):
-            vd.fit_decay([0, 0.1, 0.2, 0.3, 0.4], [1, 0.9, 0.0, 0.7, 0.6], 1.0, 1.0)
+            vd.fit_decay([0, 0.1, 0.2, 0.3, 0.4], [1, 0.9, 0.0, 0.7, 0.6], natural_s([0, 0.1, 0.2, 0.3, 0.4]))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_values(self, bad):
         # NaN passes a "<= 0" test, so the rule is stated as 0 < v < inf
         with pytest.raises(ValueError, match="^decay fits need finite, strictly positive values$"):
-            vd.fit_decay([0, 0.1, 0.2, 0.3, 0.4], [1, 0.9, bad, 0.7, 0.6], 1.0, 1.0)
+            vd.fit_decay([0, 0.1, 0.2, 0.3, 0.4], [1, 0.9, bad, 0.7, 0.6], natural_s([0, 0.1, 0.2, 0.3, 0.4]))
+
+    @pytest.mark.parametrize("times,s,message", [
+        ([0, 0.1, 0.2, 0.3], [1, 2, 3, 4], "needs at least 5 diffusion times"),
+        ([0, 0.1, 0.2, 0.3, 0.4], [1, 2, 3, 4], "times, s and values must be 1-D arrays of equal length"),
+        ([0, 0.1, math.nan, 0.3, 0.4], [1, 2, 3, 4, 5], "needs finite times"),
+        ([0, 0.1, 0.2, 0.3, 0.4], [1, 2, 0, 4, 5], "needs a finite evolution factor s(t) > 0 at every time"),
+        ([0, 0.1, 0.2, 0.3, 0.4], [1, 2, math.inf, 4, 5], "needs a finite evolution factor s(t) > 0"),
+        # D = 0: s(t) = 1 at every time, so neither decay law is determined
+        ([0, 0.1, 0.2, 0.3, 0.4], [1.0] * 5, "needs the evolution factor s(t) to vary over the times"),
+    ])
+    def test_trace_rule(self, times, s, message):
+        from vortexdiff.analysis import check_fit_trace
+
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            check_fit_trace(times, s)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            vd.fit_decay(times, [1.0] * len(times), s)
+
+    def test_power_law_is_in_the_given_s(self):
+        # v = s^-3 with s for D = 0.5, w0 = 0.8: exact in that s, not in natural units
+        times = np.linspace(0.0, 0.5, 6)
+        s = [vd.evolution_factor(t, 0.5, 0.8) for t in times]
+        power, expo = vd.fit_decay(times, [x**-3 for x in s], s)
+        assert power.exponent == pytest.approx(-3.0, abs=1e-12) and power.preferred
+        assert vd.fit_decay(times, [x**-3 for x in s], natural_s(times))[0].exponent != pytest.approx(-3.0)
 
 
 class TestTotalPopulation:

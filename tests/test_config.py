@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import vortexdiff as vd
-from vortexdiff.analysis import check_fit_times
+from vortexdiff.analysis import check_fit_trace
 from vortexdiff.cli import main
 from vortexdiff.config import OutputKind
 from vortexdiff.modes import lg_required_extent
@@ -50,7 +50,7 @@ def scenario_configs(draw):
     allowed = [o for o in OutputKind
                if o is not OutputKind.HOLE_REFILL or kind is vd.ModeKind.BLOCKED_GAUSSIAN]
     try:
-        check_fit_times(times, D, w0)
+        check_fit_trace(times, [vd.evolution_factor(t, D, w0) for t in times])
     except ValueError:
         allowed.remove(OutputKind.FIT)
     outputs = tuple(draw(st.lists(st.sampled_from(allowed), unique=True)))

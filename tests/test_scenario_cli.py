@@ -56,6 +56,36 @@ class TestRunScenario:
             assert hashlib.sha256(blob).hexdigest() == entry.sha256
             assert len(blob) == entry.bytes
 
+    @pytest.mark.parametrize("kind", [k for k in vd.OutputKind if k is not vd.OutputKind.SNAPSHOTS],
+                             ids=lambda k: k.value)
+    def test_each_table_runs_alone(self, tmp_path, kind):
+        # run_scenario computes only the reductions _TABLES declares for the
+        # requested tables, and releases each snapshot after them, so a
+        # table that reads an undeclared reduction fails when run alone
+        from vortexdiff.scenario import _TABLES
+
+        assert kind in _TABLES
+        if kind is vd.OutputKind.HOLE_REFILL:  # a blocked Gaussian, as in test_hole_refill_output
+            text = f"""
+mode.kind = blocked_gaussian
+mode.block_radius = 1.0
+diffusion.D = 1.0
+diffusion.times = [0, 0.1, 0.25]
+grid.n = 128
+grid.extent = 8
+out_dir = {tmp_path / "run"}
+"""
+        else:
+            text = small_vortex_cfg(tmp_path / "run")
+        text = "\n".join(ln for ln in text.splitlines() if not ln.startswith("outputs"))
+        text += f"\noutputs = {kind.value}\n"
+        manifest = vd.run_scenario(vd.parse_config(text), fmt="csv")
+        on_disk = sorted(p.name for p in manifest.out_dir.iterdir() if p.name != "manifest.json")
+        assert on_disk and [e.path for e in manifest.entries] == on_disk
+        for entry in manifest.entries:
+            blob = (manifest.out_dir / entry.path).read_bytes()
+            assert (hashlib.sha256(blob).hexdigest(), len(blob)) == (entry.sha256, entry.bytes)
+
     def test_fidelity_trace_contents(self, tmp_path):
         cfg = vd.parse_config(small_vortex_cfg(tmp_path / "run"))
         manifest = vd.run_scenario(cfg)
@@ -771,10 +801,39 @@ out_dir = {tmp_path / "sweep"}
         argv = ["--out-dir", str(out)] + [a.format(blocked=blocked) for a in argv]
         assert main(argv) == 2
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert record["error"] == "ConfigError" and record["message"].startswith("grid.extent: ")
+        prefix = "--param m=8: " if "sweep" in argv else ""  # a swept config names the swept value
+        assert record["error"] == "ConfigError" and record["message"].startswith(prefix + "grid.extent: ")
         assert "is not contained" in record["message"]
         assert built[0] == 0
         assert not out.exists()
+
+    def test_swept_config_error_keeps_its_key(self):
+        from vortexdiff.cli import build_parser
+
+        args = build_parser().parse_args(["sweep", "--param", "m=0..8", str(SCENARIOS / "sweep.cfg")])
+        with pytest.raises(vd.ConfigError) as err:
+            args.func(args)
+        assert str(err.value).startswith("--param m=8: grid.extent: ")
+        assert err.value.key == "grid.extent"
+
+    def test_wide_sweep_range_is_not_formed(self, tmp_path, capsys):
+        # the range stays lazy: p = 8 leaves sweep.cfg's box before the other
+        # million values are formed
+        import tracemalloc
+
+        argv = ["--out-dir", str(tmp_path / "out"), "sweep", "--param", "p=0..1000000",
+                str(SCENARIOS / "sweep.cfg")]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert peak < 1 << 20
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["message"].startswith("--param p=8: grid.extent: ")
+        assert not (tmp_path / "out").exists()
 
     def test_sweep_bad_param(self, tmp_path):
         cfg_file = tmp_path / "v.cfg"
@@ -812,12 +871,8 @@ out_dir = {tmp_path / "sweep"}
          "argument --threshold: rel_threshold must be in (0, 0.1], got 0.5"),
         (["nodes", "--threshold", "nan", "{cfg}"], "argument --threshold: rel_threshold must be in"),
         (["nodes", "--threshold", "x", "{cfg}"], "argument --threshold: could not convert string to float: 'x'"),
-        (["fit", "--dcoeff", "-1", "{trace}"],
-         "argument --dcoeff: diffusion coefficient must be finite and >= 0, got -1.0"),
-        (["fit", "--dcoeff", "inf", "{trace}"], "argument --dcoeff: diffusion coefficient must be"),
-        (["fit", "--waist", "0", "{trace}"], "argument --waist: waist w0 must be positive and finite, got 0.0"),
-        (["fit", "--dcoeff", "0", "{trace}"],
-         "argument --dcoeff: needs the evolution factor s(t) to vary, so a diffusion coefficient > 0, got 0.0"),
+        # fit reads s from the trace, so it takes no diffusion or waist flag
+        (["fit", "--dcoeff", "1", "{trace}"], "unrecognized arguments: --dcoeff"),
     ])
     def test_malformed_argument_is_a_usage_error(self, tmp_path, monkeypatch, capsys, argv, fragment):
         # each is rejected before any field is built
@@ -864,21 +919,45 @@ out_dir = {tmp_path / "sweep"}
         for name, column in expected.items():
             assert np.array_equal(written[name], column), name
 
-    def test_fit_flags_set_the_evolution_factor(self, tmp_path, capsys):
-        # v = s(t)^-2 with s for D = 2, w0 = 0.5 is a pure power law only in that s
+    def test_trace_s_column_sets_the_evolution_factor(self, tmp_path, capsys):
+        # v = s(t)^-2 with s for D = 2, w0 = 0.5 is a pure power law only in
+        # that s; a trace without an s column is read in natural units
         t = np.linspace(0.0, 0.5, 8)
-        trace = tmp_path / "trace.csv"
-        v = [vd.evolution_factor(ti, 2.0, 0.5) ** -2.0 for ti in t]
-        vd.write_table_csv(trace, {"t": t, "efficiency": v})
+        s = [vd.evolution_factor(ti, 2.0, 0.5) for ti in t]
+        v = [si ** -2.0 for si in s]
 
-        def power_line(argv):
-            assert main(["fit", *argv, str(trace)]) == 0
+        def power_line(columns):
+            trace = tmp_path / "trace.csv"
+            vd.write_table_csv(trace, columns)
+            assert main(["fit", str(trace)]) == 0
             (line,) = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("power law")]
             return line
 
-        line = power_line(["--dcoeff", "2", "--waist", "0.5"])
+        line = power_line({"t": t, "s": s, "efficiency": v})
         assert " * s(t)^-2 " in line and line.endswith("preferred")
-        assert " * s(t)^-2 " not in power_line([])
+        assert " * s(t)^-2 " not in power_line({"t": t, "efficiency": v})
+
+    def test_fit_of_a_run_prints_its_fit_table(self, tmp_path, capsys):
+        # outside natural units (D = 0.5, w0 = 0.8) the fit of a run's
+        # fidelity.csv is the run's own fit.csv, to the printed digits
+        text = (SCENARIOS / "sweep.cfg").read_text()
+        for old, new in (("diffusion.D     = 1.0", "diffusion.D     = 0.5"),
+                         ("mode.w0         = 1.0", "mode.w0         = 0.8")):
+            assert old in text
+            text = text.replace(old, new)
+        cfg_file = tmp_path / "sweep.cfg"
+        cfg_file.write_text(text)
+        out = tmp_path / "run"
+        assert main(["--out-dir", str(out), "simulate", str(cfg_file)]) == 0
+        capsys.readouterr()
+        assert main(["fit", str(out / "fidelity.csv")]) == 0
+        (line,) = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("power law")]
+        rows = [ln.split(",") for ln in (out / "fit.csv").read_text().splitlines() if not ln.startswith("#")]
+        (power,) = [row for row in rows if row[0] == "power_law"]
+        exponent, rms = float(power[2]), float(power[3])
+        assert f" * s(t)^{exponent:.6g} " in line
+        assert f"rms log residual {rms:.3e} " in line
+        assert round(exponent, 6) == -1.0  # sweep.cfg stores a Gaussian: s^-(|m|+1)
 
     def test_fit_on_fit_table_is_format_error(self, tmp_path, capsys):
         # fit.csv carries model-name labels; fit reads numeric traces only
