@@ -4,9 +4,13 @@ Subcommands:
     simulate <config>         run one scenario, write outputs + manifest
     sweep --param m=0..4 <config>   repeat over a parameter, fidelity-vs-s table
     fit <trace.csv>           fit power-law and exponential decay, print both
-    nodes <config>            node-radius table vs time
+    nodes <config>            print node radii vs time; the table only with --out-dir
     compare-blocked <config>  blocked-Gaussian vs vortex hole refill vs time
     echo <config>             quantum echo round trip + classical conditioning
+
+Every file a subcommand writes goes through scenario's one output path
+(open_run, then write_run): its tables, then a manifest.json that lists the
+files of that run; _report prints what was written.
 
 Exit codes: 0 success, 2 config error, 3 numeric/solver error (out of memory
 included), 4 I/O error.
@@ -26,10 +30,10 @@ import numpy as np
 from .analysis import check_threshold, fit_decay
 from .analytic import evolution_factor
 from .config import ConfigError, OutputKind, ScenarioConfig, parse_config
-from .fieldio import FieldFormatError, read_table_csv, write_table_csv
+from .fieldio import FieldFormatError, read_table_csv
 from .grid import l2_norm_sq, ComplexField2D
 from .modes import ContainmentError, ModeKind, ModeSpec, build_mode
-from .scenario import _config_header, node_columns, run_scenario, stream_diagnostics
+from .scenario import node_columns, open_run, run_scenario, stream_diagnostics, write_run
 from .solvers import CflError, IrreversibleEvolutionError, classical_reversal_amplification, echo_reverse, evolve_quantum
 
 EXIT_OK = 0
@@ -49,22 +53,24 @@ def _load_config(path: str, strict: bool) -> ScenarioConfig:
     return cfg
 
 
-def _write_table(out_dir, name: str, columns: dict, header_lines: list[str]) -> None:
-    """Write one table into out_dir (created if missing) and say where."""
-    path = Path(out_dir) / name
-    path.parent.mkdir(parents=True, exist_ok=True)
-    write_table_csv(path, columns, header_lines)
-    print(f"wrote {path}")
-
-
-def _cmd_simulate(args) -> int:
-    cfg = _load_config(args.config, args.strict)
-    manifest = run_scenario(cfg, fmt=args.format, out_dir=args.out_dir)
+def _report(manifest) -> int:
+    """Say what a subcommand wrote: each file with its checksum, then the manifest."""
     print(f"wrote {len(manifest.entries)} files to {manifest.out_dir}")
     for entry in manifest.entries:
         print(f"  {entry.path}  sha256={entry.sha256[:16]}...  {entry.bytes} bytes")
     print(f"manifest: {manifest.manifest_path}")
     return EXIT_OK
+
+
+def _write_one(args, cfg: ScenarioConfig, name: str, title: str | None, columns: dict) -> int:
+    """Write a subcommand's one table and its manifest, then say what it wrote."""
+    out = open_run(args.out_dir or cfg.out_dir)
+    return _report(write_run(cfg, args.format, out, [(name, title, None, columns)]))
+
+
+def _cmd_simulate(args) -> int:
+    cfg = _load_config(args.config, args.strict)
+    return _report(run_scenario(cfg, fmt=args.format, out_dir=args.out_dir))
 
 
 def _parse_sweep(spec: str) -> tuple[str, range]:
@@ -104,9 +110,7 @@ def _cmd_sweep(args) -> int:
     for i, s in enumerate(columns["s"]):
         row = "  ".join(f"{columns[k][i]:16.10f}" for k in columns if k != "s")
         print(f"{s:6.3f} {row}")
-    _write_table(args.out_dir or cfg.out_dir, "sweep_fidelity.csv", columns,
-                 _config_header(cfg, f"sweep over {name}"))
-    return EXIT_OK
+    return _write_one(args, cfg, "sweep_fidelity.csv", f"sweep over {name}", columns)
 
 
 def _cmd_fit(args) -> int:
@@ -142,33 +146,32 @@ def _cmd_nodes(args) -> int:
     for report in reports:
         radii = ", ".join(f"{r:.5f}" for r in report.node_radii) or "(none)"
         print(f"{report.time:10.5f}  {radii}")
-    if args.out_dir:
-        _write_table(args.out_dir, "nodes.csv", node_columns(reports),
-                     _config_header(cfg, f"node table (threshold {args.threshold})"))
-    return EXIT_OK
+    if not args.out_dir:  # cfg.out_dir is simulate's, and its manifest stays
+        return EXIT_OK
+    return _write_one(args, cfg, "nodes.csv", f"node table (threshold {args.threshold})", node_columns(reports))
 
 
 def _cmd_compare_blocked(args) -> int:
     cfg = _load_config(args.config, args.strict)
     if cfg.mode.kind is not ModeKind.BLOCKED_GAUSSIAN:
         raise ConfigError("compare-blocked needs a blocked_gaussian scenario")
-    # the twin keeps the hole, which its lg mode ignores, for the refill
-    # diagnostic; outputs tied to the blocked mode go, and building the twin
-    # checks that it is contained before anything evolves
+    # the blocked run streams a copy whose outputs are its hole refill, so
+    # building it asks the hole rule; the twin keeps the hole, which its lg
+    # mode ignores, for the refill diagnostic, and building it checks that it
+    # is contained; both before anything evolves (the header renders cfg)
+    blocked_cfg = dataclasses.replace(cfg, outputs=(OutputKind.HOLE_REFILL,))
     vortex_mode = ModeSpec(kind=ModeKind.LG, p=0, m=1, w0=cfg.mode.w0, P=cfg.mode.P,
                            amp=cfg.mode.amp, block_radius=cfg.mode.block_radius)
     vortex_cfg = dataclasses.replace(cfg, mode=vortex_mode, outputs=(OutputKind.FIDELITY_TRACE,))
     rows = {
         "t": cfg.diffusion.times,
-        "blocked_refill": [d.hole_refill for d in stream_diagnostics(cfg)],
+        "blocked_refill": [d.hole_refill for d in stream_diagnostics(blocked_cfg)],
         "vortex_refill": [d.hole_refill for d in stream_diagnostics(vortex_cfg)],
     }
     print(f"{'t':>10s}  {'blocked':>14s}  {'vortex':>14s}")
     for i, t in enumerate(cfg.diffusion.times):
         print(f"{t:10.5f}  {rows['blocked_refill'][i]:14.8f}  {rows['vortex_refill'][i]:14.3e}")
-    _write_table(args.out_dir or cfg.out_dir, "compare_blocked.csv", rows,
-                 _config_header(cfg, "blocked-vs-vortex hole refill"))
-    return EXIT_OK
+    return _write_one(args, cfg, "compare_blocked.csv", "blocked-vs-vortex hole refill", rows)
 
 
 def _cmd_echo(args) -> int:
@@ -190,9 +193,8 @@ def _cmd_echo(args) -> int:
     print(f"  band-top amplification e^(D k_max^2 t) = {amplification:.6g}")
     report = {"time": t, "beta": cfg.quantum.beta, "norm_drift": norm_drift,
               "echo_roundtrip_l2_error": err, "classical_amplification": amplification}
-    _write_table(args.out_dir or cfg.out_dir, "echo_report.csv",
-                 {"quantity": list(report), "value": list(report.values())}, _config_header(cfg))
-    return EXIT_OK
+    return _write_one(args, cfg, "echo_report.csv", None,
+                      {"quantity": list(report), "value": list(report.values())})
 
 
 def _positive_int(text: str) -> int:

@@ -24,14 +24,17 @@ the calling thread reduces the snapshot.  The calling thread waits for those
 writes before it asks for the next snapshot, so one evolved snapshot is
 alive at a time, and a failed write stops the run where a serial run would.
 
-manifest.json lists each output file with its SHA-256 checksum and size.
+Every run's files, run_scenario's and each CLI subcommand's table alike,
+go through one output path.  open_run creates the directory and removes its
+old manifest.json before the first file is written; write_run writes the
+tables, then manifest.json last, so a failed run leaves none.  manifest.json
+lists each file of the run that wrote it with its SHA-256 checksum and size.
 A CSV file is hashed by its writer as its bytes are written; a VXF dump is
 read back from disk by _sha256, in fixed-size chunks, on the writer thread
 behind its write, so it overlaps the next evolution; the digests are
-collected after the last snapshot.  manifest.json is removed before the
-first file is written and rewritten last, so a failed run leaves none.
-Every step is a pure computation and each file has one writer, so
-identical configs produce byte-identical outputs.
+collected after the last snapshot and handed to write_run.  Every step is a
+pure computation and each file has one writer, so identical configs produce
+byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -268,6 +271,30 @@ def _write_dumps(dumps: list[tuple[Path, np.ndarray]], grid, time: float) -> Non
         write_field(path, values, grid, time)
 
 
+def open_run(out_dir: str | Path) -> Path:
+    """The first step of a run's output: create out_dir and remove its old
+    manifest.json before any file is written, so a failed run leaves none."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "manifest.json").unlink(missing_ok=True)
+    return out
+
+
+def write_run(cfg: ScenarioConfig, fmt: str, out: Path, tables, digests=()) -> Manifest:
+    """The last step: write each (name, title, time or None, columns) table
+    into out, which open_run opened, with _config_header(cfg, title, time),
+    then manifest.json over those tables and the (path, (sha256, bytes))
+    digests of the files the run wrote before them."""
+    digests = dict(digests)
+    for name, title, time, columns in tables:
+        digests[out / name] = write_table_csv(out / name, columns, _config_header(cfg, title, time))
+    manifest = Manifest(out, [ManifestEntry(path.name, *digests[path]) for path in sorted(digests)])
+    payload = {"generator": "vortexdiff", "config": render_config(cfg).strip().splitlines(),
+               "format": fmt, "files": [asdict(e) for e in manifest.entries]}
+    manifest.manifest_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return manifest
+
+
 def run_scenario(cfg: ScenarioConfig, fmt: str = "csv", out_dir: str | Path | None = None) -> Manifest:
     """Run one scenario and write the requested outputs plus manifest.json.
 
@@ -278,11 +305,7 @@ def run_scenario(cfg: ScenarioConfig, fmt: str = "csv", out_dir: str | Path | No
     """
     if fmt not in ("csv", "vxf", "both"):
         raise ValueError(f"format must be csv, vxf or both, got {fmt!r}")
-    manifest = Manifest(out_dir=Path(out_dir) if out_dir is not None else Path(cfg.out_dir),
-                        entries=[])
-    out = manifest.out_dir
-    out.mkdir(parents=True, exist_ok=True)
-    manifest.manifest_path.unlink(missing_ok=True)
+    out = open_run(cfg.out_dir if out_dir is None else out_dir)
 
     reads = dict.fromkeys(name for kind, (names, _) in _TABLES.items() if kind in cfg.outputs
                           for name in names)
@@ -321,19 +344,6 @@ def run_scenario(cfg: ScenarioConfig, fmt: str = "csv", out_dir: str | Path | No
         if writer is not None:
             writer.shutdown()
 
-    for kind, (_, tables) in _TABLES.items():
-        if kind in cfg.outputs:
-            for name, title, time, columns in tables(cfg, diags):
-                digests[out / name] = write_table_csv(out / name, columns,
-                                                      _config_header(cfg, title, time))
-
-    for path in sorted(digests):
-        manifest.entries.append(ManifestEntry(path.name, *digests[path]))
-    payload = {
-        "generator": "vortexdiff",
-        "config": render_config(cfg).strip().splitlines(),
-        "format": fmt,
-        "files": [asdict(e) for e in manifest.entries],
-    }
-    manifest.manifest_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return manifest
+    tables = (table for kind, (_, make) in _TABLES.items() if kind in cfg.outputs
+              for table in make(cfg, diags))
+    return write_run(cfg, fmt, out, tables, digests)

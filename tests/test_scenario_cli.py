@@ -37,6 +37,16 @@ out_dir = {out_dir}
 """
 
 
+def listed_files_match(out):
+    """The file names manifest.json lists, after checking each entry's
+    sha256 and byte count against the file on disk."""
+    listed = json.loads((out / "manifest.json").read_text())["files"]
+    for entry in listed:
+        blob = (out / entry["path"]).read_bytes()
+        assert (entry["sha256"], entry["bytes"]) == (hashlib.sha256(blob).hexdigest(), len(blob)), entry
+    return [entry["path"] for entry in listed]
+
+
 class TestRunScenario:
     def test_outputs_and_manifest(self, tmp_path):
         cfg = vd.parse_config(small_vortex_cfg(tmp_path / "run"))
@@ -748,6 +758,41 @@ out_dir = {tmp_path / "cmp"}
         cfg_file.write_text(small_vortex_cfg(tmp_path / "out"))
         assert main(["echo", str(cfg_file)]) == 2
 
+    @pytest.mark.parametrize("argv,table", [
+        (["sweep", "--param", "m=0..2", "sweep.cfg"], "sweep_fidelity.csv"),
+        (["nodes", "vortex.cfg"], "nodes.csv"),
+        (["compare-blocked", "blocked.cfg"], "compare_blocked.csv"),
+        (["echo", "echo.cfg"], "echo_report.csv"),
+    ])
+    def test_subcommand_table_is_manifested(self, tmp_path, capsys, argv, table):
+        # one output path: the table, then a manifest that lists it and the
+        # loaded config, with the global --format although no field is dumped
+        out = tmp_path / "out"
+        cfg_file = SCENARIOS / argv[-1]
+        assert main(["--out-dir", str(out), "--format", "vxf", *argv[:-1], str(cfg_file)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted([table, "manifest.json"])
+        assert listed_files_match(out) == [table]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["format"] == "vxf"
+        cfg = vd.parse_config(cfg_file.read_text())
+        assert manifest["config"] == vd.render_config(cfg).strip().splitlines()
+        said, listed, where = capsys.readouterr().out.splitlines()[-3:]  # simulate's report
+        assert (said, where) == (f"wrote 1 files to {out}", f"manifest: {out / 'manifest.json'}")
+        assert listed.startswith(f"  {table}  sha256=")
+
+    def test_nodes_after_simulate_leaves_a_true_manifest(self, tmp_path):
+        # nodes rewrites simulate's nodes.csv under its own header; the
+        # directory's manifest is then nodes', and it lists what nodes wrote
+        out = tmp_path / "run"
+        cfg_file = tmp_path / "v.cfg"
+        cfg_file.write_text(small_vortex_cfg(out).replace(
+            "outputs = snapshots, radial_profiles, coherence_factor, fidelity_trace, center_trace, nodes, fit",
+            "outputs = fidelity_trace, nodes"))
+        assert main(["simulate", str(cfg_file)]) == 0
+        assert listed_files_match(out) == ["fidelity.csv", "nodes.csv"]
+        assert main(["--out-dir", str(out), "nodes", str(cfg_file)]) == 0
+        assert listed_files_match(out) == ["nodes.csv"]
+
     def test_sweep_subcommand(self, tmp_path, capsys):
         cfg_file = tmp_path / "v.cfg"
         cfg_file.write_text(f"""
@@ -783,14 +828,24 @@ out_dir = {tmp_path / "sweep"}
         ["sweep", "--param", "m=0..8", str(SCENARIOS / "sweep.cfg")],
         # the blocked Gaussian is contained on a 6-unit box at s = 2, its m = 1 twin is not
         ["compare-blocked", "{blocked}"],
+        # valid configs whose hole compare-blocked cannot measure: the
+        # reference annulus leaves the grid, or the hole is under 2 dx wide
+        ["compare-blocked", "{wide_hole}"],
+        ["compare-blocked", "{narrow_hole}"],
     ])
     def test_uncontained_configs_fail_before_anything_evolves(self, tmp_path, monkeypatch, capsys, argv):
         # every config a subcommand runs is built before the first stream,
-        # so one that leaves the box exits 2 with no snapshot built
-        blocked = tmp_path / "b.cfg"
-        blocked.write_text((SCENARIOS / "blocked.cfg").read_text().replace(
+        # so one that leaves the box, or breaks the hole rule, exits 2 with
+        # no snapshot built
+        shipped = (SCENARIOS / "blocked.cfg").read_text()
+        files = {name: tmp_path / f"{name}.cfg" for name in ("blocked", "wide_hole", "narrow_hole")}
+        files["blocked"].write_text(shipped.replace(
             "grid.extent       = 8.0", "grid.extent       = 6.0").replace(
             "grid.n            = 256", "grid.n            = 64"))
+        for name, radius in (("wide_hole", "5.0"), ("narrow_hole", "0.1")):
+            files[name].write_text(shipped.replace(
+                "mode.block_radius = 1.0", f"mode.block_radius = {radius}").replace(
+                "radial_profiles, fidelity_trace, hole_refill", "fidelity_trace"))
         post_init, built = vd.StateSnapshot.__post_init__, [0]
 
         def counted(snap):
@@ -798,12 +853,18 @@ out_dir = {tmp_path / "sweep"}
             post_init(snap)
         monkeypatch.setattr(vd.StateSnapshot, "__post_init__", counted)
         out = tmp_path / "out"
-        argv = ["--out-dir", str(out)] + [a.format(blocked=blocked) for a in argv]
+        hole_rule = {"{wide_hole}": "annulus extends past the grid",
+                     "{narrow_hole}": "block_radius 0.1 too small to resolve"}.get(argv[-1])
+        argv = ["--out-dir", str(out)] + [a.format(**files) for a in argv]
         assert main(argv) == 2
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        prefix = "--param m=8: " if "sweep" in argv else ""  # a swept config names the swept value
-        assert record["error"] == "ConfigError" and record["message"].startswith(prefix + "grid.extent: ")
-        assert "is not contained" in record["message"]
+        assert record["error"] == "ConfigError"
+        if hole_rule:
+            assert record["message"].startswith("mode.block_radius: " + hole_rule)
+        else:
+            prefix = "--param m=8: " if "sweep" in argv else ""  # a swept config names the swept value
+            assert record["message"].startswith(prefix + "grid.extent: ")
+            assert "is not contained" in record["message"]
         assert built[0] == 0
         assert not out.exists()
 
