@@ -32,9 +32,9 @@ from .analytic import evolution_factor
 from .config import ConfigError, OutputKind, ScenarioConfig, parse_config
 from .fieldio import FieldFormatError, read_table_csv
 from .grid import l2_norm_sq, ComplexField2D
-from .modes import ContainmentError, ModeKind, ModeSpec, build_mode
+from .modes import ContainmentError, ModeKind, build_mode
 from .scenario import node_columns, open_run, run_scenario, stream_diagnostics, write_run
-from .solvers import CflError, IrreversibleEvolutionError, classical_reversal_amplification, echo_reverse, evolve_quantum
+from .solvers import classical_reversal_amplification, echo_reverse, evolve_quantum
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -160,8 +160,7 @@ def _cmd_compare_blocked(args) -> int:
     # mode ignores, for the refill diagnostic, and building it checks that it
     # is contained; both before anything evolves (the header renders cfg)
     blocked_cfg = dataclasses.replace(cfg, outputs=(OutputKind.HOLE_REFILL,))
-    vortex_mode = ModeSpec(kind=ModeKind.LG, p=0, m=1, w0=cfg.mode.w0, P=cfg.mode.P,
-                           amp=cfg.mode.amp, block_radius=cfg.mode.block_radius)
+    vortex_mode = dataclasses.replace(cfg.mode, kind=ModeKind.LG, m=1)
     vortex_cfg = dataclasses.replace(cfg, mode=vortex_mode, outputs=(OutputKind.FIDELITY_TRACE,))
     rows = {
         "t": cfg.diffusion.times,
@@ -207,17 +206,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _float_by(rule):
-    """An argparse type: a float that rule(value), the owner of its rule,
-    accepts; otherwise a usage error that carries the parse or rule message."""
-    def parse(text: str) -> float:
-        try:
-            value = float(text)
-            rule(value)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
-        return value
-    return parse
+def _threshold(text: str) -> float:
+    """The --threshold type: a float that check_threshold, the owner of its
+    rule, accepts; otherwise a usage error that carries the parse or rule message."""
+    try:
+        value = float(text)
+        check_threshold(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -266,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("nodes", help="node-radius table vs time")
     p.add_argument("config")
-    p.add_argument("--threshold", type=_float_by(check_threshold), default=0.02,
+    p.add_argument("--threshold", type=_threshold, default=0.02,
                    help="node detection threshold, fraction of peak amplitude")
     p.set_defaults(func=_cmd_nodes)
 
@@ -291,7 +288,7 @@ def main(argv=None) -> int:
     except (FieldFormatError, OSError) as exc:
         _emit_error(exc, EXIT_IO)
         return EXIT_IO
-    except (CflError, IrreversibleEvolutionError, FloatingPointError, ValueError, MemoryError) as exc:
+    except (FloatingPointError, ValueError, MemoryError) as exc:
         _emit_error(exc, EXIT_NUMERIC)
         return EXIT_NUMERIC
 

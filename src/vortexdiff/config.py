@@ -36,8 +36,9 @@ from dataclasses import dataclass, field
 
 from .analysis import check_fit_trace, check_hole_geometry
 from .analytic import DEFAULT_ETA, DiffusionParams, check_eta, evolution_factor
-from .grid import GridSpec, ParameterError, check_nbins
-from .modes import ModeKind, ModeSpec, check_block_radius, check_contained, check_plane_wave_k
+from .grid import GridSpec, check_nbins
+from .modes import (ModeKind, ModeSpec, check_block_radius, check_contained, check_float_range,
+                    check_plane_wave_k)
 from .solvers import (QuantumParams, Scheme, SolverConfig, check_kernel_resolution,
                       check_memory_budget, fd_timestep)
 
@@ -86,13 +87,16 @@ _USED_BY = {"mode.k": ModeKind.PLANE_WAVE, "mode.block_radius": ModeKind.BLOCKED
 @contextlib.contextmanager
 def _key(name: str):
     """Turn a rule's ValueError into a ConfigError that names the key to
-    change, once: a message that already opens with the key keeps its text."""
+    change, once: a message that already opens with the key keeps its text.
+    A name that ends in '.' is a section, whose key is the one that sets
+    the field its rule's ParameterError names."""
     try:
         yield
     except ValueError as exc:
+        key = name + exc.name if name.endswith(".") else name
         message = str(exc)
-        raise ConfigError(message if message.startswith(f"{name} ") else f"{name}: {message}",
-                          key=name) from exc
+        raise ConfigError(message if message.startswith(f"{key} ") else f"{key}: {message}",
+                          key=key) from exc
 
 
 @dataclass(frozen=True)
@@ -102,11 +106,12 @@ class ScenarioConfig:
     Every construction, parse_config's or a dataclasses.replace copy's, asks
     each physical rule of its one owner (README, "Invariants"); a broken rule
     is a ConfigError naming the key to change: grid.extent (containment at
-    the latest time), grid.n (memory), mode.block_radius, mode.k, solver.dt
-    (or solver.cfl_safety when dt is unset), diffusion.times (kernel
-    resolution), eta or nbins; parse_config adds the key's line.  A fit
-    output whose trace cannot be fitted (check_fit_trace, at the configured
-    times and their evolution factors) fails naming that output.
+    the latest time), grid.n (memory), mode.amp or mode.P (float64 range),
+    mode.block_radius, mode.k, solver.dt (or solver.cfl_safety when dt is
+    unset), diffusion.times (kernel resolution), eta or nbins; parse_config
+    adds the key's line.  A fit output whose trace cannot be fitted
+    (check_fit_trace, at the configured times and their evolution factors)
+    fails naming that output.
     """
 
     mode: ModeSpec
@@ -128,6 +133,9 @@ class ScenarioConfig:
 
         with _key("grid.n"):
             check_memory_budget(grid, diffusion.D, diffusion.times, self.solver.scheme)
+
+        with _key("mode."):
+            check_float_range(mode, grid.n)
 
         if mode.kind is ModeKind.BLOCKED_GAUSSIAN:
             with _key("mode.block_radius"):
@@ -266,11 +274,8 @@ def parse_config(text: str, strict: bool = True) -> ScenarioConfig:
     try:
         parts = {}
         for section, fields in sections.items():
-            try:
+            with _key(f"{section}."):
                 parts[section] = _SECTIONS[section](**fields)
-            except ParameterError as exc:
-                with _key(f"{section}.{exc.name}"):  # the key that sets the field
-                    raise
         cfg = ScenarioConfig(**parts, **top, warnings=tuple(warnings))
     except ConfigError as exc:
         if exc.key not in entries:

@@ -106,6 +106,21 @@ def check_contained(extent: float, w0: float, m: int, p: int, s: float = 1.0) ->
         )
 
 
+def check_float_range(spec: ModeSpec, n: int) -> None:
+    """The float64-range rule: the peak intensity times n^2, which bounds
+    every sum a run on an n x n grid forms, is finite.  The peak is |amp|^2
+    2 P / (pi w0^2) (no LG_p^m peaks above LG_0^0), |amp|^2 for a plane
+    wave.  A break names P, or amp when |amp|^2 alone overflows or the mode
+    has no P.  ScenarioConfig asks it."""
+    modulus = 2.0 * abs(spec.amp / 2.0)  # abs(amp) itself can raise; float products go to inf
+    has_p = spec.kind is not ModeKind.PLANE_WAVE
+    amplitude = modulus * (math.sqrt(2.0 / math.pi * spec.P) / spec.w0 if has_p else 1.0)
+    peak = amplitude * amplitude
+    if not math.isfinite(peak * n * n):
+        name = "P" if has_p and math.isfinite(modulus * modulus) else "amp"
+        raise ParameterError(name, f"peak intensity times n^2, {peak:.6g} x {n}^2, overflows float64")
+
+
 def check_block_radius(block_radius: float, grid: GridSpec) -> None:
     """The blocked-Gaussian rule: raise ValueError unless the hole lies inside the grid."""
     if block_radius >= grid.extent:

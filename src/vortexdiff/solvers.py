@@ -26,24 +26,24 @@ Three independent classical schemes on the same grid:
   every field.
 
 The three classical steps and the quantum step are one loop,
-_fourier_stream: per time a plan gives the FFT side (or the identity) and
-a multiplier, built once for all fields; each field goes to its spectrum
-at that side, is multiplied, goes back and keeps its n x n window at the
-origin.  A complex field uses fft2; a real one (rho22) uses rfft2 and half
-the multiplier, and comes back real.  Every inverse runs one axis at a
-time, the complex passes in place, with the bytes of ifft2 / irfft2.  Its
-one memory rule: a field's spectrum at a side is formed once, held while
-the next time reads that side, and multiplied in place by its last reader;
-a field is dropped once its spectrum serves every later time.  No
-generator here keeps what it yielded: each list of results, and each
-snapshot, is yielded as a temporary.  _classical_stream is the one scheme
-dispatch: the schemes differ only in plan and multiplier, which holds
-every weight.  The spectral, kernel and quantum multipliers are separable,
-outer products of 1-D factors.  evolve_snapshots (a lazy generator that
-keeps of its input snapshot only time, grid and boundary) calls it, and so
-does _diffuse_one, the one-field step that diffuse_spectral,
-diffuse_kernel and diffuse_fd each are; evolve_quantum is the loop's
-periodic one-time case.
+_fourier_stream: it takes the list of FFT sides, one per time (None for
+the identity), and per time a multiplier, built once for all fields; each
+field goes to its spectrum at that side, is multiplied, goes back and
+keeps its n x n window at the origin.  A complex field uses fft2; a real
+one (rho22) uses rfft2 and half the multiplier, and comes back real.
+Every inverse runs one axis at a time, the complex passes in place, with
+the bytes of ifft2 / irfft2.  Its one hold rule: once one side serves
+every later time, each field is dropped and its spectrum held for the
+rest of the run; before that, nothing is held.  No generator here keeps
+what it yielded: each list of results, and each snapshot, is yielded as
+a temporary.  _classical_stream is the one scheme dispatch: the schemes
+differ only in sides and multiplier, which holds every weight.  The
+spectral, kernel and quantum multipliers are separable, outer products
+of 1-D factors.  evolve_snapshots (a lazy generator that keeps of its
+input snapshot only time, grid and boundary) calls it, and so does
+_diffuse_one, the one-field step that diffuse_spectral, diffuse_kernel
+and diffuse_fd each are; evolve_quantum is the loop's periodic one-time
+case.
 
 Every classical step returns a field with its input's boundary; a free-space
 record grows to the diffused waist w0^2 + 4 D t, so chained steps pad enough.
@@ -139,16 +139,6 @@ def _outer(axis_factor: np.ndarray) -> np.ndarray:
     return np.multiply.outer(axis_factor, axis_factor)
 
 
-def max_wavenumber(grid: GridSpec) -> float:
-    """Nyquist wavenumber pi/dx, the top of the resolved band per axis."""
-    return math.pi / grid.dx
-
-
-def _diffused_boundary(fs: FreeSpace | None, D: float, t: float) -> FreeSpace | None:
-    """Boundary fs after diffusing for time t: the waist grows, periodic stays periodic."""
-    return None if fs is None else fs.diffused(D, t)
-
-
 def _fft_size(n_min: int) -> int:
     """Smallest even n >= n_min whose only prime factors are 2, 3 and 5."""
     n = n_min + n_min % 2
@@ -191,48 +181,43 @@ def _inverse_fft2(product: np.ndarray, side: int, real: bool) -> np.ndarray:
     return np.fft.ifft(product, axis=0, out=product)
 
 
-def _fourier_stream(grid: GridSpec, fields: list[np.ndarray], times: list[float], plan,
+def _fourier_stream(grid: GridSpec, fields: list[np.ndarray], times: list[float], sides: list[int | None],
                     multiplier) -> Iterator[list[np.ndarray]]:
     """The one Fourier-multiplier loop, one list of results per time,
-    yielded as it is computed.  plan(t) gives the FFT side, or None for the
-    identity (copies).  Each array in fields goes to its spectrum at that
-    side, times multiplier(t, side), back, and its n x n window at the
-    origin.  A complex field goes fft2 and the per-axis in-place inverse; a
-    real field goes rfft2, times the multiplier's first side // 2 + 1
-    columns, and the per-axis irfft2, and stays real.  That is exact
-    because every multiplier applied to a real field is the spectrum of a
-    real kernel.  The one rule: a field's spectrum at a side is formed
-    once, held while the next time reads that side, and multiplied in place
-    by its last reader.  A field is dropped once its spectrum serves every
-    later time, which a caller that keeps no other reference to it frees.
-    Each time's multiplier is built after its first spectrum and dropped
-    before the yield.  Each list is yielded as a temporary, so the
+    yielded as it is computed.  sides[i] is the FFT side of times[i], or
+    None for the identity (copies).  Each array in fields goes to its
+    spectrum at that side, times multiplier(t, side), back, and its n x n
+    window at the origin.  A complex field goes fft2 and the per-axis
+    in-place inverse; a real field goes rfft2, times the multiplier's first
+    side // 2 + 1 columns, and the per-axis irfft2, and stays real.  That
+    is exact because every multiplier applied to a real field is the
+    spectrum of a real kernel.  The one hold rule: once one side serves
+    every later time, each field is dropped (a caller that keeps no other
+    reference frees it) and its spectrum held for the rest of the run;
+    before that, nothing is held.  Each time's multiplier is built after
+    its first spectrum and dropped before the yield.  Each list is yielded as a temporary, so the
     suspended stream keeps nothing it has yielded.  Results are the bytes
     of a separate forward transform, multiply and inverse per field and
     time."""
-    def spectrum(v: np.ndarray, side: int) -> np.ndarray:
-        if np.iscomplexobj(v):
-            return np.fft.fft2(v, s=(side, side))
-        return np.fft.rfft2(v, s=(side, side))
-
-    sides = [plan(t) for t in times]
     fields = list(fields)
     reals = [not np.iscomplexobj(v) for v in fields]
-    held = [None] * len(fields)  # each field's spectrum, while the next time reads its side
+    held = [None] * len(fields)  # each field's spectrum, once one side serves every later time
 
     def step(i: int, t: float, side: int) -> list[np.ndarray]:
-        keep = sides[i + 1:i + 2] == [side]
+        hold = set(sides[i:]) == {side}  # the one hold rule
         out, factor = [], None
         for j, real in enumerate(reals):
-            product = spectrum(fields[j], side) if held[j] is None else held[j]
-            if set(sides[i:]) == {side}:
-                fields[j] = None  # its spectrum serves every later time
+            product = held[j]
+            if product is None:
+                product = (np.fft.rfft2 if real else np.fft.fft2)(fields[j], s=(side, side))
+            if hold:
+                fields[j] = None
             if factor is None:  # built before the first spectrum, it raised peak RSS 14% at n = 1024
                 factor = multiplier(t, side)
             mul = factor[:, :side // 2 + 1] if real else factor
-            if keep:
+            if hold and i + 1 < len(sides):
                 held[j], product = product, product * mul
-            else:
+            else:  # the spectrum's last reader
                 held[j] = None
                 product *= mul
             # the window is copied out, so no result keeps a padded array alive
@@ -320,24 +305,21 @@ def _classical_stream(cfg: SolverConfig, grid: GridSpec, free_space: FreeSpace |
     (with boundary free_space) diffused to each time under cfg.scheme, one
     list of results per time, yielded lazily; every result keeps its
     field's dtype, so a real field stays real.  Every scheme runs through
-    _fourier_stream and differs only in plan and multiplier: spectral pads a
-    free-space field as containment asks, kernel pads by the kernel's
+    _fourier_stream and differs only in sides and multiplier: spectral pads
+    a free-space field as containment asks, kernel pads by the kernel's
     half-width, FD stays periodic on the grid's own side.  t = 0 and D = 0
-    are the identity.  An FD dt above the stability bound raises CflError
-    here, before any transform.
+    are the identity.  An FD dt above the stability bound raises CflError,
+    and an unresolved kernel step ValueError, here, before any transform.
     """
     check_diffusion(D, times)
     if cfg.scheme is Scheme.SPECTRAL:
-        def step(t):
-            return _free_space_size(grid, free_space, D, t)
+        sides = [_free_space_size(grid, free_space, D, t) for t in times]
 
         def factor(t, side):
             return _outer(np.exp(-D * _wavenumbers(side, grid.dx) ** 2 * t))
     elif cfg.scheme is Scheme.FD_EXPLICIT:
         dt = fd_timestep(grid, D, cfg) if D > 0 else None
-
-        def step(t):  # periodic for every field: no padding
-            return grid.n
+        sides = [grid.n] * len(times)  # periodic for every field: no padding
 
         def factor(t, side):  # N full steps, then one over the remainder
             # lambda is even in kx and ky: powers on the quarter 0..side/2,
@@ -352,9 +334,8 @@ def _classical_stream(cfg: SolverConfig, grid: GridSpec, free_space: FreeSpace |
             mirror = np.minimum(np.arange(side), side - np.arange(side))
             return quarter[np.ix_(mirror, mirror)]
     elif cfg.scheme is Scheme.KERNEL:
-        def step(t):  # pad by the kernel's half-width: the wrap lands outside the window
-            check_kernel_resolution(grid, D, (t,))
-            return _kernel_side(grid, D, t)
+        check_kernel_resolution(grid, D, times)
+        sides = [_kernel_side(grid, D, t) for t in times]  # the wrap lands outside the window
 
         def factor(t, side):  # the weights G dx^2 = g(x) g(y), centred at index 0
             r_cut = _kernel_cut(grid, D, t)[0]
@@ -364,15 +345,15 @@ def _classical_stream(cfg: SolverConfig, grid: GridSpec, free_space: FreeSpace |
             return _outer(np.fft.fft(weights).real)
     else:
         raise ValueError(f"unknown scheme {cfg.scheme!r}")
-    return _fourier_stream(grid, fields, times, lambda t: None if t == 0 or D == 0 else step(t),
-                           factor)
+    sides = [None if t == 0 or D == 0 else side for t, side in zip(times, sides)]
+    return _fourier_stream(grid, fields, times, sides, factor)
 
 
 def _diffuse_one(f: ComplexField2D, D: float, t: float, cfg: SolverConfig) -> ComplexField2D:
     """The one-field classical step: f diffused for time t under cfg.scheme,
     with its boundary grown to match."""
     ((out,),) = _classical_stream(cfg, f.grid, f.free_space, [f.values], D, [t])
-    return ComplexField2D(f.grid, out, _diffused_boundary(f.free_space, D, t))
+    return ComplexField2D(f.grid, out, None if f.free_space is None else f.free_space.diffused(D, t))
 
 
 def diffuse_spectral(f: ComplexField2D, D: float, t: float) -> ComplexField2D:
@@ -420,7 +401,7 @@ def evolve_quantum(f: ComplexField2D, q: QuantumParams, t: float) -> ComplexFiel
     boundary record passes through unchanged.
     """
     ((out,),) = _fourier_stream(
-        f.grid, [f.values], [t], lambda _: f.grid.n,
+        f.grid, [f.values], [t], [f.grid.n],
         lambda t, side: _outer(np.exp(-1j * q.beta * _wavenumbers(side, f.grid.dx) ** 2 * t)))
     return ComplexField2D(f.grid, out, f.free_space)
 
@@ -441,7 +422,7 @@ def classical_reversal_amplification(grid: GridSpec, D: float, t: float) -> floa
     """Amplification e^{D k_max^2 t} that inverting classical diffusion would
     apply to the top of the resolved band (k_max = pi/dx)."""
     with np.errstate(over="ignore"):
-        return float(np.exp(D * max_wavenumber(grid) ** 2 * t))
+        return float(np.exp(D * (math.pi / grid.dx) ** 2 * t))
 
 
 def reverse_classical(f: ComplexField2D, D: float, t: float) -> ComplexField2D:
@@ -458,7 +439,7 @@ def reverse_classical(f: ComplexField2D, D: float, t: float) -> ComplexField2D:
     amplification = classical_reversal_amplification(f.grid, D, t)
     raise IrreversibleEvolutionError(
         f"irreversible: amplification factor {amplification:.6g} "
-        f"(e^(D k_max^2 t), k_max = pi/dx = {max_wavenumber(f.grid):.6g})",
+        f"(e^(D k_max^2 t), k_max = pi/dx = {math.pi / f.grid.dx:.6g})",
         amplification=amplification,
     )
 
@@ -486,7 +467,7 @@ def evolve_snapshots(s: StateSnapshot, D: float, times, cfg: SolverConfig) -> It
     del s
 
     def snapshot(t: float, rho12: np.ndarray, rho22: np.ndarray) -> StateSnapshot:
-        rho12 = ComplexField2D(grid, rho12, _diffused_boundary(boundary, D, t))
+        rho12 = ComplexField2D(grid, rho12, None if boundary is None else boundary.diffused(D, t))
         return StateSnapshot(time0 + t, rho12, rho22)
 
     # next() rather than zip, which keeps its last tuple alive while the

@@ -216,6 +216,9 @@ class TestParsing:
         ("eta", "eta = 1.0" + MINIMAL, 1),
         ("nbins", MINIMAL + "nbins = 3\n", 11),
         ("solver.cfl_safety", MINIMAL + "solver.scheme = fd\nsolver.cfl_safety = 1e-13\n", 12),
+        # peak intensity times n^2 overflows float64; a plane wave's peak has no P
+        ("mode.amp", off_lg("plane_wave") + "mode.amp = 1e152\n", 11),
+        ("mode.P", MINIMAL.replace("mode.P = 1.0", "mode.P = 1e300").replace("mode.w0 = 1.0", "mode.w0 = 1e-5"), 6),
     ])
     def test_keyed_validation_error_names_its_line(self, key, text, line):
         # the key opens the message once, as its prefix or as the rule's own subject

@@ -1,10 +1,12 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
 import vortexdiff as vd
-from vortexdiff.modes import _scaled_laguerre
+from vortexdiff.grid import ParameterError
+from vortexdiff.modes import _scaled_laguerre, check_float_range
 from helpers import laguerre_series, lg_amplitude, lg_intensity, radial_integral
 
 
@@ -96,6 +98,22 @@ class TestLgField:
     def test_wrong_kind_rejected(self, grid256):
         with pytest.raises(ValueError):
             vd.lg_field(vd.ModeSpec(kind=vd.ModeKind.PLANE_WAVE), grid256)
+
+    @pytest.mark.parametrize("kind,peak", [
+        (vd.ModeKind.LG, 2.0 / math.pi),  # |amp|^2 2 P / (pi w0^2) at P = w0 = 1
+        (vd.ModeKind.BLOCKED_GAUSSIAN, 2.0 / math.pi),
+        (vd.ModeKind.PLANE_WAVE, 1.0),
+    ])
+    def test_float_range_bounds_peak_times_n_squared(self, kind, peak):
+        # an amp whose peak intensity times n^2 is half the largest float64
+        # passes; twice it breaks the rule, which names P where the peak has one
+        n = 256
+        bound = sys.float_info.max / (peak * n * n)
+        check_float_range(vd.ModeSpec(kind=kind, amp=math.sqrt(0.5 * bound)), n)
+        spec = vd.ModeSpec(kind=kind, amp=math.sqrt(2.0 * bound))
+        with pytest.raises(ParameterError) as err:
+            check_float_range(spec, n)
+        assert err.value.name == ("amp" if kind is vd.ModeKind.PLANE_WAVE else "P")
 
 
 class TestBlockedGaussian:

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -282,14 +283,14 @@ out_dir = {tmp_path / "blocked"}
                 raw.append(weakref.ref(rho22))
             return snap
 
-        def tracked_stream(grid, fields, times, plan, multiplier):
-            sides.extend(plan(t) for t in times)
+        def tracked_stream(grid, fields, times, stream_sides, multiplier):
+            sides.extend(stream_sides)
 
             def tracked_multiplier(t, side):
                 factor = multiplier(t, side)
                 factors.append(weakref.ref(factor))
                 return factor
-            return fourier_stream(grid, fields, times, plan, tracked_multiplier)
+            return fourier_stream(grid, fields, times, stream_sides, tracked_multiplier)
 
         monkeypatch.setattr(scenario, "initial_snapshot", tracked_initial)
         monkeypatch.setattr(solvers, "StateSnapshot", tracked_snapshot)
@@ -552,6 +553,34 @@ class TestCliSimulate:
         cfg_file = tmp_path / "bad.cfg"
         cfg_file.write_text(small_vortex_cfg(tmp_path / "out").replace("[0, 0.05, 0.1, 0.15, 0.25]", "[0.3, 0.1]"))
         assert main(["simulate", str(cfg_file)]) == 2
+
+    @pytest.mark.parametrize("key,lines", [
+        ("mode.amp", ["mode.amp = 1e200+0j"]),
+        ("mode.amp", ["mode.amp = 1.7e308+1.7e308j"]),  # abs(amp) itself overflows
+        ("mode.P", ["mode.P = 1e300", "mode.w0 = 1e-5"]),
+    ])
+    def test_config_beyond_float64_fails_at_parse_time(self, tmp_path, capsys, key, lines):
+        # copies of sweep.cfg whose peak intensity times n^2 overflows: a
+        # config error naming the key and its line, before any directory is
+        # made or any array overflows
+        import warnings
+
+        text = (SCENARIOS / "sweep.cfg").read_text()
+        for line in lines:
+            name = line.split(" =")[0]
+            text = re.sub(rf"(?m)^{re.escape(name)} .*$", line, text)
+            if line not in text:
+                text += line + "\n"
+        cfg_file, out = tmp_path / "overflow.cfg", tmp_path / "out"
+        cfg_file.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["--out-dir", str(out), "simulate", str(cfg_file)]) == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        line = next(i for i, ln in enumerate(text.splitlines(), 1) if ln.startswith(lines[0]))
+        assert record["error"] == "ConfigError"
+        assert record["message"].startswith(f"line {line}: {key}: peak intensity times n^2")
+        assert not out.exists()
 
     def test_non_finite_config_value_exit_code(self, tmp_path, capsys):
         cfg_file = tmp_path / "bad.cfg"

@@ -216,13 +216,13 @@ class TestDiffuseKernel:
         # and within rounding that of the sampled disk of the heat kernel
         captured = {}
 
-        def capture(grid, fields, times, plan, multiplier):
-            captured.update(plan=plan, multiplier=multiplier)
+        def capture(grid, fields, times, sides, multiplier):
+            captured.update(sides=sides, multiplier=multiplier)
             return iter(())
         monkeypatch.setattr(solvers, "_fourier_stream", capture)
         g, t = vd.make_grid(64, 8.0), 0.25
         _classical_stream(vd.SolverConfig(scheme=vd.Scheme.KERNEL), g, None, [np.zeros((64, 64))], 1.0, [t])
-        side = captured["plan"](t)
+        (side,) = captured["sides"]
         factor = captured["multiplier"](t, side)
         assert factor.dtype == np.float64 and factor.shape == (side, side)
         axis = factor[0] / math.sqrt(factor[0, 0])  # factor[0, 0] is the axis factor's [0] squared
@@ -524,8 +524,9 @@ class TestSnapshotStream:
 
     def test_kernel_stream_matches_per_field_steps(self):
         # the first three nonzero times share one padded side, with a
-        # different kernel width each, so the stream holds their spectra;
-        # the last has a side of its own and forms its spectra afresh
+        # different kernel width each, and the last has a side of its own:
+        # no side serves every later time until the last, so each time
+        # forms its spectra afresh
         g = vd.make_grid(64, 8.0)
         f = vd.lg_field(vd.ModeSpec(kind=vd.ModeKind.LG, m=1), g)
         snap = vd.initial_snapshot(f)
@@ -551,25 +552,27 @@ class TestSnapshotStream:
         finally:
             tracemalloc.stop()
 
-    # The stream's one rule: a field's spectrum at a side is formed once,
-    # held while the next time reads that side, and multiplied in place by
-    # its last reader; each time's multiplier is built after its first
-    # spectrum.  In the kernel and padded spectral cases each time is on its
-    # own padded side, so the padded arrays alive at once are the multiplier
-    # and one spectrum: the inverse runs in place, rho22's half spectrum and
-    # real inverse are half a padded array each, and the kernel's multiplier
-    # is real.  Holding both fields' spectra, ifft2's two working arrays, or
-    # a multiplier past its time would break the bound.  FD times all share
-    # the grid's side, so both spectra are held, beside a real multiplier
-    # and one product.  A snapshot is complex rho12, real rho22 and real
-    # |rho12|^2; the caller here keeps the stored snapshot, so its fields
-    # stay alive (and untraced) for the whole stream.  No generator keeps
-    # what it yielded: a list or snapshot the caller drops is freed before
-    # the next time is computed.
+    # The stream's one hold rule: once one side serves every later time,
+    # each field is dropped and its spectrum held for the rest of the run;
+    # before that, nothing is held.  Each time's multiplier is built after
+    # its first spectrum.  In the kernel and padded spectral cases a later
+    # time reads another side until the last time, so the padded arrays
+    # alive at once are the multiplier and one spectrum: the inverse runs in
+    # place, rho22's half spectrum and real inverse are half a padded array
+    # each, and the kernel's multiplier is real.  Holding spectra beside the
+    # stored fields, ifft2's two working arrays, or a multiplier past its
+    # time would break the bound.  FD times all share the grid's side, so
+    # both spectra are held, beside a real multiplier and one product.  A
+    # snapshot is complex rho12, real rho22 and real |rho12|^2; the caller
+    # here keeps the stored snapshot, so its fields stay alive (and
+    # untraced) for the whole stream.  No generator keeps what it yielded: a
+    # list or snapshot the caller drops is freed before the next time is
+    # computed.
 
     @pytest.mark.parametrize("scheme", list(vd.Scheme))
     def test_no_stream_keeps_what_it_yielded(self, lg01, scheme):
-        # times 0 (copies), 0.1 (spectra held for the next time) and 0.2
+        # times 0 (copies), 0.1 (spectra held where it shares a side with
+        # 0.2) and 0.2
         snap = vd.initial_snapshot(lg01)
         cfg = vd.SolverConfig(scheme=scheme)
         times = [0.0, 0.1, 0.2]
@@ -591,6 +594,20 @@ class TestSnapshotStream:
         padded = 16 * sides[-1] ** 2
         snapshot = 32 * g.n**2
         assert peak <= 2 * padded + 2 * snapshot
+
+    def test_repeated_side_kernel_stream_peak_memory(self):
+        # sides 80, 80, 80, 90: while a later time reads another side, the
+        # stored fields stay, so no spectrum is held beside them, and the
+        # peak stays within one padded array of the largest side
+        g = vd.make_grid(64, 8.0)
+        snap = vd.initial_snapshot(vd.lg_field(vd.ModeSpec(kind=vd.ModeKind.LG, m=1), g))
+        times = [0.0, 0.05, 0.06, 0.08, 0.25]
+        sides = [self._kernel_side(g, t) for t in times[1:]]
+        assert sides == [80, 80, 80, 90]
+        peak = self._stream_peak(snap, times, vd.SolverConfig(scheme=vd.Scheme.KERNEL))
+        padded = 16 * sides[-1] ** 2
+        snapshot = 32 * g.n**2
+        assert peak <= padded + 2 * snapshot
 
     def test_padded_spectral_stream_peak_memory(self):
         g = vd.make_grid(256, 6.0)
