@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import DEFAULT_ETA, StateSnapshot, check_eta
-from .grid import ComplexField2D, GridSpec, RadialProfile
+from .grid import ComplexField2D, GridSpec, RadialProfile, intensity, row_blocks
 
 
 class DecayModel(enum.Enum):
@@ -73,37 +73,50 @@ def reference_energy(coh_sq_0: np.ndarray) -> float:
     return ref
 
 
-def coherence_factor_values(coh_sq, rho22, eta: float) -> np.ndarray:
+def coherence_factor_values(coh_sq, rho22, eta: float, out: np.ndarray | None = None) -> np.ndarray:
     """The coherence factor f = (|rho12|^2 + eta) / (max(rho22, 0) + eta),
     clamped to [0, 1]: |rho12|^2 / (rho11 rho22) with rho11 = 1, the
     strong-pump limit.  1 for a pure state, ~eta for a fully mixed one, and
     eta > 0 makes an untouched region's 0/0 read 1.  The one formula for f,
     applied pointwise by coherence_factor_field and per radial bin to
-    azimuthal averages.
+    azimuthal averages.  out, when given, receives f; it may be coh_sq.
     """
     den = np.maximum(rho22, 0.0)
     den += eta
-    f = coh_sq + eta
+    f = np.add(coh_sq, eta, out=out)
     f /= den
     np.clip(f, 0.0, 1.0, out=f)
     return f
+
+
+def weighted_coherence_factor(coh_sq: np.ndarray, rho22: np.ndarray, eta: float,
+                              factor: np.ndarray | None = None) -> float:
+    """The rho22-weighted average of the coherence factor f of coh_sq =
+    |rho12|^2 and rho22 (coherence_factor_values): np.sum(f rho22) /
+    np.sum(rho22), or 1 where rho22 sums to 0.  f, then f rho22, is formed
+    over coh_sq a row block at a time, so the pass adds one block beside
+    it; coh_sq is consumed.  factor, when given, receives f."""
+    for rows in row_blocks(len(rho22)):
+        block = coh_sq[rows]
+        coherence_factor_values(block, rho22[rows], eta, out=block)
+        if factor is not None:
+            factor[rows] = block
+        block *= rho22[rows]
+    weight = float(np.sum(rho22))
+    return float(np.sum(coh_sq) / weight) if weight > 0.0 else 1.0
 
 
 def coherence_factor_field(s: StateSnapshot, eta: float = DEFAULT_ETA) -> CoherenceFactorMap:
     """Pointwise coherence factor (see coherence_factor_values) of one
     snapshot, with eta checked by analytic.check_eta.
 
-    Also returns the rho22-weighted average, the natural summary for the
-    retrieved light (regions the diffusion never reached keep f = 1 but carry
-    vanishing weight).  Reads the snapshot's |rho12|^2, s.coh_sq.
+    Also returns the rho22-weighted average (weighted_coherence_factor),
+    the natural summary for the retrieved light (regions the diffusion never
+    reached keep f = 1 but carry vanishing weight).
     """
     check_eta(eta)
-    f = coherence_factor_values(s.coh_sq, s.rho22, eta)
-    weight = float(np.sum(s.rho22))
-    if weight > 0.0:
-        weighted = float(np.sum(f * s.rho22) / weight)
-    else:
-        weighted = 1.0
+    f = np.empty_like(s.rho22)
+    weighted = weighted_coherence_factor(intensity(s.rho12.values), s.rho22, eta, factor=f)
     return CoherenceFactorMap(values=f, weighted_average=weighted)
 
 

@@ -13,11 +13,11 @@ It is the oracle against which the numerical propagators are validated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import ComplexField2D, ParameterError
+from .grid import ComplexField2D, ParameterError, intensity, row_blocks
 from .modes import ModeKind, ModeSpec, _scaled_laguerre, check_waist, lg_amplitude
 
 #: Default regularizer for the coherence factor; only role is to define the
@@ -27,9 +27,6 @@ DEFAULT_ETA = 1e-12
 # Density-matrix physicality slack, relative to the larger of the peaks of
 # rho22 and |rho12|^2; covers quadrature and FFT rounding noise.
 PHYSICALITY_TOL = 1e-9
-
-# Rows per block of the physicality check's |rho12|^2 - rho22 pass.
-_ROWS = 64
 
 
 def check_diffusion(D: float, times) -> None:
@@ -75,16 +72,13 @@ class StateSnapshot:
     |rho12|^2 <= rho22 + tol, tol = PHYSICALITY_TOL max(max rho22, max |rho12|^2).
     When rho22 has a value <= 0, the snapshot keeps a copy with those
     residues clipped to +0; otherwise it keeps the array it was given.
-
-    coh_sq is |rho12|^2 as the check computed it, kept so that the
-    diagnostics read it instead of forming it again; it describes rho12 at
-    construction.
+    |rho12|^2 is formed a row block at a time, so the check adds no
+    full-grid array beside that copy.
     """
 
     time: float
     rho12: ComplexField2D
     rho22: np.ndarray
-    coh_sq: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         r22 = np.asarray(self.rho22, dtype=np.float64)
@@ -94,25 +88,26 @@ class StateSnapshot:
         lo, hi = float(r22.min()), float(r22.max())  # NaN propagates, inf shows
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("rho22 contains non-finite values")
-        coh_sq = np.abs(self.rho12.values)
-        np.square(coh_sq, out=coh_sq)
-        coh_max = float(coh_sq.max())
+        coh_max = excess = -math.inf  # the maxima of |rho12|^2 and of |rho12|^2 - max(rho22, 0)
+        for rows in row_blocks(n):
+            coh_sq = intensity(self.rho12.values[rows])
+            coh_max = max(coh_max, float(coh_sq.max()))
+            gap = np.maximum(r22[rows], 0.0)
+            excess = max(excess, float(np.subtract(coh_sq, gap, out=gap).max()))
+            del coh_sq, gap  # not alive beside the next block's
         if not math.isfinite(coh_max):
             raise ValueError("|rho12|^2 overflows: rho12 is too large to square")
         tol = PHYSICALITY_TOL * max(hi, coh_max)
         if lo < -tol:
             raise ValueError(f"rho22 has negative values below tolerance (min {lo:.3e}, "
                              f"tol {tol:.3e}); initial data too rough for the scheme and grid?")
-        if lo <= 0.0:
-            r22 = np.maximum(r22, 0.0)  # a copy: -0.0 becomes +0.0, the caller's array is kept
-        # the max over row blocks is the max, without a full-grid difference
-        excess = max(float(np.max(coh_sq[i:i + _ROWS] - r22[i:i + _ROWS]))
-                     for i in range(0, n, _ROWS))
         if excess > tol:
             raise ValueError(
                 f"snapshot violates |rho12|^2 <= rho11*rho22 by {excess:.3e} (tol {tol:.3e})"
             )
-        self.rho22, self.coh_sq = r22, coh_sq
+        if lo <= 0.0:
+            r22 = np.maximum(r22, 0.0)  # a copy: -0.0 becomes +0.0, the caller's array is kept
+        self.rho22 = r22
 
     @property
     def grid(self):
@@ -121,7 +116,7 @@ class StateSnapshot:
 
 def initial_snapshot(rho12: ComplexField2D) -> StateSnapshot:
     """Strong-pump initial condition: rho22 = |rho12|^2 at t = 0."""
-    return StateSnapshot(time=0.0, rho12=rho12.copy(), rho22=np.abs(rho12.values) ** 2)
+    return StateSnapshot(time=0.0, rho12=rho12.copy(), rho22=intensity(rho12.values))
 
 
 def evolution_factor(t: float, D: float, w0: float) -> float:
@@ -150,7 +145,7 @@ def lg_closed_form(spec: ModeSpec, D: float, t: float, r, theta=0.0):
     am, p = abs(spec.m), spec.p
     s, s2 = evolution_factor(t, D, spec.w0), evolution_factor(t, D, spec.w0 / math.sqrt(2.0))
     u_sq = (np.asarray(r, dtype=np.float64) / spec.w0) ** 2
-    scale = math.sqrt(2.0 * spec.P / math.pi * math.factorial(p) / math.factorial(p + am)) / spec.w0
+    scale = math.sqrt(2.0 / math.pi * spec.P * math.factorial(p) / math.factorial(p + am)) / spec.w0
 
     rho12 = spec.amp * lg_amplitude(spec, s, r) * np.exp(-1j * spec.m * np.asarray(theta))
 

@@ -5,14 +5,38 @@ the same grid convention: n samples per axis (n even), coordinates
 x_i = -L + i*dx with dx = 2L/n, so the domain is [-L, L) and the origin is an
 exact sample at index n//2.  Having r = 0 on the grid matters: the dark
 center of a stored vortex is the key observable and must not be interpolated.
+
+Full-grid passes that need no full-grid temporary (mode construction, the
+Fourier multipliers, the physicality check, the coherence factor) walk the
+rows in blocks of ROWS (row_blocks); every operation in such a pass is
+elementwise, so a block gives the bytes of the whole-grid formula.
 """
 
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
+
+
+#: Rows per block of a blockwise full-grid pass.
+ROWS = 32
+
+
+def row_blocks(n: int) -> Iterator[slice]:
+    """The row slices of an n-row array, ROWS rows each (the last may be shorter)."""
+    return (slice(i, i + ROWS) for i in range(0, n, ROWS))
+
+
+def by_rows(n: int, dtype, block) -> np.ndarray:
+    """The n x n array of dtype whose rows are block(rows), for each slice
+    of row_blocks(n); each block is freed before the next is formed."""
+    out = np.empty((n, n), dtype)
+    for rows in row_blocks(n):
+        out[rows] = block(rows)
+    return out
 
 
 class ParameterError(ValueError):
@@ -59,16 +83,17 @@ class GridSpec:
         """1-D coordinate array, reproducible bit-exactly from (n, extent)."""
         return -self.extent + self.dx * np.arange(self.n)
 
-    def meshgrid(self) -> tuple[np.ndarray, np.ndarray]:
+    def meshgrid(self, rows: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        """x and y at every sample of the given rows (all rows by default)."""
         c = self.coords()
-        return np.meshgrid(c, c, indexing="ij")
+        return np.meshgrid(c[rows], c, indexing="ij")
 
-    def radius(self) -> np.ndarray:
-        x, y = self.meshgrid()
+    def radius(self, rows: slice = slice(None)) -> np.ndarray:
+        x, y = self.meshgrid(rows)
         return np.hypot(x, y)
 
-    def theta(self) -> np.ndarray:
-        x, y = self.meshgrid()
+    def theta(self, rows: slice = slice(None)) -> np.ndarray:
+        x, y = self.meshgrid(rows)
         return np.arctan2(y, x)
 
 
@@ -139,6 +164,13 @@ class RadialProfile:
     bin_width: float
 
 
+def intensity(values: np.ndarray) -> np.ndarray:
+    """|values|^2 as one new real array: np.abs, squared in place, so no
+    second full-grid array is formed beside it."""
+    out = np.abs(values)
+    return np.square(out, out=out)
+
+
 def l2_norm_sq(f: ComplexField2D) -> float:
     """Riemann-sum estimate of the squared L2 norm, sum(|f|^2) * dx^2.
 
@@ -146,8 +178,7 @@ def l2_norm_sq(f: ComplexField2D) -> float:
     the plain Riemann sum is already spectrally accurate; no higher-order
     quadrature rule is warranted.
     """
-    intensity = np.abs(f.values) ** 2
-    return float(np.sum(intensity)) * f.grid.dx**2
+    return float(np.sum(intensity(f.values))) * f.grid.dx**2
 
 
 def check_nbins(nbins, grid: GridSpec) -> None:
@@ -169,17 +200,23 @@ def radial_bins(grid: GridSpec, nbins: int) -> tuple[np.ndarray, np.ndarray]:
     Bin b holds the samples with r in [b*dr, (b+1)*dr), dr = extent/nbins;
     samples at r >= extent (the grid corners) go to an overflow bin nbins,
     which each reduction drops after its bincount, so no sample is gathered.
-    The bin indices and the nbins counts are read-only and cached per
-    (grid, nbins), so the radius map is built once per grid instead of once
-    per reduction.
+    The bin indices and the nbins counts are cached per (grid, nbins), so
+    the bin map is built once per grid instead of once per reduction; it is
+    built a row block at a time, so no full-grid radius is formed beside
+    it.  Every reduction on the grid shares them, so a caller reads them and
+    never writes them; they are not flagged read-only because np.bincount
+    copies a read-only input, a full-grid copy per reduction.
     """
     check_nbins(nbins, grid)
-    idx = np.floor(grid.radius() / (grid.extent / nbins)).astype(np.intp).ravel()
+    c = grid.coords()
+
+    def bins(rows):
+        r = np.hypot(c[rows, None], c)  # grid.radius(rows), without its meshgrid
+        r /= grid.extent / nbins
+        return np.floor(r, out=r)
+    idx = by_rows(grid.n, np.intp, bins).ravel()
     np.minimum(idx, nbins, out=idx)
-    counts = _binned(idx, None, nbins)
-    for a in (idx, counts):
-        a.flags.writeable = False
-    return idx, counts
+    return idx, _binned(idx, None, nbins)
 
 
 def _binned(idx: np.ndarray, weights, nbins: int) -> np.ndarray:

@@ -11,6 +11,10 @@ normalized so that the integral of |A|^2 over the plane equals P for every
 (p, m).  The full mode carries the helical phase e^{-i m theta} and a complex
 prefactor amp (unit by default; it cancels in every fidelity or coherence
 diagnostic and is never fitted).
+
+Every mode is built a block of grid.ROWS rows at a time, straight into its
+n x n array, so that no full-grid coordinate, radius, angle or exponential
+is formed beside it; each block has the bytes of the whole-grid formula.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import ComplexField2D, FreeSpace, GridSpec, ParameterError
+from .grid import ComplexField2D, FreeSpace, GridSpec, ParameterError, by_rows
 
 
 class ModeKind(enum.Enum):
@@ -153,7 +157,7 @@ def lg_amplitude(spec: ModeSpec, s: float, r):
     rad = (np.sqrt(2.0) * r / w0) ** am * np.exp(-(r**2) / (w0**2 * s))
     if spec.p > 0:
         rad = rad * _scaled_laguerre(spec.p, am, 2.0 * r**2 / w0**2 / s**2, (2.0 - s) / s)
-    return (1.0 / w0) * math.sqrt(2.0 * spec.P / math.pi) * norm * rad / s ** (am + 1)
+    return (1.0 / w0) * math.sqrt(2.0 / math.pi * spec.P) * norm * rad / s ** (am + 1)
 
 
 def lg_field(spec: ModeSpec, grid: GridSpec) -> ComplexField2D:
@@ -166,8 +170,10 @@ def lg_field(spec: ModeSpec, grid: GridSpec) -> ComplexField2D:
     if spec.kind is not ModeKind.LG:
         raise ValueError(f"lg_field needs kind=LG, got {spec.kind}")
     check_contained(grid.extent, spec.w0, spec.m, spec.p)
-    r, theta = grid.radius(), grid.theta()
-    values = spec.amp * lg_amplitude(spec, 1.0, r) * np.exp(-1j * spec.m * theta)
+
+    def block(rows):
+        return spec.amp * lg_amplitude(spec, 1.0, grid.radius(rows)) * np.exp(-1j * spec.m * grid.theta(rows))
+    values = by_rows(grid.n, np.complex128, block)
     return ComplexField2D(grid, values, FreeSpace(spec.w0**2, 1 + abs(spec.m) + spec.p))
 
 
@@ -180,10 +186,13 @@ def blocked_gaussian(spec: ModeSpec, grid: GridSpec) -> ComplexField2D:
         raise ValueError(f"blocked_gaussian needs kind=BLOCKED_GAUSSIAN, got {spec.kind}")
     check_block_radius(spec.block_radius, grid)
     check_contained(grid.extent, spec.w0, 0, 0)
-    r = grid.radius()
-    values = spec.amp * lg_amplitude(spec, 1.0, r).astype(np.complex128)
-    values[r < spec.block_radius] = 0.0
-    return ComplexField2D(grid, values, FreeSpace(spec.w0**2, 1))
+
+    def block(rows):
+        r = grid.radius(rows)
+        values = spec.amp * lg_amplitude(spec, 1.0, r).astype(np.complex128)
+        values[r < spec.block_radius] = 0.0
+        return values
+    return ComplexField2D(grid, by_rows(grid.n, np.complex128, block), FreeSpace(spec.w0**2, 1))
 
 
 def check_plane_wave_k(k: float, grid: GridSpec) -> None:
@@ -208,9 +217,8 @@ def plane_wave(spec: ModeSpec, grid: GridSpec) -> ComplexField2D:
     if spec.kind is not ModeKind.PLANE_WAVE:
         raise ValueError(f"plane_wave needs kind=PLANE_WAVE, got {spec.kind}")
     check_plane_wave_k(spec.k, grid)
-    x, _ = grid.meshgrid()
-    values = spec.amp * np.exp(-1j * spec.k * x)
-    return ComplexField2D(grid, values)
+    return ComplexField2D(grid, by_rows(grid.n, np.complex128,
+                                        lambda rows: spec.amp * np.exp(-1j * spec.k * grid.meshgrid(rows)[0])))
 
 
 def build_mode(spec: ModeSpec, grid: GridSpec) -> ComplexField2D:

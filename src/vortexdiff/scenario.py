@@ -4,11 +4,11 @@ The run is one stream.  stream_diagnostics wraps each snapshot that
 solvers.evolve_snapshots yields in a SnapshotDiagnostics, which runs each
 reduction (radial profiles, coherence-factor summary, efficiency, ...) at
 most once and keeps only reduced numbers, never a full-grid map.  The
-reductions that read |rho12|^2 share the one array the physicality check
-formed (StateSnapshot.coh_sq), and the efficiency's t = 0 reference is
-computed once per run.  The stream keeps of the stored snapshot only what
-the evolution still reads: its fields go once the held spectra serve every
-later time (solvers' memory rule), and it keeps nothing it has yielded.
+reductions that read |rho12|^2 share one buffer, SnapshotDiagnostics.coh_sq,
+and the efficiency's t = 0 reference is computed once per run.  The stream
+keeps of the stored snapshot only what the evolution still reads: its
+fields go once the held spectra serve every later time (solvers' memory
+rule), and it keeps nothing it has yielded.
 A ScenarioConfig is valid by construction, so nothing here checks it again.
 run_scenario writes each snapshot's field dumps and computes the reductions
 its tables read as the snapshot arrives; the stream then releases the
@@ -23,6 +23,16 @@ snapshot's rho12 and rho22 arrays, never the snapshot, and writes them while
 the calling thread reduces the snapshot.  The calling thread waits for those
 writes before it asks for the next snapshot, so one evolved snapshot is
 alive at a time, and a failed write stops the run where a serial run would.
+
+The run keeps to a budget of about four complex n^2 arrays (solvers).
+While a snapshot is reduced, alive are the held spectra (1.5), the
+snapshot's rho12 and rho22 (1.5), the radial bin map (0.5) and the one
+|rho12|^2 buffer (0.5), which coh_sq forms whole so that every sum over it
+is np.sum's or np.bincount's; every other pass runs a row block at a
+time.  run_scenario computes the reductions in SnapshotDiagnostics.ORDER,
+so the bin map is built before that buffer and cfactor, which consumes
+it, comes last.  A VXF dump is read back in chunks of _HASH_CHUNK bytes,
+small beside a field.
 
 Every run's files, run_scenario's and each CLI subcommand's table alike,
 go through one output path.  open_run creates the directory and removes its
@@ -51,18 +61,18 @@ import numpy as np
 from .analysis import (
     NodeReport,
     center_intensity,
-    coherence_factor_field,
     coherence_factor_values,
     find_radial_nodes,
     fit_decay,
     hole_refill_ratio,
     reference_energy,
     total_population,
+    weighted_coherence_factor,
 )
 from .analytic import StateSnapshot, initial_snapshot
 from .config import OutputKind, ScenarioConfig, render_config
 from .fieldio import write_field, write_field_csv, write_table_csv
-from .grid import RadialProfile, azimuthal_average, radial_mean
+from .grid import RadialProfile, azimuthal_average, intensity, radial_mean
 from .modes import build_mode
 from .solvers import evolve_snapshots
 
@@ -96,10 +106,16 @@ def _config_header(cfg: ScenarioConfig, title: str | None = None,
 
 class SnapshotDiagnostics:
     """The reductions of one evolved snapshot, each computed on first use and
-    kept; a full-grid map such as the coherence factor is dropped once
-    reduced.  reference is the efficiency's denominator, the stored field's
-    coherent energy.  After release() only the reductions computed so far
-    remain."""
+    kept; no full-grid map is kept past its reduction.  reference is the
+    efficiency's denominator, the stored field's coherent energy.  The
+    reductions that read |rho12|^2 share one buffer, coh_sq; cfactor takes
+    it over and overwrites it, so a reduction asked after cfactor forms it
+    again.  After release() only the reductions computed so far remain."""
+
+    # The order in which run_scenario computes the reductions its tables
+    # read: rho22_radial builds the radial bin map before the |rho12|^2
+    # buffer is formed, and cfactor, which consumes that buffer, is last.
+    ORDER = ("rho22_radial", "profile", "efficiency", "population", "center", "hole_refill", "cfactor")
 
     def __init__(self, cfg: ScenarioConfig, reference: float, snap: StateSnapshot):
         self.cfg, self.reference, self.snap = cfg, reference, snap
@@ -108,11 +124,17 @@ class SnapshotDiagnostics:
     def release(self) -> None:
         """Drop the snapshot and its full-grid arrays."""
         self.snap = None
+        self.__dict__.pop("coh_sq", None)
+
+    @cached_property
+    def coh_sq(self) -> np.ndarray:
+        """|rho12|^2, the one full-grid buffer of the reductions."""
+        return intensity(self.snap.rho12.values)
 
     @cached_property
     def profile(self) -> RadialProfile:
         """Azimuthal mean of |rho12|^2."""
-        return azimuthal_average(self.snap.rho12, self.cfg.nbins, intensity=self.snap.coh_sq)
+        return azimuthal_average(self.snap.rho12, self.cfg.nbins, intensity=self.coh_sq)
 
     @cached_property
     def rho22_radial(self) -> np.ndarray:
@@ -121,14 +143,16 @@ class SnapshotDiagnostics:
 
     @cached_property
     def cfactor(self) -> tuple[float, float]:
-        """rho22-weighted average and centre sample of the coherence-factor map."""
-        cmap = coherence_factor_field(self.snap, self.cfg.eta)
-        i0 = self.cfg.grid.origin_index
-        return cmap.weighted_average, float(cmap.values[i0, i0])
+        """rho22-weighted average and centre sample of the coherence-factor
+        map, which is never formed whole; the average's pass consumes coh_sq."""
+        i0, rho22 = self.cfg.grid.origin_index, self.snap.rho22
+        at = np.s_[i0:i0 + 1, i0]
+        centre = float(coherence_factor_values(self.coh_sq[at], rho22[at], self.cfg.eta)[0])
+        return weighted_coherence_factor(self.__dict__.pop("coh_sq"), rho22, self.cfg.eta), centre
 
     @cached_property
     def efficiency(self) -> float:
-        return float(np.sum(self.snap.coh_sq)) / self.reference
+        return float(np.sum(self.coh_sq)) / self.reference
 
     @cached_property
     def population(self) -> float:
@@ -155,7 +179,7 @@ def stream_diagnostics(cfg: ScenarioConfig) -> Iterator[SnapshotDiagnostics]:
     each is released then, before the next time is evolved.
     """
     snap0 = initial_snapshot(build_mode(cfg.mode, cfg.grid))
-    reference = reference_energy(snap0.coh_sq)
+    reference = reference_energy(snap0.rho22)  # rho22 = |rho12|^2 at t = 0
     snaps = evolve_snapshots(snap0, cfg.diffusion.D, cfg.diffusion.times, cfg.solver)
     del snap0  # the stream keeps the stored fields only while a later time reads them
     for snap in snaps:
@@ -247,7 +271,7 @@ _TABLES = {
 }
 
 
-_HASH_CHUNK = 1 << 20
+_HASH_CHUNK = 1 << 16  # small beside a field, so the read-back adds no field-sized buffer
 
 
 def _sha256(path: Path) -> tuple[str, int]:
@@ -307,8 +331,8 @@ def run_scenario(cfg: ScenarioConfig, fmt: str = "csv", out_dir: str | Path | No
         raise ValueError(f"format must be csv, vxf or both, got {fmt!r}")
     out = open_run(cfg.out_dir if out_dir is None else out_dir)
 
-    reads = dict.fromkeys(name for kind, (names, _) in _TABLES.items() if kind in cfg.outputs
-                          for name in names)
+    reads = sorted({name for kind, (names, _) in _TABLES.items() if kind in cfg.outputs for name in names},
+                   key=SnapshotDiagnostics.ORDER.index)
     snapshots = OutputKind.SNAPSHOTS in cfg.outputs
     digests: dict[Path, tuple[str, int]] = {}  # path -> (sha256, bytes)
     hashed = []  # (path, future digest) of each VXF dump, queued behind its write

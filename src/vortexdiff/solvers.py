@@ -29,21 +29,33 @@ The three classical steps and the quantum step are one loop,
 _fourier_stream: it takes the list of FFT sides, one per time (None for
 the identity), and per time a multiplier, built once for all fields; each
 field goes to its spectrum at that side, is multiplied, goes back and
-keeps its n x n window at the origin.  A complex field uses fft2; a real
-one (rho22) uses rfft2 and half the multiplier, and comes back real.
-Every inverse runs one axis at a time, the complex passes in place, with
-the bytes of ifft2 / irfft2.  Its one hold rule: once one side serves
-every later time, each field is dropped and its spectrum held for the
-rest of the run; before that, nothing is held.  No generator here keeps
-what it yielded: each list of results, and each snapshot, is yielded as
-a temporary.  _classical_stream is the one scheme dispatch: the schemes
-differ only in sides and multiplier, which holds every weight.  The
-spectral, kernel and quantum multipliers are separable, outer products
-of 1-D factors.  evolve_snapshots (a lazy generator that keeps of its
-input snapshot only time, grid and boundary) calls it, and so does
-_diffuse_one, the one-field step that diffuse_spectral, diffuse_kernel
-and diffuse_fd each are; evolve_quantum is the loop's periodic one-time
-case.
+keeps its n x n window at the origin.  A complex field has fft2's
+spectrum; a real one (rho22) has rfft2's half spectrum, times the
+multiplier's first side // 2 + 1 columns, and comes back real.  Every
+transform runs one axis at a time, padding each axis as it goes, its
+second (forward) or complex (inverse) passes in place, with the bytes of
+fft2, rfft2, ifft2 and irfft2.  A multiplier gives its side x side values
+a row block at a time: the spectral, kernel and quantum ones from their
+1-D factor (they are separable), FD's from its mirrored quarter, so no
+n^2 multiplier is built.  Its one hold rule: once one side serves every later time, each field is
+dropped and its spectrum held for the rest of the run; before that,
+nothing is held.  No generator here keeps what it yielded: each list of
+results, and each snapshot, is yielded as a temporary.
+_classical_stream is the one scheme dispatch: the schemes differ only in
+sides and multiplier, which holds every weight.  evolve_snapshots (a lazy
+generator that keeps of its input snapshot only time, grid and boundary)
+calls it, and so does _diffuse_one, the one-field step that
+diffuse_spectral, diffuse_kernel and diffuse_fd each are; evolve_quantum
+is the loop's periodic one-time case.
+
+A run's memory budget is about four complex n^2 arrays (16 n^2 B each),
+beside row blocks.  While a snapshot is evolved and checked, alive are the
+held spectra (rho12's full one and rho22's half: 1.5), the product that
+the in-place inverse turns into rho12 (1), rho22 and, while the
+physicality check clips it, its unclipped twin (1), and the radial bin
+map (0.5).  While the snapshot is reduced, the reductions' one |rho12|^2
+buffer takes the twin's place (scenario).  The benchmark's n = 1024
+template traces 4.03 x 16 n^2, and a run is tested against 4.25.
 
 Every classical step returns a field with its input's boundary; a free-space
 record grows to the diffused waist w0^2 + 4 D t, so chained steps pad enough.
@@ -69,7 +81,7 @@ import numpy as np
 import numpy.fft  # noqa: F401  numpy 2 imports numpy.fft lazily; load it with the package
 
 from .analytic import StateSnapshot, check_diffusion, evolution_factor
-from .grid import ComplexField2D, FreeSpace, GridSpec, ParameterError
+from .grid import ComplexField2D, FreeSpace, GridSpec, ParameterError, row_blocks
 from .modes import ContainmentError, check_contained
 
 
@@ -133,10 +145,11 @@ def _wavenumbers(n: int, dx: float) -> np.ndarray:
     return 2.0 * np.pi * np.fft.fftfreq(n, d=dx)
 
 
-def _outer(axis_factor: np.ndarray) -> np.ndarray:
-    """The 2-D multiplier f(kx) f(ky) of a separable symbol, from its 1-D
-    factor: one n^2 product instead of an n^2 exp."""
-    return np.multiply.outer(axis_factor, axis_factor)
+def _separable(axis_factor: np.ndarray):
+    """The multiplier f(kx) f(ky) of a separable symbol, from its 1-D
+    factor: its rows, over the first ncols columns, are those of
+    np.multiply.outer(f, f), formed for that block alone."""
+    return lambda rows, ncols: np.multiply.outer(axis_factor[rows], axis_factor[:ncols])
 
 
 def _fft_size(n_min: int) -> int:
@@ -169,6 +182,27 @@ def _free_space_size(grid: GridSpec, fs: FreeSpace | None, D: float, t: float) -
     return grid.n
 
 
+def _forward_fft2(field: np.ndarray, side: int) -> np.ndarray:
+    """fft2 of a complex field, or rfft2 of a real one, at s = (side, side),
+    one axis at a time in numpy's own order, so the bytes are those of
+    fft2 / rfft2.  The first pass zero-pads each row into the spectrum's
+    first rows, the rest of which are zeroed, and the second runs in place,
+    so no working array is allocated beside the spectrum."""
+    real = not np.iscomplexobj(field)
+    spectrum = np.empty((side, side // 2 + 1 if real else side), np.complex128)
+    (np.fft.rfft if real else np.fft.fft)(field, n=side, axis=1, out=spectrum[:len(field)])
+    spectrum[len(field):] = 0.0
+    return np.fft.fft(spectrum, axis=0, out=spectrum)
+
+
+def _apply(multiplier, spectrum: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = spectrum times multiplier, a row block at a time, the
+    multiplier's block over the spectrum's columns; out may be spectrum."""
+    for rows in row_blocks(len(spectrum)):
+        np.multiply(spectrum[rows], multiplier(rows, spectrum.shape[1]), out=out[rows])
+    return out
+
+
 def _inverse_fft2(product: np.ndarray, side: int, real: bool) -> np.ndarray:
     """ifft2 of a full spectrum, or irfft2 at side of a half spectrum, one
     axis at a time in numpy's own order, so the bytes are those of
@@ -186,40 +220,38 @@ def _fourier_stream(grid: GridSpec, fields: list[np.ndarray], times: list[float]
     """The one Fourier-multiplier loop, one list of results per time,
     yielded as it is computed.  sides[i] is the FFT side of times[i], or
     None for the identity (copies).  Each array in fields goes to its
-    spectrum at that side, times multiplier(t, side), back, and its n x n
-    window at the origin.  A complex field goes fft2 and the per-axis
-    in-place inverse; a real field goes rfft2, times the multiplier's first
-    side // 2 + 1 columns, and the per-axis irfft2, and stays real.  That
-    is exact because every multiplier applied to a real field is the
-    spectrum of a real kernel.  The one hold rule: once one side serves
-    every later time, each field is dropped (a caller that keeps no other
-    reference frees it) and its spectrum held for the rest of the run;
-    before that, nothing is held.  Each time's multiplier is built after
-    its first spectrum and dropped before the yield.  Each list is yielded as a temporary, so the
-    suspended stream keeps nothing it has yielded.  Results are the bytes
-    of a separate forward transform, multiply and inverse per field and
-    time."""
+    spectrum at that side (_forward_fft2), times multiplier(t, side), back,
+    and its n x n window at the origin.  multiplier(t, side) returns a
+    function of (rows, ncols), the block of those rows and the first ncols
+    columns of the side x side multiplier.  A real field's half spectrum
+    takes its first side // 2 + 1 columns and goes back by the per-axis
+    irfft2, so it stays real.  That is exact because every multiplier
+    applied to a real field is the spectrum of a real kernel.  The one hold
+    rule: once one side serves every later time, each field is dropped (a
+    caller that keeps no other reference frees it) and its spectrum held
+    for the rest of the run; before that, nothing is held.  Each list is
+    yielded as a temporary, and each time's multiplier is dropped before
+    the yield, so the suspended stream keeps nothing it has yielded.
+    Results are the bytes of a separate fft2 (rfft2), multiply by the whole
+    multiplier and ifft2 (irfft2) per field and time."""
     fields = list(fields)
     reals = [not np.iscomplexobj(v) for v in fields]
     held = [None] * len(fields)  # each field's spectrum, once one side serves every later time
 
     def step(i: int, t: float, side: int) -> list[np.ndarray]:
         hold = set(sides[i:]) == {side}  # the one hold rule
-        out, factor = [], None
+        factor, out = multiplier(t, side), []
         for j, real in enumerate(reals):
             product = held[j]
             if product is None:
-                product = (np.fft.rfft2 if real else np.fft.fft2)(fields[j], s=(side, side))
+                product = _forward_fft2(fields[j], side)
             if hold:
                 fields[j] = None
-            if factor is None:  # built before the first spectrum, it raised peak RSS 14% at n = 1024
-                factor = multiplier(t, side)
-            mul = factor[:, :side // 2 + 1] if real else factor
             if hold and i + 1 < len(sides):
-                held[j], product = product, product * mul
+                held[j], product = product, _apply(factor, product, np.empty_like(product))
             else:  # the spectrum's last reader
                 held[j] = None
-                product *= mul
+                _apply(factor, product, product)
             # the window is copied out, so no result keeps a padded array alive
             out.append(np.ascontiguousarray(_inverse_fft2(product, side, real)[:grid.n, :grid.n]))
             del product
@@ -316,7 +348,7 @@ def _classical_stream(cfg: SolverConfig, grid: GridSpec, free_space: FreeSpace |
         sides = [_free_space_size(grid, free_space, D, t) for t in times]
 
         def factor(t, side):
-            return _outer(np.exp(-D * _wavenumbers(side, grid.dx) ** 2 * t))
+            return _separable(np.exp(-D * _wavenumbers(side, grid.dx) ** 2 * t))
     elif cfg.scheme is Scheme.FD_EXPLICIT:
         dt = fd_timestep(grid, D, cfg) if D > 0 else None
         sides = [grid.n] * len(times)  # periodic for every field: no padding
@@ -332,7 +364,7 @@ def _classical_stream(cfg: SolverConfig, grid: GridSpec, free_space: FreeSpace |
             if remainder > 1e-12 * dt:
                 quarter *= 1.0 + D * remainder * lam
             mirror = np.minimum(np.arange(side), side - np.arange(side))
-            return quarter[np.ix_(mirror, mirror)]
+            return lambda rows, ncols: quarter[np.ix_(mirror[rows], mirror[:ncols])]
     elif cfg.scheme is Scheme.KERNEL:
         check_kernel_resolution(grid, D, times)
         sides = [_kernel_side(grid, D, t) for t in times]  # the wrap lands outside the window
@@ -342,7 +374,7 @@ def _classical_stream(cfg: SolverConfig, grid: GridSpec, free_space: FreeSpace |
             offset = grid.dx * np.minimum(np.arange(side), side - np.arange(side))
             weights = grid.dx * np.exp(-offset**2 / (4.0 * D * t)) / math.sqrt(4.0 * np.pi * D * t)
             weights[offset > r_cut] = 0.0
-            return _outer(np.fft.fft(weights).real)
+            return _separable(np.fft.fft(weights).real)
     else:
         raise ValueError(f"unknown scheme {cfg.scheme!r}")
     sides = [None if t == 0 or D == 0 else side for t, side in zip(times, sides)]
@@ -402,7 +434,7 @@ def evolve_quantum(f: ComplexField2D, q: QuantumParams, t: float) -> ComplexFiel
     """
     ((out,),) = _fourier_stream(
         f.grid, [f.values], [t], [f.grid.n],
-        lambda t, side: _outer(np.exp(-1j * q.beta * _wavenumbers(side, f.grid.dx) ** 2 * t)))
+        lambda t, side: _separable(np.exp(-1j * q.beta * _wavenumbers(side, f.grid.dx) ** 2 * t)))
     return ComplexField2D(f.grid, out, f.free_space)
 
 

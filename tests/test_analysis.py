@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import vortexdiff as vd
+from vortexdiff.analysis import weighted_coherence_factor
 
 
 def evolved(field, t, D=1.0):
@@ -63,6 +64,25 @@ class TestCoherenceFactorField:
         i, j = 20, 37
         direct = min((coh_sq[i, j] + eta) / (snap.rho22[i, j] + eta), 1.0)
         assert expected[i, j] == pytest.approx(direct, rel=1e-15)
+
+    @pytest.mark.parametrize("n", [72, 200])
+    def test_row_blocks_keep_the_whole_grid_bytes(self, n):
+        # the map is formed a row block at a time over the |rho12|^2 buffer,
+        # and the weighted average is np.sum of the whole f * rho22 array,
+        # so both keep the bytes of the whole-grid formula
+        g = vd.make_grid(n, 8.0)
+        snap0 = vd.initial_snapshot(vd.lg_field(vd.ModeSpec(kind=vd.ModeKind.LG, m=2), g))
+        snap = vd.evolve_snapshot(snap0, 1.0, 0.3, vd.SolverConfig())
+        eta = 1e-12
+        f = vd.coherence_factor_values(np.abs(snap.rho12.values) ** 2, snap.rho22, eta)
+        weighted = float(np.sum(f * snap.rho22) / float(np.sum(snap.rho22)))
+        cf = vd.coherence_factor_field(snap, eta)
+        assert cf.values.tobytes() == f.tobytes()
+        assert cf.weighted_average == weighted
+        buffer = np.abs(snap.rho12.values) ** 2
+        assert weighted_coherence_factor(buffer, snap.rho22, eta) == weighted
+        assert buffer.tobytes() == (f * snap.rho22).tobytes()  # consumed: f rho22 over |rho12|^2
+        assert weighted_coherence_factor(np.ones((n, n)), np.zeros((n, n)), eta) == 1.0
 
     def test_array_formula_clamps_negative_rho22(self):
         f = vd.coherence_factor_values(np.array([0.0, 0.5]), np.array([-1e-20, 0.25]), 1e-12)

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import vortexdiff as vd
-from vortexdiff.grid import radial_mean
+from vortexdiff.grid import ROWS, radial_bins, radial_mean, row_blocks
 from helpers import lg_intensity, radial_integral
 
 
@@ -132,6 +134,51 @@ class TestAzimuthalAverage:
             assert np.array_equal(prof.mean_intensity, sums[1] / counts[occupied])
         assert np.array_equal(radial_mean(np.ascontiguousarray(lg01.values.real), g, nbins),
                               sums[0] / counts[occupied])
+
+
+class TestBlockwiseGrid:
+    """Row blocks, and the radial bin map built a row block at a time, at
+    sizes that are not multiples of the block."""
+
+    @pytest.mark.parametrize("n", [8, 64, 72, 200])
+    def test_row_blocks_cover_each_row_once(self, n):
+        rows = np.arange(n)
+        assert np.array_equal(np.concatenate([rows[b] for b in row_blocks(n)]), rows)
+        assert all(len(rows[b]) <= ROWS for b in row_blocks(n))
+
+    @pytest.mark.parametrize("n", [72, 200])
+    def test_block_coordinates_match_the_whole_grid(self, n):
+        g = vd.make_grid(n, 7.0)
+        for whole, blocks in ((g.radius(), g.radius), (g.theta(), g.theta),
+                              (g.meshgrid()[0], lambda b: g.meshgrid(b)[0])):
+            assert np.concatenate([blocks(b) for b in row_blocks(n)]).tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("nbins", [30, 64])
+    def test_radial_sums_match_bincount(self, nbins):
+        # the bin map is the whole-grid floor(r / dr), corners in overflow
+        # bin nbins, and each radial mean is np.bincount's sums over counts
+        for n in (72, 200):
+            g = vd.make_grid(n, 7.0)
+            idx, counts = radial_bins(g, nbins)
+            expected = np.minimum(np.floor(g.radius() / (g.extent / nbins)).astype(np.intp).ravel(), nbins)
+            assert np.array_equal(idx, expected)
+            assert np.array_equal(counts, np.bincount(expected, minlength=nbins + 1)[:nbins])
+            values = np.random.default_rng(n).random((n, n))
+            occupied = counts > 0
+            sums = np.bincount(expected, weights=values.ravel(), minlength=nbins + 1)[:nbins]
+            assert radial_mean(values, g, nbins).tobytes() == (sums[occupied] / counts[occupied]).tobytes()
+        n = 512
+        radial_bins.cache_clear()
+        tracemalloc.start()
+        try:
+            radial_bins(vd.make_grid(n, 7.0), nbins)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the map plus one real block and numpy's two broadcast buffers of
+        # 8192 numbers; a whole-grid build forms the coordinates and the
+        # radius of the whole grid beside it
+        assert peak <= 8 * n * n + 8 * ROWS * n + 2 * 8 * 8192 + 8192
 
 
 class TestComplexField2D:

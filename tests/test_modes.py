@@ -1,12 +1,13 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import vortexdiff as vd
-from vortexdiff.grid import ParameterError
-from vortexdiff.modes import _scaled_laguerre, check_float_range
+from vortexdiff.grid import ROWS, ParameterError
+from vortexdiff.modes import _scaled_laguerre, check_float_range, lg_amplitude as mode_amplitude
 from helpers import laguerre_series, lg_amplitude, lg_intensity, radial_integral
 
 
@@ -180,3 +181,55 @@ class TestModeSpecValidation:
     def test_rejects_bad_fields(self, kwargs):
         with pytest.raises(ValueError):
             vd.ModeSpec(kind=vd.ModeKind.LG, **kwargs)
+
+
+class TestBlockwiseBuild:
+    """Every mode is built a block of grid.ROWS rows at a time, with the
+    bytes of its whole-grid formula at sizes that are not multiples of the
+    block, and without a full-grid temporary: the build's traced peak is the
+    field plus a few blocks."""
+
+    @staticmethod
+    def _whole_grid(spec: vd.ModeSpec, grid: vd.GridSpec) -> np.ndarray:
+        x, y = np.meshgrid(grid.coords(), grid.coords(), indexing="ij")
+        r, theta = np.hypot(x, y), np.arctan2(y, x)
+        if spec.kind is vd.ModeKind.LG:
+            return spec.amp * mode_amplitude(spec, 1.0, r) * np.exp(-1j * spec.m * theta)
+        if spec.kind is vd.ModeKind.BLOCKED_GAUSSIAN:
+            values = spec.amp * mode_amplitude(spec, 1.0, r).astype(np.complex128)
+            values[r < spec.block_radius] = 0.0
+            return values
+        return spec.amp * np.exp(-1j * spec.k * x)
+
+    @pytest.mark.parametrize("spec", [
+        vd.ModeSpec(kind=vd.ModeKind.LG, m=1),
+        vd.ModeSpec(kind=vd.ModeKind.LG, p=2, m=-3, w0=0.7, P=2.5, amp=0.3 - 1.1j),
+        vd.ModeSpec(kind=vd.ModeKind.BLOCKED_GAUSSIAN, block_radius=1.3, amp=1j),
+        vd.ModeSpec(kind=vd.ModeKind.PLANE_WAVE, k=3 * math.pi / 7.0, amp=0.5 + 0.5j),
+    ], ids=["lg01", "lg2m3", "blocked", "plane_wave"])
+    def test_blocks_match_the_whole_grid_formula(self, spec):
+        for n in (72, 200):
+            grid = vd.make_grid(n, 7.0)
+            assert vd.build_mode(spec, grid).values.tobytes() == self._whole_grid(spec, grid).tobytes(), n
+        n = 512
+        tracemalloc.start()
+        try:
+            vd.build_mode(spec, vd.make_grid(n, 7.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the field plus at most 4.5 complex blocks; a whole-grid build
+        # forms coordinates, radius and angle of the whole grid beside it
+        assert peak <= 16 * n * n + 4.5 * 16 * ROWS * n
+
+
+class TestAmplitudeRange:
+    def test_amplitude_is_finite_where_2P_overflows(self):
+        # sqrt(2 P / pi) is formed as sqrt(2 / pi * P): 2 P alone overflows
+        # for P > 8.99e307, though the amplitude is finite
+        spec = vd.ModeSpec(kind=vd.ModeKind.LG, m=1, w0=1e100, P=1e308)
+        with np.errstate(all="raise"):
+            a = mode_amplitude(spec, 1.0, np.array([0.0, 1e100, 3e100]))
+            rho12 = vd.lg_closed_form(spec, 0.0, 0.0, np.array([1e100]))[0]
+        assert np.all(np.isfinite(a)) and a[1] > 0
+        assert rho12[0] == pytest.approx(a[1], rel=1e-12)

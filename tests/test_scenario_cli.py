@@ -185,14 +185,14 @@ out_dir = {tmp_path / "blocked"}
         monkeypatch.setattr(scenario, "azimuthal_average",
                             counted("azimuthal", scenario.azimuthal_average))
         monkeypatch.setattr(scenario, "radial_mean", counted("radial", scenario.radial_mean))
-        monkeypatch.setattr(scenario, "coherence_factor_field",
-                            counted("coherence", scenario.coherence_factor_field))
+        monkeypatch.setattr(scenario, "weighted_coherence_factor",
+                            counted("coherence", scenario.weighted_coherence_factor))
         monkeypatch.setattr(grid, "_binned", weighted_binned)
         cfg = vd.parse_config(small_vortex_cfg(tmp_path / "run"))
         vd.run_scenario(cfg, fmt="vxf")
         # per snapshot: the rho12 profile, the rho22 radial mean and the
-        # coherence map, once each; the two radial reductions are one
-        # weighted binned sum each, of |rho12|^2 and of rho22
+        # coherence factor's weighted pass, once each; the two radial
+        # reductions are one weighted binned sum each, of |rho12|^2 and of rho22
         assert calls == {"azimuthal": 5, "radial": 5, "coherence": 5, "binned": 10}
 
     @pytest.mark.parametrize("scheme", ["spectral", "kernel", "fd"])
@@ -336,13 +336,47 @@ out_dir = {tmp_path / "blocked"}
             tracemalloc.stop()
         assert peak <= 5.5 * 16 * n**2
 
+    @pytest.mark.parametrize("run", ["vxf", "no_snapshots"])
+    @pytest.mark.parametrize("scheme", ["spectral", "fd"])
+    def test_run_memory_budget(self, tmp_path, scheme, run):
+        # The run's budget is about four complex n^2 arrays: the held
+        # spectra (1.5), the snapshot (rho12 and rho22, 1.5), the radial bin
+        # map (0.5) and the reductions' one |rho12|^2 buffer (0.5), beside
+        # row blocks.  No mode, transform, multiplier, check or reduction
+        # forms another full-grid array.  The VXF run hands each snapshot to
+        # the writer thread, which reads its dumps back in small chunks.
+        # The bin map is built inside the traced run, and the writer
+        # thread's modules are loaded before it: the budget is arrays.
+        # Whole-grid passes and a 1 MiB read-back buffer read 5.0 to 6.0.
+        import tracemalloc
+        from concurrent.futures import ThreadPoolExecutor  # noqa: F401
+
+        from vortexdiff.grid import radial_bins
+
+        n = 256
+        text = small_vortex_cfg(tmp_path / "run", f"solver.scheme = {scheme}\n").replace(
+            "grid.n = 64", f"grid.n = {n}").replace(
+            "[0, 0.05, 0.1, 0.15, 0.25]", "[0.1, 0.25]").replace(", fit", "")
+        if run == "no_snapshots":
+            text = text.replace("snapshots, ", "")
+        cfg = vd.parse_config(text)
+        radial_bins.cache_clear()
+        tracemalloc.start()
+        try:
+            vd.run_scenario(cfg, fmt="vxf")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.25 * 16 * n**2
+
     def test_one_abs_per_evolved_snapshot(self, tmp_path, monkeypatch):
-        # |rho12| is formed once per snapshot, by the physicality check, and
-        # every reduction reads its square; the stored state takes two, its
-        # rho22 and its own check
+        # |rho12| is formed whole once per snapshot, for the |rho12|^2
+        # buffer every reduction reads; the physicality check forms it a
+        # row block at a time, which is not counted.  The stored state
+        # takes one, its rho22, which is also the efficiency's reference
         import vortexdiff.scenario as scenario
 
-        cfg = vd.parse_config(small_vortex_cfg(tmp_path / "run"))
+        cfg = vd.parse_config(small_vortex_cfg(tmp_path / "run").replace("grid.n = 64", "grid.n = 128"))
         n, calls, at_stored = cfg.grid.n, [0], []
         absolute, initial_snapshot = np.abs, scenario.initial_snapshot
 
@@ -358,7 +392,7 @@ out_dir = {tmp_path / "blocked"}
         monkeypatch.setattr(np, "abs", counted_abs)
         monkeypatch.setattr(scenario, "initial_snapshot", marked_initial)
         vd.run_scenario(cfg, fmt="both")
-        assert at_stored == [2]
+        assert at_stored == [1]
         assert calls[0] - at_stored[0] == len(cfg.diffusion.times)
 
     def test_failed_run_leaves_no_stale_manifest(self, tmp_path, capsys):
@@ -413,7 +447,7 @@ out_dir = {tmp_path / "blocked"}
         monkeypatch.setattr(scenario, "write_field", failing_write_field)
         monkeypatch.setattr(solvers, "StateSnapshot", counted_snapshot)
         if case == "before_a_later_error":
-            monkeypatch.setattr(scenario, "coherence_factor_field", failing_map)
+            monkeypatch.setattr(scenario, "weighted_coherence_factor", failing_map)
         out = tmp_path / "out"
         out.mkdir()
         (out / "manifest.json").write_text('{"files": []}\n')
@@ -581,6 +615,26 @@ class TestCliSimulate:
         assert record["error"] == "ConfigError"
         assert record["message"].startswith(f"line {line}: {key}: peak intensity times n^2")
         assert not out.exists()
+
+    def test_power_near_the_float64_limit_runs(self, tmp_path):
+        # P = 1e308 with a waist of 1e100 keeps every field and sum finite
+        # (peak intensity 6.4e107); the amplitude's sqrt(2 P / pi) must not
+        # form 2 P, which overflows
+        import warnings
+
+        text = (SCENARIOS / "sweep.cfg").read_text()
+        for line in ("mode.P = 1e308", "mode.w0 = 1e100", "grid.extent = 1e101", "grid.n = 64",
+                     "outputs = fidelity_trace"):
+            text = re.sub(rf"(?m)^{re.escape(line.split(' =')[0])} .*$", line, text)
+            assert line in text
+        cfg_file, out = tmp_path / "big.cfg", tmp_path / "out"
+        cfg_file.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["--out-dir", str(out), "simulate", str(cfg_file)]) == 0
+        table = vd.read_table_csv(out / "fidelity.csv")
+        assert table["efficiency"][0] == 1.0
+        assert table["total_population"][0] == pytest.approx(1e308, rel=1e-12)
 
     def test_non_finite_config_value_exit_code(self, tmp_path, capsys):
         cfg_file = tmp_path / "bad.cfg"

@@ -7,8 +7,9 @@ import pytest
 
 import vortexdiff as vd
 import vortexdiff.solvers as solvers
-from vortexdiff.solvers import (_classical_stream, _fft_size, _free_space_size, _inverse_fft2, _outer,
-                                _wavenumbers)
+from vortexdiff.grid import row_blocks
+from vortexdiff.solvers import (_apply, _classical_stream, _fft_size, _forward_fft2, _free_space_size,
+                                _inverse_fft2, _separable, _wavenumbers)
 from helpers import fd_march, free_gaussian_dispersed, heat_kernel_patch, kernel_convolution_sum
 
 
@@ -223,10 +224,10 @@ class TestDiffuseKernel:
         g, t = vd.make_grid(64, 8.0), 0.25
         _classical_stream(vd.SolverConfig(scheme=vd.Scheme.KERNEL), g, None, [np.zeros((64, 64))], 1.0, [t])
         (side,) = captured["sides"]
-        factor = captured["multiplier"](t, side)
+        factor = captured["multiplier"](t, side)(slice(None), side)  # every row block at once
         assert factor.dtype == np.float64 and factor.shape == (side, side)
         axis = factor[0] / math.sqrt(factor[0, 0])  # factor[0, 0] is the axis factor's [0] squared
-        assert np.max(np.abs(factor - _outer(axis))) <= 1e-15
+        assert np.max(np.abs(factor - np.multiply.outer(axis, axis))) <= 1e-15
         patch = heat_kernel_patch(g.dx, 1.0, t) * g.dx**2
         half = (patch.shape[0] - 1) // 2
         centred = np.zeros((side, side))
@@ -340,7 +341,14 @@ class TestQuantumEvolution:
 class TestSeparableMultiplier:
     """The spectral and quantum multipliers are outer products of 1-D
     factors; they stay within rounding of the n^2 exp of |k|^2: 1e-12 of
-    the peak for the decay, the phase's own rounding for the phase."""
+    the peak for the decay, the phase's own rounding for the phase.  The
+    stream forms them a row block at a time, with the bytes of the whole
+    outer product."""
+
+    @staticmethod
+    def _whole(axis_factor: np.ndarray) -> np.ndarray:
+        side = len(axis_factor)
+        return np.concatenate([_separable(axis_factor)(rows, side) for rows in row_blocks(side)])
 
     @pytest.mark.parametrize("side,extent", [(1024, 8.0), (256, 8.0), (216, 6.0)])
     def test_outer_product_matches_full_grid_exp(self, side, extent):
@@ -350,13 +358,13 @@ class TestSeparableMultiplier:
         k2 = kx**2 + ky**2
         for t in (0.01, 0.25, 2.5):
             full = np.exp(-k2 * t)
-            assert np.max(np.abs(_outer(np.exp(-k**2 * t)) - full)) <= 1e-12 * np.max(full)
+            assert np.max(np.abs(self._whole(np.exp(-k**2 * t)) - full)) <= 1e-12 * np.max(full)
         for beta, t in ((1.0, 0.25), (0.8, 0.3)):
             # a phase is resolved only to its own rounding, so the gap is
             # bounded by that rounding, which grows with k_max^2 t
             full = np.exp(-1j * beta * k2 * t)
             bound = 4.0 * np.finfo(float).eps * beta * k2.max() * t
-            assert np.max(np.abs(_outer(np.exp(-1j * beta * k**2 * t)) - full)) <= bound
+            assert np.max(np.abs(self._whole(np.exp(-1j * beta * k**2 * t)) - full)) <= bound
 
 
 class TestClassicalIrreversibility:
@@ -468,6 +476,71 @@ class TestInverseTransform:
         assert np.array_equal(out, expected)
 
 
+class TestForwardTransform:
+    """The per-axis forward transform zero-pads each axis as it goes and
+    runs its second pass in place; its bytes are those of fft2 and rfft2,
+    at the grid's own side and at padded ones."""
+
+    @pytest.mark.parametrize("n,side", [(64, 64), (64, 80), (240, 270), (256, 300)])
+    def test_matches_fft2_and_rfft2(self, n, side):
+        rng = np.random.default_rng(n + side)
+        field = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        assert _forward_fft2(field, side).tobytes() == np.fft.fft2(field, s=(side, side)).tobytes()
+        real = rng.standard_normal((n, n))
+        half = _forward_fft2(real, side)
+        assert half.shape == (side, side // 2 + 1)
+        assert half.tobytes() == np.fft.rfft2(real, s=(side, side)).tobytes()
+
+    def test_allocates_only_the_spectrum(self):
+        field = np.random.default_rng(1).standard_normal((256, 256)) + 0j
+        tracemalloc.start()
+        try:
+            _forward_fft2(field, 300)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * 16 * 300**2  # fft2 forms a second padded array beside it
+
+
+class TestBlockProduct:
+    """A multiplier is applied a row block at a time, from its 1-D
+    factor (or FD's mirrored quarter), with the bytes of the whole-grid
+    product held * np.multiply.outer(f, f)."""
+
+    @pytest.mark.parametrize("side", [64, 72, 200, 270])
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("real", [False, True], ids=["complex_field", "real_field"])
+    def test_matches_whole_grid_product(self, side, dtype, real):
+        rng = np.random.default_rng(side)
+        f = rng.standard_normal(side).astype(dtype)
+        if dtype is np.complex128:
+            f += 1j * rng.standard_normal(side)
+        cols = side // 2 + 1 if real else side
+        held = rng.standard_normal((side, cols)) + 1j * rng.standard_normal((side, cols))
+        expected = held * np.multiply.outer(f, f)[:, :cols]
+        assert _apply(_separable(f), held, np.empty_like(held)).tobytes() == expected.tobytes()
+        assert _apply(_separable(f), held, held).tobytes() == expected.tobytes()  # in place
+
+    @pytest.mark.parametrize("n", [72, 200])
+    def test_fd_multiplier_blocks_match_the_mirrored_quarter(self, monkeypatch, n):
+        captured = {}
+
+        def capture(grid, fields, times, sides, multiplier):
+            captured.update(sides=sides, multiplier=multiplier)
+            return iter(())
+        monkeypatch.setattr(solvers, "_fourier_stream", capture)
+        g, t = vd.make_grid(n, 8.0), 0.05
+        _classical_stream(fd_cfg(), g, None, [np.zeros((n, n))], 1.0, [t])
+        (side,) = captured["sides"]
+        factor = captured["multiplier"](t, side)
+        whole = factor(slice(None), side)
+        assert np.array_equal(whole, whole.T) and np.array_equal(whole[1:, 1:], whole[:0:-1, :0:-1])
+        for real in (False, True):
+            cols = side // 2 + 1 if real else side
+            held = np.random.default_rng(n).standard_normal((side, cols)) + 0.5j
+            assert _apply(factor, held, np.empty_like(held)).tobytes() == (held * whole[:, :cols]).tobytes()
+
+
 class TestSnapshotStream:
     """evolve_snapshots shares transforms between times and fields; every
     time must keep the bytes of a step from the initial snapshot alone."""
@@ -554,16 +627,15 @@ class TestSnapshotStream:
 
     # The stream's one hold rule: once one side serves every later time,
     # each field is dropped and its spectrum held for the rest of the run;
-    # before that, nothing is held.  Each time's multiplier is built after
-    # its first spectrum.  In the kernel and padded spectral cases a later
-    # time reads another side until the last time, so the padded arrays
-    # alive at once are the multiplier and one spectrum: the inverse runs in
-    # place, rho22's half spectrum and real inverse are half a padded array
-    # each, and the kernel's multiplier is real.  Holding spectra beside the
-    # stored fields, ifft2's two working arrays, or a multiplier past its
-    # time would break the bound.  FD times all share the grid's side, so
-    # both spectra are held, beside a real multiplier and one product.  A
-    # snapshot is complex rho12, real rho22 and real |rho12|^2; the caller
+    # before that, nothing is held.  A multiplier is formed a row block at
+    # a time.  In the kernel and padded spectral cases a later time reads
+    # another side until the last time, so the padded array alive at once
+    # is one spectrum: both transforms run their second passes in place,
+    # and rho22's half spectrum and real inverse are half a padded array
+    # each.  Holding spectra beside the stored fields, fft2's or ifft2's
+    # working arrays, or a whole multiplier would break the bound.  FD
+    # times all share the grid's side, so both spectra are held, beside one
+    # product.  A snapshot is complex rho12 and real rho22; the caller
     # here keeps the stored snapshot, so its fields stay alive (and
     # untraced) for the whole stream.  No generator keeps what it yielded: a
     # list or snapshot the caller drops is freed before the next time is
