@@ -13,7 +13,7 @@ It is the oracle against which the numerical propagators are validated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, InitVar, dataclass
 
 import numpy as np
 
@@ -68,19 +68,23 @@ class StateSnapshot:
 
     The model is the strong-pump limit: rho11 = 1 everywhere, and diffusion
     keeps it so.  Construction is the one physicality check, for initial and
-    evolved snapshots alike: rho22 and |rho12|^2 finite, rho22 >= -tol and
-    |rho12|^2 <= rho22 + tol, tol = PHYSICALITY_TOL max(max rho22, max |rho12|^2).
-    When rho22 has a value <= 0, the snapshot keeps a copy with those
-    residues clipped to +0; otherwise it keeps the array it was given.
-    |rho12|^2 is formed a row block at a time, so the check adds no
-    full-grid array beside that copy.
+    evolved snapshots alike: rho12 and rho22 finite, |rho12|^2 representable,
+    rho22 >= -tol and |rho12|^2 <= rho22 + tol,
+    tol = PHYSICALITY_TOL max(max rho22, max |rho12|^2).  When rho22 has a
+    value <= 0, those residues are clipped to +0: in a copy, so a caller's
+    array is never written, or in place when _owned says the array is the
+    constructor's to keep (the stream's own results, the run's stored
+    rho22).  |rho12|^2 is formed a row block at a time, so the check adds no
+    full-grid array.
     """
 
     time: float
     rho12: ComplexField2D
     rho22: np.ndarray
+    _: KW_ONLY
+    _owned: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _owned: bool):
         r22 = np.asarray(self.rho22, dtype=np.float64)
         n = self.rho12.grid.n
         if r22.shape != (n, n):
@@ -91,12 +95,14 @@ class StateSnapshot:
         coh_max = excess = -math.inf  # the maxima of |rho12|^2 and of |rho12|^2 - max(rho22, 0)
         for rows in row_blocks(n):
             coh_sq = intensity(self.rho12.values[rows])
-            coh_max = max(coh_max, float(coh_sq.max()))
+            block_max = float(coh_sq.max())  # NaN propagates, inf shows
+            if not math.isfinite(block_max):
+                raise ValueError("rho12 contains non-finite values, "
+                                 "or values whose square |rho12|^2 overflows")
+            coh_max = max(coh_max, block_max)
             gap = np.maximum(r22[rows], 0.0)
             excess = max(excess, float(np.subtract(coh_sq, gap, out=gap).max()))
             del coh_sq, gap  # not alive beside the next block's
-        if not math.isfinite(coh_max):
-            raise ValueError("|rho12|^2 overflows: rho12 is too large to square")
         tol = PHYSICALITY_TOL * max(hi, coh_max)
         if lo < -tol:
             raise ValueError(f"rho22 has negative values below tolerance (min {lo:.3e}, "
@@ -105,8 +111,8 @@ class StateSnapshot:
             raise ValueError(
                 f"snapshot violates |rho12|^2 <= rho11*rho22 by {excess:.3e} (tol {tol:.3e})"
             )
-        if lo <= 0.0:
-            r22 = np.maximum(r22, 0.0)  # a copy: -0.0 becomes +0.0, the caller's array is kept
+        if lo <= 0.0:  # -0.0 becomes +0.0
+            r22 = np.maximum(r22, 0.0, out=r22 if _owned else None)
         self.rho22 = r22
 
     @property

@@ -7,16 +7,21 @@ exact sample at index n//2.  Having r = 0 on the grid matters: the dark
 center of a stored vortex is the key observable and must not be interpolated.
 
 Full-grid passes that need no full-grid temporary (mode construction, the
-Fourier multipliers, the physicality check, the coherence factor) walk the
-rows in blocks of ROWS (row_blocks); every operation in such a pass is
-elementwise, so a block gives the bytes of the whole-grid formula.
+Fourier multipliers, the physicality check, a snapshot's reductions) walk
+the rows in blocks of ROWS (row_blocks); every operation in such a pass is
+elementwise, so a block gives the bytes of the whole-grid formula.  The
+radial reductions add a row block at a time too (RadialSums), one sample
+at a time in row order, which is np.bincount's order and so its bytes; the
+radial bin map beside them is one byte per sample for every nbins < 256,
+so a run's three-array budget (solvers) holds the held spectra, one
+snapshot and row blocks.
 """
 
 from __future__ import annotations
 
 import functools
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, InitVar, dataclass
 
 import numpy as np
 
@@ -124,7 +129,10 @@ class ComplexField2D:
     """Complex scalar field sampled on a GridSpec.
 
     values[i, j] is the amplitude at (x_i, y_j).  All values must be finite;
-    every operation in this package preserves that.
+    every operation in this package preserves that.  The constructor checks
+    it, except where _unchecked says that the caller's own check covers it
+    (the stream's evolved rho12, which the StateSnapshot constructor checks
+    next).
 
     free_space is the field's boundary: None means periodic on the grid (a
     plane wave, or raw data), a FreeSpace record means a localized mode in
@@ -135,14 +143,16 @@ class ComplexField2D:
     grid: GridSpec
     values: np.ndarray
     free_space: FreeSpace | None = None
+    _: KW_ONLY
+    _unchecked: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _unchecked: bool):
         v = np.asarray(self.values, dtype=np.complex128)
         if v.shape != (self.grid.n, self.grid.n):
             raise ValueError(
                 f"field shape {v.shape} does not match grid ({self.grid.n}, {self.grid.n})"
             )
-        if not np.all(np.isfinite(v)):
+        if not (_unchecked or np.all(np.isfinite(v))):
             raise ValueError("field contains non-finite values")
         self.values = v
 
@@ -199,13 +209,13 @@ def radial_bins(grid: GridSpec, nbins: int) -> tuple[np.ndarray, np.ndarray]:
 
     Bin b holds the samples with r in [b*dr, (b+1)*dr), dr = extent/nbins;
     samples at r >= extent (the grid corners) go to an overflow bin nbins,
-    which each reduction drops after its bincount, so no sample is gathered.
-    The bin indices and the nbins counts are cached per (grid, nbins), so
-    the bin map is built once per grid instead of once per reduction; it is
-    built a row block at a time, so no full-grid radius is formed beside
-    it.  Every reduction on the grid shares them, so a caller reads them and
-    never writes them; they are not flagged read-only because np.bincount
-    copies a read-only input, a full-grid copy per reduction.
+    which each reduction drops, so no sample is gathered.  The bin map is
+    stored in the smallest unsigned dtype that holds nbins (uint8 below
+    256 bins).  The map and the nbins counts are cached per (grid, nbins),
+    so the map is built once per grid instead of once per reduction; it and
+    the counts are built a row block at a time, so no full-grid radius or
+    index array is formed beside it.  Every reduction on the grid shares
+    them, so a caller reads them and never writes them.
     """
     check_nbins(nbins, grid)
     c = grid.coords()
@@ -213,23 +223,52 @@ def radial_bins(grid: GridSpec, nbins: int) -> tuple[np.ndarray, np.ndarray]:
     def bins(rows):
         r = np.hypot(c[rows, None], c)  # grid.radius(rows), without its meshgrid
         r /= grid.extent / nbins
-        return np.floor(r, out=r)
-    idx = by_rows(grid.n, np.intp, bins).ravel()
-    np.minimum(idx, nbins, out=idx)
-    return idx, _binned(idx, None, nbins)
+        return np.minimum(np.floor(r, out=r), nbins, out=r)
+    idx = by_rows(grid.n, np.min_scalar_type(nbins), bins).ravel()
+    counts = np.zeros(nbins + 1, np.intp)
+    for rows in row_blocks(grid.n):
+        counts += np.bincount(idx[rows.start * grid.n:rows.stop * grid.n], minlength=nbins + 1)
+    return idx, counts[:nbins]
 
 
-def _binned(idx: np.ndarray, weights, nbins: int) -> np.ndarray:
-    """Per-bin sums of weights (or counts) over bins 0..nbins-1, the overflow bin dropped."""
-    return np.bincount(idx, weights=weights, minlength=nbins + 1)[:nbins]
+class RadialSums:
+    """Per-bin sums of a real field over radial_bins(grid, nbins), added a
+    row block at a time: the one radial reduction.  add puts each sample
+    of a block into its bin one at a time, in row order, which is
+    np.bincount's order, so the sums over row_blocks are np.bincount's
+    bytes."""
+
+    def __init__(self, grid: GridSpec, nbins: int):
+        self.idx, self.counts = radial_bins(grid, nbins)  # asks check_nbins first
+        self.grid, self.sums = grid, np.zeros(nbins + 1)
+
+    def add(self, rows: slice, block: np.ndarray) -> None:
+        """Add block, the field's values on the given rows."""
+        n = self.grid.n
+        np.add.at(self.sums, self.idx[rows.start * n:rows.stop * n], block.ravel())
+
+    def mean(self) -> np.ndarray:
+        """sums / counts per occupied bin, the overflow bin dropped."""
+        occupied = self.counts > 0
+        return self.sums[:len(self.counts)][occupied] / self.counts[occupied]
+
+    def profile(self) -> RadialProfile:
+        """mean() with the centres of the occupied bins."""
+        nbins, dr = len(self.counts), self.grid.extent / len(self.counts)
+        return RadialProfile((np.arange(nbins)[self.counts > 0] + 0.5) * dr, self.mean(), dr)
+
+
+def _summed(values: np.ndarray, grid: GridSpec, nbins: int) -> RadialSums:
+    """The RadialSums of a real field, added over every row block."""
+    sums = RadialSums(grid, nbins)
+    for rows in row_blocks(grid.n):
+        sums.add(rows, values[rows])
+    return sums
 
 
 def radial_mean(values: np.ndarray, grid: GridSpec, nbins: int) -> np.ndarray:
-    """Azimuthal mean of a real field per occupied bin of radial_bins: one
-    weighted bincount, sums / counts.  The one radial reduction."""
-    idx, counts = radial_bins(grid, nbins)
-    occupied = counts > 0
-    return _binned(idx, values.ravel(), nbins)[occupied] / counts[occupied]
+    """Azimuthal mean of a real field per occupied bin of radial_bins."""
+    return _summed(values, grid, nbins).mean()
 
 
 def azimuthal_average(f: ComplexField2D, nbins: int, intensity: np.ndarray | None = None) -> RadialProfile:
@@ -237,10 +276,8 @@ def azimuthal_average(f: ComplexField2D, nbins: int, intensity: np.ndarray | Non
 
     Bin b collects samples with r in [b*dr, (b+1)*dr); samples at r >= extent
     (grid corners) fall outside the last bin and are dropped.  The mean is
-    radial_mean of intensity, which is |f|^2 when the caller has it already.
+    that of intensity, which is |f|^2 when the caller has it already.
     """
     if intensity is None:
         intensity = np.abs(f.values) ** 2
-    mean = radial_mean(intensity, f.grid, nbins)  # asks check_nbins first
-    occupied, dr = radial_bins(f.grid, nbins)[1] > 0, f.grid.extent / nbins
-    return RadialProfile((np.arange(nbins)[occupied] + 0.5) * dr, mean, dr)
+    return _summed(intensity, f.grid, nbins).profile()

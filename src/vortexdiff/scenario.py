@@ -4,11 +4,11 @@ The run is one stream.  stream_diagnostics wraps each snapshot that
 solvers.evolve_snapshots yields in a SnapshotDiagnostics, which runs each
 reduction (radial profiles, coherence-factor summary, efficiency, ...) at
 most once and keeps only reduced numbers, never a full-grid map.  The
-reductions that read |rho12|^2 share one buffer, SnapshotDiagnostics.coh_sq,
-and the efficiency's t = 0 reference is computed once per run.  The stream
-keeps of the stored snapshot only what the evolution still reads: its
-fields go once the held spectra serve every later time (solvers' memory
-rule), and it keeps nothing it has yielded.
+reductions that walk the grid share one row-block pass per snapshot, and
+the efficiency's t = 0 reference is computed once per run.  The stored
+snapshot is the built mode itself, and the stream keeps of it only what
+the evolution still reads: its fields go once the held spectra serve every
+later time (solvers' memory rule), and it keeps nothing it has yielded.
 A ScenarioConfig is valid by construction, so nothing here checks it again.
 run_scenario writes each snapshot's field dumps and computes the reductions
 its tables read as the snapshot arrives; the stream then releases the
@@ -24,15 +24,16 @@ the calling thread reduces the snapshot.  The calling thread waits for those
 writes before it asks for the next snapshot, so one evolved snapshot is
 alive at a time, and a failed write stops the run where a serial run would.
 
-The run keeps to a budget of about four complex n^2 arrays (solvers).
-While a snapshot is reduced, alive are the held spectra (1.5), the
-snapshot's rho12 and rho22 (1.5), the radial bin map (0.5) and the one
-|rho12|^2 buffer (0.5), which coh_sq forms whole so that every sum over it
-is np.sum's or np.bincount's; every other pass runs a row block at a
-time.  run_scenario computes the reductions in SnapshotDiagnostics.ORDER,
-so the bin map is built before that buffer and cfactor, which consumes
-it, comes last.  A VXF dump is read back in chunks of _HASH_CHUNK bytes,
-small beside a field.
+The run keeps to a budget of three complex n^2 arrays and row blocks
+(solvers.MEMORY_BUDGET).  While a snapshot is reduced, alive are the held
+spectra (1.5), the snapshot's rho12 and rho22 (1.5) and the one-byte
+radial bin map (1/16).  run_scenario asks for every reduction its tables
+read at once, so one pass over the row blocks computes them: each block's
+|rho12|^2 feeds both radial profiles' RadialSums (grid), the efficiency's
+sum and, overwritten by f rho22, the coherence factor's.  The radial sums
+keep np.bincount's bytes; the efficiency and the weighted coherence factor
+are sums of per-block sums.  A VXF dump is read back in chunks of
+_HASH_CHUNK bytes, small beside a field.
 
 Every run's files, run_scenario's and each CLI subcommand's table alike,
 go through one output path.  open_run creates the directory and removes its
@@ -67,12 +68,11 @@ from .analysis import (
     hole_refill_ratio,
     reference_energy,
     total_population,
-    weighted_coherence_factor,
 )
-from .analytic import StateSnapshot, initial_snapshot
+from .analytic import StateSnapshot
 from .config import OutputKind, ScenarioConfig, render_config
 from .fieldio import write_field, write_field_csv, write_table_csv
-from .grid import RadialProfile, azimuthal_average, intensity, radial_mean
+from .grid import RadialProfile, RadialSums, intensity, row_blocks
 from .modes import build_mode
 from .solvers import evolve_snapshots
 
@@ -104,18 +104,18 @@ def _config_header(cfg: ScenarioConfig, title: str | None = None,
     return lines
 
 
+# The reductions that walk the grid: SnapshotDiagnostics computes those of
+# them that are asked for together, in one pass over the row blocks.
+_WALKED = ("profile", "rho22_radial", "efficiency", "cfactor")
+
+
 class SnapshotDiagnostics:
     """The reductions of one evolved snapshot, each computed on first use and
-    kept; no full-grid map is kept past its reduction.  reference is the
-    efficiency's denominator, the stored field's coherent energy.  The
-    reductions that read |rho12|^2 share one buffer, coh_sq; cfactor takes
-    it over and overwrites it, so a reduction asked after cfactor forms it
-    again.  After release() only the reductions computed so far remain."""
-
-    # The order in which run_scenario computes the reductions its tables
-    # read: rho22_radial builds the radial bin map before the |rho12|^2
-    # buffer is formed, and cfactor, which consumes that buffer, is last.
-    ORDER = ("rho22_radial", "profile", "efficiency", "population", "center", "hole_refill", "cfactor")
+    kept; no full-grid map is formed.  reference is the efficiency's
+    denominator, the stored field's coherent energy.  The reductions that
+    walk the grid (_WALKED) run in one row-block pass, _walk, for all of
+    them that compute asks for at once.  After release() only the
+    reductions computed so far remain."""
 
     def __init__(self, cfg: ScenarioConfig, reference: float, snap: StateSnapshot):
         self.cfg, self.reference, self.snap = cfg, reference, snap
@@ -124,35 +124,73 @@ class SnapshotDiagnostics:
     def release(self) -> None:
         """Drop the snapshot and its full-grid arrays."""
         self.snap = None
-        self.__dict__.pop("coh_sq", None)
 
-    @cached_property
-    def coh_sq(self) -> np.ndarray:
-        """|rho12|^2, the one full-grid buffer of the reductions."""
-        return intensity(self.snap.rho12.values)
+    def compute(self, names) -> None:
+        """Compute the named reductions and keep them; those of _WALKED that
+        are not kept yet share one pass."""
+        walked = {name for name in _WALKED if name in names} - self.__dict__.keys()
+        if walked:
+            self.__dict__.update(self._walk(walked))
+        for name in names:
+            getattr(self, name)
+
+    def _walk(self, names) -> dict:
+        """The named reductions of _WALKED, in one pass over the row blocks
+        (the efficiency too, whenever |rho12|^2 is formed).  rho22's block
+        goes into its RadialSums.  Each block's |rho12|^2 goes into the
+        profile's RadialSums and the efficiency's sum, then is overwritten
+        by f rho22, f the coherence factor, for cfactor's sum.  The
+        efficiency and f rho22 are sums of per-block np.sums; the weight
+        sum(rho22) is one np.sum."""
+        grid, nbins, eta = self.cfg.grid, self.cfg.nbins, self.cfg.eta
+        rho12, rho22 = self.snap.rho12.values, self.snap.rho22
+        radial = {name: RadialSums(grid, nbins) for name in ("profile", "rho22_radial") if name in names}
+        coherent = names - {"rho22_radial"}  # the reductions that read |rho12|^2
+        energy = weighted = 0.0
+        for rows in row_blocks(grid.n):
+            if "rho22_radial" in radial:
+                radial["rho22_radial"].add(rows, rho22[rows])
+            if not coherent:
+                continue
+            coh_sq = intensity(rho12[rows])
+            if "profile" in radial:
+                radial["profile"].add(rows, coh_sq)
+            energy += float(np.sum(coh_sq))
+            if "cfactor" in names:
+                f_rho22 = coherence_factor_values(coh_sq, rho22[rows], eta, out=coh_sq)
+                f_rho22 *= rho22[rows]
+                weighted += float(np.sum(f_rho22))
+            del coh_sq  # not alive beside the next block's
+        out = {name: sums.profile() if name == "profile" else sums.mean() for name, sums in radial.items()}
+        if coherent:
+            out["efficiency"] = energy / self.reference
+        if "cfactor" in names:
+            weight = float(np.sum(rho22))
+            at = np.s_[grid.origin_index:grid.origin_index + 1, grid.origin_index]
+            centre = float(coherence_factor_values(intensity(rho12[at]), rho22[at], eta)[0])
+            out["cfactor"] = (weighted / weight if weight > 0.0 else 1.0, centre)
+        return out
 
     @cached_property
     def profile(self) -> RadialProfile:
         """Azimuthal mean of |rho12|^2."""
-        return azimuthal_average(self.snap.rho12, self.cfg.nbins, intensity=self.coh_sq)
+        return self._walk({"profile"})["profile"]
 
     @cached_property
     def rho22_radial(self) -> np.ndarray:
         """Azimuthal mean of rho22, on the bins of profile."""
-        return radial_mean(self.snap.rho22, self.cfg.grid, self.cfg.nbins)
+        return self._walk({"rho22_radial"})["rho22_radial"]
 
     @cached_property
     def cfactor(self) -> tuple[float, float]:
         """rho22-weighted average and centre sample of the coherence-factor
-        map, which is never formed whole; the average's pass consumes coh_sq."""
-        i0, rho22 = self.cfg.grid.origin_index, self.snap.rho22
-        at = np.s_[i0:i0 + 1, i0]
-        centre = float(coherence_factor_values(self.coh_sq[at], rho22[at], self.cfg.eta)[0])
-        return weighted_coherence_factor(self.__dict__.pop("coh_sq"), rho22, self.cfg.eta), centre
+        map, which is never formed whole."""
+        return self._walk({"cfactor"})["cfactor"]
 
     @cached_property
     def efficiency(self) -> float:
-        return float(np.sum(self.coh_sq)) / self.reference
+        """sum(|rho12|^2) over the stored field's."""
+        return self._walk({"efficiency"})["efficiency"]
 
     @cached_property
     def population(self) -> float:
@@ -175,10 +213,14 @@ class SnapshotDiagnostics:
 def stream_diagnostics(cfg: ScenarioConfig) -> Iterator[SnapshotDiagnostics]:
     """One SnapshotDiagnostics per configured time, evolved lazily.
 
-    A consumer takes what it needs from each before asking for the next:
-    each is released then, before the next time is evolved.
+    The stored snapshot is the mode the run builds, not a copy of it, with
+    rho22 = |rho12|^2.  A consumer takes what it needs from each before
+    asking for the next: each is released then, before the next time is
+    evolved.
     """
-    snap0 = initial_snapshot(build_mode(cfg.mode, cfg.grid))
+    mode = build_mode(cfg.mode, cfg.grid)
+    snap0 = StateSnapshot(0.0, mode, intensity(mode.values), _owned=True)
+    del mode
     reference = reference_energy(snap0.rho22)  # rho22 = |rho12|^2 at t = 0
     snaps = evolve_snapshots(snap0, cfg.diffusion.D, cfg.diffusion.times, cfg.solver)
     del snap0  # the stream keeps the stored fields only while a later time reads them
@@ -331,8 +373,7 @@ def run_scenario(cfg: ScenarioConfig, fmt: str = "csv", out_dir: str | Path | No
         raise ValueError(f"format must be csv, vxf or both, got {fmt!r}")
     out = open_run(cfg.out_dir if out_dir is None else out_dir)
 
-    reads = sorted({name for kind, (names, _) in _TABLES.items() if kind in cfg.outputs for name in names},
-                   key=SnapshotDiagnostics.ORDER.index)
+    reads = {name for kind, (names, _) in _TABLES.items() if kind in cfg.outputs for name in names}
     snapshots = OutputKind.SNAPSHOTS in cfg.outputs
     digests: dict[Path, tuple[str, int]] = {}  # path -> (sha256, bytes)
     hashed = []  # (path, future digest) of each VXF dump, queued behind its write
@@ -357,8 +398,7 @@ def run_scenario(cfg: ScenarioConfig, fmt: str = "csv", out_dir: str | Path | No
                             out / f"{name}.csv", values, cfg.grid, _config_header(cfg, f"field {name}", d.time))
                             for name, values in fields.items()})
                     del fields
-                for name in reads:
-                    getattr(d, name)
+                d.compute(reads)
                 diags.append(d)
             finally:
                 if written is not None:  # serially, snapshot i's write fails before anything after it

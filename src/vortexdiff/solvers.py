@@ -48,14 +48,14 @@ calls it, and so does _diffuse_one, the one-field step that
 diffuse_spectral, diffuse_kernel and diffuse_fd each are; evolve_quantum
 is the loop's periodic one-time case.
 
-A run's memory budget is about four complex n^2 arrays (16 n^2 B each),
-beside row blocks.  While a snapshot is evolved and checked, alive are the
-held spectra (rho12's full one and rho22's half: 1.5), the product that
-the in-place inverse turns into rho12 (1), rho22 and, while the
-physicality check clips it, its unclipped twin (1), and the radial bin
-map (0.5).  While the snapshot is reduced, the reductions' one |rho12|^2
-buffer takes the twin's place (scenario).  The benchmark's n = 1024
-template traces 4.03 x 16 n^2, and a run is tested against 4.25.
+A run's memory budget is MEMORY_BUDGET = 3.4 complex n^2 arrays (16 n^2 B
+each): the held spectra (rho12's full one and rho22's half: 1.5), one
+snapshot (1.5) and row blocks.  Each evolved field comes back inside its
+own product: rho12 by the in-place complex inverse, rho22 by a real
+inverse that writes each row block into the front of its half-spectrum
+buffer; the physicality check clips that rho22 in place, and the
+reductions walk row blocks beside the one-byte radial bin map (scenario).
+The benchmark's n = 1024 template traces 3.13 x 16 n^2.
 
 Every classical step returns a field with its input's boundary; a free-space
 record grows to the diffused waist w0^2 + 4 D t, so chained steps pad enough.
@@ -203,16 +203,32 @@ def _apply(multiplier, spectrum: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _inverse_fft2(product: np.ndarray, side: int, real: bool) -> np.ndarray:
-    """ifft2 of a full spectrum, or irfft2 at side of a half spectrum, one
-    axis at a time in numpy's own order, so the bytes are those of
-    ifft2 / irfft2.  The complex passes run in place and overwrite product,
-    so no padded working array is allocated beside it."""
+def _inverse_fft2(product: np.ndarray, side: int, real: bool, n: int | None = None) -> np.ndarray:
+    """The n x n window at the origin (n = side by default) of ifft2 of a
+    full spectrum, or of irfft2 at side of a half spectrum, one axis at a
+    time in numpy's own order, so the bytes are those of ifft2 / irfft2.
+    The complex passes run in place and overwrite product, so no padded
+    working array is allocated beside it.  When side == n, a full spectrum
+    comes back in place, and a half one comes back a row block at a time
+    into the front of its own buffer, whose float64 view is returned:
+    output row i ends before input row i + 1 starts.  A padded window is
+    copied out, so no result keeps a padded array alive, and the last pass
+    runs over only the n rows (columns) that are kept."""
+    n = side if n is None else n
     if real:
         np.fft.ifft(product, axis=0, out=product)
-        return np.fft.irfft(product, n=side, axis=1)
+        if side > n:
+            return np.fft.irfft(product[:n], n=side, axis=1)[:, :n].copy()
+        out = product.reshape(-1).view(np.float64)[:n * n].reshape(n, n)
+        for rows in row_blocks(n):
+            out[rows] = np.fft.irfft(product[rows], n=side, axis=1)
+        return out
     np.fft.ifft(product, axis=1, out=product)
-    return np.fft.ifft(product, axis=0, out=product)
+    if side == n:
+        return np.fft.ifft(product, axis=0, out=product)
+    window = product[:, :n]
+    np.fft.ifft(window, axis=0, out=window)
+    return window[:n].copy()
 
 
 def _fourier_stream(grid: GridSpec, fields: list[np.ndarray], times: list[float], sides: list[int | None],
@@ -252,8 +268,7 @@ def _fourier_stream(grid: GridSpec, fields: list[np.ndarray], times: list[float]
             else:  # the spectrum's last reader
                 held[j] = None
                 _apply(factor, product, product)
-            # the window is copied out, so no result keeps a padded array alive
-            out.append(np.ascontiguousarray(_inverse_fft2(product, side, real)[:grid.n, :grid.n]))
+            out.append(_inverse_fft2(product, side, real, grid.n))
             del product
         return out
 
@@ -284,11 +299,15 @@ def check_kernel_resolution(grid: GridSpec, D: float, times) -> None:
             )
 
 
+#: A run's memory budget, in complex side^2 arrays (16 B x side^2 each): its
+#: traced peak is tested against it, and the memory rule estimates a run by it.
+MEMORY_BUDGET = 3.4
+
+
 def check_memory_budget(grid: GridSpec, D: float, times, scheme: Scheme) -> None:
-    """The memory rule: a run's arrays, estimated as 5.5 complex arrays of
-    side^2 samples (5.5 x 16 B x side^2, the bound its traced peak is tested
-    against), fit the machine's physical memory.  side is grid.n for the
-    spectral and FD schemes (validation keeps every time contained, so a
+    """The memory rule: a run's arrays, MEMORY_BUDGET complex arrays of
+    side^2 samples, fit the machine's physical memory.  side is grid.n for
+    the spectral and FD schemes (validation keeps every time contained, so a
     validated spectral run never pads) and the kernel's padded side at the
     last time.  Where os.sysconf cannot report the physical memory, the rule
     is skipped."""
@@ -299,10 +318,10 @@ def check_memory_budget(grid: GridSpec, D: float, times, scheme: Scheme) -> None
     if page < 1 or pages < 1:  # -1: indeterminate
         return
     side = _kernel_side(grid, D, times[-1]) if scheme is Scheme.KERNEL else grid.n
-    need = 5.5 * 16 * side**2
+    need = MEMORY_BUDGET * 16 * side**2
     if need > page * pages:
         raise ValueError(f"a run at n = {grid.n} needs about {need / 2**30:.3g} GiB for its arrays "
-                         f"(5.5 x 16 B x {side}^2), over the {page * pages / 2**30:.3g} GiB of "
+                         f"({MEMORY_BUDGET} x 16 B x {side}^2), over the {page * pages / 2**30:.3g} GiB of "
                          f"physical memory")
 
 
@@ -499,8 +518,10 @@ def evolve_snapshots(s: StateSnapshot, D: float, times, cfg: SolverConfig) -> It
     del s
 
     def snapshot(t: float, rho12: np.ndarray, rho22: np.ndarray) -> StateSnapshot:
-        rho12 = ComplexField2D(grid, rho12, None if boundary is None else boundary.diffused(D, t))
-        return StateSnapshot(time0 + t, rho12, rho22)
+        # finiteness is the snapshot's check; rho22 is the stream's own, clipped in place
+        free_space = None if boundary is None else boundary.diffused(D, t)
+        rho12 = ComplexField2D(grid, rho12, free_space, _unchecked=True)
+        return StateSnapshot(time0 + t, rho12, rho22, _owned=True)
 
     # next() rather than zip, which keeps its last tuple alive while the
     # next time is computed; each snapshot is yielded as a temporary

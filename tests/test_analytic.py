@@ -281,6 +281,26 @@ class TestStateSnapshot:
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="rho12"):
             vd.StateSnapshot(0.0, rho12, np.ones((8, 8)))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, complex(np.nan, 1.0)])
+    @pytest.mark.parametrize("at", [(40, 40), (0, 0)])
+    def test_rejects_non_finite_coherence(self, value, at):
+        # a block maximum of |rho12|^2 that is NaN is rejected like an inf
+        # one: NaN must not compare its way past the check
+        f = vd.lg_field(vd.ModeSpec(kind=vd.ModeKind.LG, m=1), vd.make_grid(64, 8.0))
+        rho22 = np.abs(f.values) ** 2
+        f.values[at] = value
+        with pytest.raises(ValueError, match="^rho12 contains non-finite values"):
+            vd.StateSnapshot(0.0, f, rho22)
+
+    def test_clips_its_own_array_in_place(self, lg01):
+        # the stream's rho22 is its own: the check clips it where it is
+        rho22 = np.abs(lg01.values) ** 2
+        rho22[0, 0], rho22[0, 1] = -1e-12, -0.0  # within tolerance
+        expected = np.maximum(rho22, 0.0)
+        snap = vd.StateSnapshot(time=0.0, rho12=lg01, rho22=rho22, _owned=True)
+        assert snap.rho22 is rho22
+        assert rho22.tobytes() == expected.tobytes() and not np.any(np.signbit(rho22))
+
     def test_clips_residues_into_a_copy(self, lg01):
         rho22 = np.abs(lg01.values) ** 2
         rho22[0, 0], rho22[0, 1] = -1e-12, -0.0  # within tolerance

@@ -11,6 +11,7 @@ from vortexdiff.analysis import check_fit_trace
 from vortexdiff.cli import main
 from vortexdiff.config import OutputKind
 from vortexdiff.modes import lg_required_extent
+from vortexdiff.solvers import MEMORY_BUDGET
 
 MINIMAL = """
 mode.kind = lg
@@ -256,7 +257,7 @@ class TestParsing:
         assert (err.value.line, err.value.key) == (line, key)
 
     def test_grid_beyond_physical_memory_fails_at_parse_time(self):
-        # the run's arrays, 5.5 x 16 B x n^2, would need about 8e8 GiB
+        # the run's arrays, MEMORY_BUDGET x 16 B x n^2, would need about 5e8 GiB
         import tracemalloc
 
         try:
@@ -276,13 +277,13 @@ class TestParsing:
             tracemalloc.stop()
         assert (err.value.line, err.value.key) == (9, "grid.n")
         assert str(err.value) == (
-            f"line 9: grid.n: a run at n = {n} needs about {5.5 * 16 * n**2 / 2**30:.3g} GiB for its "
-            f"arrays (5.5 x 16 B x {n}^2), over the {budget / 2**30:.3g} GiB of physical memory")
+            f"line 9: grid.n: a run at n = {n} needs about {MEMORY_BUDGET * 16 * n**2 / 2**30:.3g} GiB for "
+            f"its arrays ({MEMORY_BUDGET} x 16 B x {n}^2), over the {budget / 2**30:.3g} GiB of physical memory")
         assert peak < 2**20  # nothing was allocated for the grid
 
     @pytest.mark.parametrize("scheme", ["spectral", "fd", "kernel"])
     def test_memory_rule_reads_the_side_the_run_transforms_at(self, monkeypatch, scheme):
-        # on a machine of 1 MiB, n = 96 (5.5 x 16 B x 96^2 = 0.77 MiB) fits for
+        # on a machine of 1 MiB, n = 96 (3.4 x 16 B x 96^2 = 0.48 MiB) fits for
         # the spectral and FD schemes, which run on the grid's own side; the
         # kernel's plan pads by its half-width, widest at the last time
         from vortexdiff.solvers import _kernel_side
@@ -294,8 +295,19 @@ class TestParsing:
             return
         side = _kernel_side(vd.GridSpec(96, 8.0), 1.0, 0.25)
         with pytest.raises(vd.ConfigError, match=rf"^line 9: grid\.n: a run at n = 96 needs .* "
-                                                 rf"\(5\.5 x 16 B x {side}\^2\), over the 0\.000977 GiB "):
+                                                 rf"\({re.escape(str(MEMORY_BUDGET))} x 16 B x {side}\^2\), "
+                                                 rf"over the 0\.000977 GiB "):
             vd.parse_config(text)
+
+    def test_memory_rule_admits_a_grid_within_the_budget(self, monkeypatch):
+        # a machine with memory for 4.5 complex n^2 arrays at n = 256: more
+        # than the budget of MEMORY_BUDGET = 3.4 that a run's traced peak is
+        # held to, less than an estimate of 5.5 arrays
+        n = 256
+        pages = int(4.5 * 16 * n**2) // 4096
+        assert MEMORY_BUDGET * 16 * n**2 < 4096 * pages < 5.5 * 16 * n**2
+        monkeypatch.setattr(os, "sysconf", lambda name: {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": pages}[name])
+        assert vd.parse_config(MINIMAL).grid.n == n
 
     @pytest.mark.parametrize("report", ["raises", "indeterminate"])
     def test_memory_rule_is_skipped_without_a_physical_memory_report(self, monkeypatch, report):

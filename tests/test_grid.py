@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import vortexdiff as vd
-from vortexdiff.grid import ROWS, radial_bins, radial_mean, row_blocks
+from vortexdiff.grid import ROWS, RadialSums, radial_bins, radial_mean, row_blocks
 from helpers import lg_intensity, radial_integral
 
 
@@ -179,6 +179,27 @@ class TestBlockwiseGrid:
         # 8192 numbers; a whole-grid build forms the coordinates and the
         # radius of the whole grid beside it
         assert peak <= 8 * n * n + 8 * ROWS * n + 2 * 8 * 8192 + 8192
+
+
+    @pytest.mark.parametrize("n,nbins", [(72, 30), (200, 64), (200, 300)])
+    def test_radial_sums_are_bincounts_bytes(self, n, nbins):
+        # RadialSums adds each row block's samples one at a time in row
+        # order, np.bincount's order, so its sums are np.bincount's bytes;
+        # the map takes one byte per sample below 256 bins, two above
+        g = vd.make_grid(n, 7.0)
+        idx, counts = radial_bins(g, nbins)
+        assert idx.dtype == (np.uint8 if nbins < 256 else np.uint16)
+        assert idx.max() == nbins  # the corners' overflow bin
+        flat = idx.astype(np.intp)
+        assert np.array_equal(counts, np.bincount(flat, minlength=nbins + 1)[:nbins])
+        values = np.random.default_rng(n + nbins).random((n, n))
+        sums = RadialSums(g, nbins)
+        for rows in row_blocks(n):
+            sums.add(rows, values[rows])
+        expected = np.bincount(flat, weights=values.ravel(), minlength=nbins + 1)
+        assert sums.sums.tobytes() == expected.tobytes()
+        occupied = counts > 0
+        assert sums.mean().tobytes() == (expected[:nbins][occupied] / counts[occupied]).tobytes()
 
 
 class TestComplexField2D:

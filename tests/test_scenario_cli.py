@@ -166,34 +166,26 @@ out_dir = {tmp_path / "blocked"}
         import vortexdiff.grid as grid
         import vortexdiff.scenario as scenario
 
-        calls = {"azimuthal": 0, "radial": 0, "coherence": 0, "binned": 0}
+        walked, means = [], [0]
+        walk, mean = scenario.SnapshotDiagnostics._walk, grid.RadialSums.mean
 
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
+        def counted_walk(self, names):
+            walked.append(set(names))
+            return walk(self, names)
 
-        binned = grid._binned
+        def counted_mean(self):
+            means[0] += 1
+            return mean(self)
 
-        def weighted_binned(idx, weights, nbins):
-            # a weighted sum is a pass over the grid; the cached bin-count
-            # build (weights None) is not
-            calls["binned"] += weights is not None
-            return binned(idx, weights, nbins)
-
-        monkeypatch.setattr(scenario, "azimuthal_average",
-                            counted("azimuthal", scenario.azimuthal_average))
-        monkeypatch.setattr(scenario, "radial_mean", counted("radial", scenario.radial_mean))
-        monkeypatch.setattr(scenario, "weighted_coherence_factor",
-                            counted("coherence", scenario.weighted_coherence_factor))
-        monkeypatch.setattr(grid, "_binned", weighted_binned)
+        monkeypatch.setattr(scenario.SnapshotDiagnostics, "_walk", counted_walk)
+        monkeypatch.setattr(grid.RadialSums, "mean", counted_mean)
         cfg = vd.parse_config(small_vortex_cfg(tmp_path / "run"))
         vd.run_scenario(cfg, fmt="vxf")
-        # per snapshot: the rho12 profile, the rho22 radial mean and the
-        # coherence factor's weighted pass, once each; the two radial
-        # reductions are one weighted binned sum each, of |rho12|^2 and of rho22
-        assert calls == {"azimuthal": 5, "radial": 5, "coherence": 5, "binned": 10}
+        # per snapshot: one row-block pass for the rho12 profile, the rho22
+        # radial mean, the efficiency and the coherence factor, whose two
+        # radial reductions are one RadialSums each
+        assert walked == [{"profile", "rho22_radial", "efficiency", "cfactor"}] * 5
+        assert means[0] == 10
 
     @pytest.mark.parametrize("scheme", ["spectral", "kernel", "fd"])
     def test_run_holds_one_evolved_snapshot_at_a_time(self, tmp_path, monkeypatch, scheme):
@@ -261,26 +253,33 @@ out_dir = {tmp_path / "blocked"}
         # from the first transformed snapshot on for spectral and FD, whose
         # every nonzero time has the grid's side.  The kernel pads each time
         # by its own half-width (here to sides 80, 80, 90, 90), so the stored
-        # fields stay until only one side is left.  While the consumer
-        # reduces a snapshot, the stream holds no multiplier and no
-        # unclipped rho22.
+        # fields stay until only one side is left.  The stored snapshot is
+        # the built mode itself, and every evolved rho22 is clipped in place,
+        # so the stream forms no unclipped twin.  While the consumer reduces
+        # a snapshot, the stream holds no multiplier.
         import weakref
 
         import vortexdiff.scenario as scenario
         import vortexdiff.solvers as solvers
 
-        stored, raw, factors, sides = [], [], [], []
-        initial_snapshot, fourier_stream = scenario.initial_snapshot, solvers._fourier_stream
+        stored, clipped, factors, sides = [], [], [], []
+        build_mode, fourier_stream = scenario.build_mode, solvers._fourier_stream
 
-        def tracked_initial(rho12):
-            snap = initial_snapshot(rho12)
-            stored.extend(weakref.ref(a) for a in (snap.rho12.values, snap.rho22))
-            return snap
+        def tracked_build(spec, grid):
+            mode = build_mode(spec, grid)
+            stored.append(weakref.ref(mode.values))
+            return mode
 
-        def tracked_snapshot(time, rho12, rho22):
-            snap = vd.StateSnapshot(time, rho12, rho22)
-            if snap.rho22 is not rho22:  # clipped into a copy
-                raw.append(weakref.ref(rho22))
+        def tracked_stored(time, rho12, rho22, **kwargs):
+            assert rho12.values is stored[0]()  # the mode itself, not a copy
+            stored.append(weakref.ref(rho22))
+            return vd.StateSnapshot(time, rho12, rho22, **kwargs)
+
+        def tracked_snapshot(time, rho12, rho22, **kwargs):
+            residues = bool(np.any(rho22 <= 0.0))
+            snap = vd.StateSnapshot(time, rho12, rho22, **kwargs)
+            assert snap.rho22 is rho22  # no second array
+            clipped.append(residues and not np.any(np.signbit(rho22)))
             return snap
 
         def tracked_stream(grid, fields, times, stream_sides, multiplier):
@@ -292,7 +291,8 @@ out_dir = {tmp_path / "blocked"}
                 return factor
             return fourier_stream(grid, fields, times, stream_sides, tracked_multiplier)
 
-        monkeypatch.setattr(scenario, "initial_snapshot", tracked_initial)
+        monkeypatch.setattr(scenario, "build_mode", tracked_build)
+        monkeypatch.setattr(scenario, "StateSnapshot", tracked_stored)
         monkeypatch.setattr(solvers, "StateSnapshot", tracked_snapshot)
         monkeypatch.setattr(solvers, "_fourier_stream", tracked_stream)
         cfg = vd.parse_config(small_vortex_cfg(tmp_path / "run", f"solver.scheme = {scheme}\n"))
@@ -300,11 +300,10 @@ out_dir = {tmp_path / "blocked"}
             # the first time from which one side serves the rest of the run
             last_side = min(i for i in range(len(sides)) if len(set(sides[i:])) == 1)
             assert [ref() is not None for ref in stored] == [k < last_side] * 2, k
-            assert [ref() for ref in raw] == [None] * len(raw), k
             assert [ref() for ref in factors] == [None] * len(factors), k
             d.profile, d.rho22_radial, d.cfactor, d.efficiency, d.population, d.center
         assert last_side == (3 if scheme == "kernel" else 1)
-        assert len(raw) == len(cfg.diffusion.times)  # every rho22 was clipped, so checked here
+        assert clipped == [True] * len(cfg.diffusion.times)  # every rho22 had residues to clip
         assert len(factors) == len(cfg.diffusion.times) - 1
 
     @pytest.mark.parametrize("run", ["csv", "no_snapshots"])
@@ -339,19 +338,23 @@ out_dir = {tmp_path / "blocked"}
     @pytest.mark.parametrize("run", ["vxf", "no_snapshots"])
     @pytest.mark.parametrize("scheme", ["spectral", "fd"])
     def test_run_memory_budget(self, tmp_path, scheme, run):
-        # The run's budget is about four complex n^2 arrays: the held
-        # spectra (1.5), the snapshot (rho12 and rho22, 1.5), the radial bin
-        # map (0.5) and the reductions' one |rho12|^2 buffer (0.5), beside
-        # row blocks.  No mode, transform, multiplier, check or reduction
-        # forms another full-grid array.  The VXF run hands each snapshot to
-        # the writer thread, which reads its dumps back in small chunks.
-        # The bin map is built inside the traced run, and the writer
-        # thread's modules are loaded before it: the budget is arrays.
-        # Whole-grid passes and a 1 MiB read-back buffer read 5.0 to 6.0.
+        # The run's budget is MEMORY_BUDGET = 3.4 complex n^2 arrays: the
+        # held spectra (1.5) and the snapshot (rho12 and rho22, 1.5), beside
+        # the one-byte radial bin map (1/16) and row blocks.  No mode,
+        # transform, multiplier, check or reduction forms another full-grid
+        # array: each field comes back inside its own spectrum's buffer, the
+        # check clips rho22 in place, and one row-block pass reduces each
+        # snapshot.  The VXF run hands each snapshot to the writer thread,
+        # which reads its dumps back in small chunks.  The bin map is built
+        # inside the traced run, and the writer thread's modules are loaded
+        # before it: the budget is arrays.  With a whole |rho12|^2 buffer,
+        # an unclipped twin and an irfft2 output beside its spectrum, these
+        # runs read 4.08 to 4.10.
         import tracemalloc
         from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 
         from vortexdiff.grid import radial_bins
+        from vortexdiff.solvers import MEMORY_BUDGET
 
         n = 256
         text = small_vortex_cfg(tmp_path / "run", f"solver.scheme = {scheme}\n").replace(
@@ -367,33 +370,33 @@ out_dir = {tmp_path / "blocked"}
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4.25 * 16 * n**2
+        assert peak <= MEMORY_BUDGET * 16 * n**2
 
     def test_one_abs_per_evolved_snapshot(self, tmp_path, monkeypatch):
-        # |rho12| is formed whole once per snapshot, for the |rho12|^2
-        # buffer every reduction reads; the physicality check forms it a
-        # row block at a time, which is not counted.  The stored state
-        # takes one, its rho22, which is also the efficiency's reference
+        # |rho12| is formed whole once per run, for the stored rho22, which
+        # is also the efficiency's reference; at most one per evolved
+        # snapshot, and in fact none: the physicality check and the
+        # reductions form |rho12|^2 a row block at a time, which is not
+        # counted
         import vortexdiff.scenario as scenario
 
         cfg = vd.parse_config(small_vortex_cfg(tmp_path / "run").replace("grid.n = 64", "grid.n = 128"))
         n, calls, at_stored = cfg.grid.n, [0], []
-        absolute, initial_snapshot = np.abs, scenario.initial_snapshot
+        absolute, evolve_snapshots = np.abs, scenario.evolve_snapshots
 
         def counted_abs(x, *args, **kwargs):
             calls[0] += np.shape(x) == (n, n)
             return absolute(x, *args, **kwargs)
 
-        def marked_initial(rho12):
-            snap = initial_snapshot(rho12)
+        def marked_evolve(snap, *args):
             at_stored.append(calls[0])
-            return snap
+            return evolve_snapshots(snap, *args)
 
         monkeypatch.setattr(np, "abs", counted_abs)
-        monkeypatch.setattr(scenario, "initial_snapshot", marked_initial)
+        monkeypatch.setattr(scenario, "evolve_snapshots", marked_evolve)
         vd.run_scenario(cfg, fmt="both")
         assert at_stored == [1]
-        assert calls[0] - at_stored[0] == len(cfg.diffusion.times)
+        assert calls[0] - at_stored[0] == 0
 
     def test_failed_run_leaves_no_stale_manifest(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -447,7 +450,7 @@ out_dir = {tmp_path / "blocked"}
         monkeypatch.setattr(scenario, "write_field", failing_write_field)
         monkeypatch.setattr(solvers, "StateSnapshot", counted_snapshot)
         if case == "before_a_later_error":
-            monkeypatch.setattr(scenario, "weighted_coherence_factor", failing_map)
+            monkeypatch.setattr(scenario, "coherence_factor_values", failing_map)
         out = tmp_path / "out"
         out.mkdir()
         (out / "manifest.json").write_text('{"files": []}\n')
@@ -525,6 +528,30 @@ out_dir = {tmp_path / "blocked"}
                    for t in cfg.diffusion.times]
         expected = [vd.retrieval_efficiency(f, f0) for f in evolved]
         assert list(table["efficiency"]) == expected
+
+    def test_one_pass_keeps_the_library_reductions(self, tmp_path):
+        # each snapshot's one row-block pass gives the bytes of
+        # azimuthal_average, radial_mean and the coherence factor's centre
+        # sample; its sums of per-block sums (the efficiency and the
+        # weighted coherence factor) are the whole-grid np.sum's to rounding.
+        # n = 200 is not a multiple of the block's rows
+        from vortexdiff.grid import radial_mean
+        from vortexdiff.scenario import stream_diagnostics
+
+        cfg = vd.parse_config(small_vortex_cfg(tmp_path / "run").replace("grid.n = 64", "grid.n = 200"))
+        i0 = cfg.grid.origin_index
+        for d in stream_diagnostics(cfg):
+            snap = d.snap
+            d.compute(("profile", "rho22_radial", "efficiency", "cfactor"))
+            profile = vd.azimuthal_average(snap.rho12, cfg.nbins)
+            assert d.profile.radii.tobytes() == profile.radii.tobytes()
+            assert d.profile.mean_intensity.tobytes() == profile.mean_intensity.tobytes()
+            assert d.rho22_radial.tobytes() == radial_mean(snap.rho22, cfg.grid, cfg.nbins).tobytes()
+            field = vd.coherence_factor_field(snap, cfg.eta)
+            assert d.cfactor[1] == field.values[i0, i0]
+            assert d.cfactor[0] == pytest.approx(field.weighted_average, rel=1e-15, abs=0)
+            energy = float(np.sum(np.abs(snap.rho12.values) ** 2))
+            assert d.efficiency == pytest.approx(energy / d.reference, rel=1e-15, abs=0)
 
     def test_manifest_hash_is_chunked_without_changing_the_digest(self, tmp_path):
         from vortexdiff.scenario import _HASH_CHUNK, _sha256

@@ -7,7 +7,7 @@ import pytest
 
 import vortexdiff as vd
 import vortexdiff.solvers as solvers
-from vortexdiff.grid import row_blocks
+from vortexdiff.grid import ROWS, row_blocks
 from vortexdiff.solvers import (_apply, _classical_stream, _fft_size, _forward_fft2, _free_space_size,
                                 _inverse_fft2, _separable, _wavenumbers)
 from helpers import fd_march, free_gaussian_dispersed, heat_kernel_patch, kernel_convolution_sum
@@ -475,6 +475,42 @@ class TestInverseTransform:
         assert out.dtype == np.float64 and out.shape == (side, side)
         assert np.array_equal(out, expected)
 
+    @pytest.mark.parametrize("n,side", [(64, 64), (64, 80), (240, 270), (256, 300)])
+    def test_windows_match_ifft2_and_irfft2(self, n, side):
+        # the kept n x n window has the bytes of ifft2's and irfft2's.  At
+        # side == n the complex result is its own product and the real one
+        # the float64 view at the start of its half spectrum's buffer,
+        # written a row block at a time; a padded window is copied out
+        rng = np.random.default_rng(n + side)
+        spectrum = np.fft.fft2(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), s=(side, side))
+        half = np.fft.rfft2(rng.standard_normal((n, n)), s=(side, side))
+        half *= np.exp(-rng.random(half.shape))
+        work, buffer = spectrum.copy(), half.copy()
+        full = _inverse_fft2(work, side, real=False, n=n)
+        real = _inverse_fft2(buffer, side, real=True, n=n)
+        assert full.tobytes() == np.ascontiguousarray(np.fft.ifft2(spectrum)[:n, :n]).tobytes()
+        assert real.dtype == np.float64 and real.shape == (n, n) and real.flags.c_contiguous
+        assert real.tobytes() == np.ascontiguousarray(np.fft.irfft2(half, s=(side, side))[:n, :n]).tobytes()
+        if side == n:
+            assert full is work
+            assert np.shares_memory(real, buffer) and real.ctypes.data == buffer.ctypes.data
+        else:
+            assert not np.shares_memory(full, work) and not np.shares_memory(real, buffer)
+
+    def test_real_inverse_adds_only_row_blocks(self):
+        # irfft2 forms an n x n real array (8 n^2 B) beside the half
+        # spectrum; the in-place inverse forms one real row block of it
+        # (8 ROWS n B, an eighth of that here) at a time
+        n = 256
+        half = np.fft.rfft2(np.random.default_rng(n).standard_normal((n, n)))
+        tracemalloc.start()
+        try:
+            _inverse_fft2(half, n, real=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * ROWS * n * 8
+
 
 class TestForwardTransform:
     """The per-axis forward transform zero-pads each axis as it goes and
@@ -699,6 +735,29 @@ class TestSnapshotStream:
         padded = 16 * g.n**2
         snapshot = 32 * g.n**2
         assert peak <= 2 * padded + 2 * snapshot
+
+    def test_evolved_rho22_is_clipped_inside_its_spectrum(self, monkeypatch):
+        # the stream's rho22 is the float64 view at the start of its half
+        # spectrum's buffer, and the physicality check clips its rounding
+        # residues there, without a second array
+        buffers, inverse = [], solvers._inverse_fft2
+
+        def tracked_inverse(product, side, real, n=None):
+            if real:
+                buffers.append(product)
+            return inverse(product, side, real, n)
+
+        g = vd.make_grid(64, 8.0)
+        snap = vd.initial_snapshot(vd.lg_field(vd.ModeSpec(kind=vd.ModeKind.LG, m=1), g))
+        times = [0.05, 0.1]
+        raw = [out[1] for out in _classical_stream(spectral_cfg(), g, snap.rho12.free_space,
+                                                   [snap.rho12.values, snap.rho22], 1.0, times)]
+        monkeypatch.setattr(solvers, "_inverse_fft2", tracked_inverse)
+        for k, out in enumerate(vd.evolve_snapshots(snap, 1.0, times, spectral_cfg())):
+            assert np.any(raw[k] < 0.0)  # residues to clip
+            assert np.shares_memory(out.rho22, buffers[k])
+            assert out.rho22.tobytes() == np.maximum(raw[k], 0.0).tobytes()
+            assert not np.any(np.signbit(out.rho22))
 
     def test_stream_is_lazy(self, lg01):
         stream = vd.evolve_snapshots(vd.initial_snapshot(lg01), -1.0, [0.1], spectral_cfg())
